@@ -139,10 +139,10 @@ struct LockProfileSnapshot {
 // LockProfileStats written by the hot taps, plus read-side aggregation.
 //
 // Writers: Shard() hashes the calling thread onto a shard; one acquisition's
-// whole lifecycle (acquire/contended/acquired) runs on one thread, so its
-// samples land in one shard. Release may run on another thread only for
-// hand-off-style usage; counters still total correctly because every read
-// sums all shards.
+// whole lifecycle (acquire/contended/acquired/release) runs on one thread,
+// so its samples land in one shard: both lock families require the
+// acquiring thread to release. Counters would total correctly even if a
+// release landed elsewhere, because every read sums all shards.
 //
 // Readers: the counter accessors are live and monotonic (safe to poll from
 // a watcher thread while workers record). Histogram accessors return merged

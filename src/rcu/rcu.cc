@@ -24,10 +24,11 @@ void Rcu::ReadLock() {
   const std::uint64_t current = tls_reader_ctr->load(std::memory_order_relaxed);
   if ((current & kNestMask) == 0) {
     // Outermost section: snapshot the global counter (phase bit included).
+    // The seq_cst store is the read side's one fence (see rcu.h).
     tls_reader_ctr->store(gp_ctr_.load(std::memory_order_seq_cst),
                           std::memory_order_seq_cst);
   } else {
-    tls_reader_ctr->store(current + 1, std::memory_order_relaxed);
+    tls_reader_ctr->store(current + 1, std::memory_order_release);
   }
 }
 
@@ -35,7 +36,9 @@ void Rcu::ReadUnlock() {
   CONCORD_DCHECK(tls_reader_ctr != nullptr);
   const std::uint64_t current = tls_reader_ctr->load(std::memory_order_relaxed);
   CONCORD_DCHECK((current & kNestMask) != 0);
-  tls_reader_ctr->store(current - 1, std::memory_order_seq_cst);
+  // Release: the section's accesses happen before a writer's seq_cst load
+  // that sees the section end.
+  tls_reader_ctr->store(current - 1, std::memory_order_release);
 }
 
 bool Rcu::InReadSection() const {

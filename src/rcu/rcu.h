@@ -8,10 +8,28 @@
 // The algorithm is the classic two-phase-flip urcu-mb scheme (Desnoyers et
 // al.): each reader thread keeps a counter word combining a nesting count and
 // a phase bit snapshot; writers flip the global phase and wait, twice, until
-// every active reader is observed on the new phase. All accesses use
-// sequentially consistent atomics, trading a fence on the read side for not
-// needing sys_membarrier — read sections here wrap a handful of loads, so
-// the fence is noise compared to the lock slow paths they sit in.
+// every active reader is observed on the new phase.
+//
+// Memory ordering. The read side pays one full fence per outermost section:
+//   - ReadLock publishes its snapshot with a seq_cst store (xchg on x86).
+//     That is the store->load (Dekker) edge: the slot store must be visible
+//     before the section's loads of RCU pointers, or a writer could swap a
+//     pointer, flip the phase and scan the slot as idle while this reader
+//     still goes on to load the old pointer.
+//   - ReadUnlock is a release store (a plain mov on x86). The writer reads
+//     every slot with seq_cst loads, so a writer that sees a section end
+//     also sees every access made inside it; nothing after the unlock needs
+//     ordering against the writer. Nested ReadLock increments are release
+//     stores too, so every slot value a writer can read carries that edge.
+// The writer side (phase flips, slot scan) is all seq_cst.
+//
+// A membarrier flavour (urcu "memb": compiler barriers on the read side,
+// membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) in Synchronize) was measured
+// and deferred. On a 4-vCPU VM with other threads busy one expedited
+// membarrier cost about 4 us, the control plane's Synchronize went from
+// 0.98 to 8.3 us under load, and attach latency on a contended lock rose
+// 17-29%, while page-fault throughput gained only a further 10% over this
+// scheme.
 
 #ifndef SRC_RCU_RCU_H_
 #define SRC_RCU_RCU_H_

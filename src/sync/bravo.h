@@ -7,7 +7,10 @@
 // A writer revokes the bias — clears the flag, scans the whole table waiting
 // for published readers to drain — then takes the underlying write lock.
 // Revocation is expensive, so bias re-enables only after an adaptive inhibit
-// window proportional to the last revocation's cost.
+// window proportional to the last revocation's cost, and only from a reader
+// on the slow path that already holds the underlying read lock: no writer
+// can be inside then, and the next writer sees the bias and revokes it. A
+// fresh lock starts biased for the same reason (no writer has run yet).
 //
 // Concord integration: the installed RwHooks' rw_mode() decides per
 // acquisition which regime the lock runs in — kNeutral (bias off),
@@ -60,27 +63,29 @@ class BravoLock {
       FireTap(&RwHooks::lock_acquired);
       return;
     }
-    if (mode == static_cast<std::uint32_t>(RwMode::kReaderBias)) {
-      MaybeReenableBias();
-      if (bias_.load(std::memory_order_acquire) != 0) {
-        const std::uint64_t index = SlotIndexFor(Self().task_id);
-        std::atomic<std::uint32_t>& slot = *visible_[index];
-        std::uint32_t expected = 0;
-        if (slot.compare_exchange_strong(expected, 1, std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-          // Publish-then-recheck: a racing writer either sees our slot or we
-          // see the cleared bias.
-          if (bias_.load(std::memory_order_acquire) != 0) {
-            PushToken(index);
-            fast_reads_.fetch_add(1, std::memory_order_relaxed);
-            FireTap(&RwHooks::lock_acquired);
-            return;
-          }
-          slot.store(0, std::memory_order_release);
+    const bool reader_bias =
+        mode == static_cast<std::uint32_t>(RwMode::kReaderBias);
+    if (reader_bias && bias_.load(std::memory_order_acquire) != 0) {
+      const std::uint64_t index = SlotIndexFor(Self().task_id);
+      std::atomic<std::uint32_t>& slot = *visible_[index];
+      std::uint32_t expected = 0;
+      if (slot.compare_exchange_strong(expected, 1, std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+        // Publish-then-recheck: a racing writer either sees our slot or we
+        // see the cleared bias.
+        if (bias_.load(std::memory_order_acquire) != 0) {
+          PushToken(index);
+          fast_reads_.fetch_add(1, std::memory_order_relaxed);
+          FireTap(&RwHooks::lock_acquired);
+          return;
         }
+        slot.store(0, std::memory_order_release);
       }
     }
     underlying_.ReadLock();
+    if (reader_bias) {
+      MaybeReenableBias();  // under the read lock, so no writer is inside
+    }
     PushToken(kTokenUnderlying);
     slow_reads_.fetch_add(1, std::memory_order_relaxed);
     FireTap(&RwHooks::lock_acquired);
@@ -217,16 +222,25 @@ class BravoLock {
     revocations_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // The wrapped lock: taken by slow-path readers and by every writer.
   Underlying underlying_;
+  // Visible readers: each fast-path reader writes its own slot; a revoking
+  // writer reads them all.
   CacheLinePadded<std::atomic<std::uint32_t>> visible_[kTableSlots];
-  CONCORD_CACHE_ALIGNED std::atomic<std::uint32_t> bias_{0};
+
+  // Read by every reader. The bias is written by revoking writers and by
+  // slow-path readers re-arming it, the rest by the control plane.
+  CONCORD_CACHE_ALIGNED std::atomic<std::uint32_t> bias_{1};
   std::atomic<std::uint64_t> inhibit_until_{0};
   RcuPointer<RwHooks> hooks_{nullptr};
   std::atomic<std::uint32_t> default_mode_{
       static_cast<std::uint32_t>(RwMode::kNeutral)};
   std::uint64_t lock_id_ = 0;
 
-  std::atomic<std::uint64_t> fast_reads_{0};
+  // Statistics: the read counts are written by every reader, revocations_ by
+  // revoking writers. Their own line, so counting a read does not invalidate
+  // the line above for the other readers.
+  CONCORD_CACHE_ALIGNED std::atomic<std::uint64_t> fast_reads_{0};
   std::atomic<std::uint64_t> slow_reads_{0};
   std::atomic<std::uint64_t> revocations_{0};
 };

@@ -1,5 +1,7 @@
 #include "src/sync/shfllock.h"
 
+#include <type_traits>
+
 #include "src/base/check.h"
 #include "src/base/spinwait.h"
 #include "src/base/time.h"
@@ -16,6 +18,17 @@ inline void CallTap(void (*tap)(void*, std::uint64_t), void* user_data,
   if (tap != nullptr) {
     tap(user_data, lock_id);
   }
+}
+
+// Adds to a counter that only one thread at a time writes (the holder, the
+// queue head, or the owning thread): a relaxed load and store instead of a
+// locked RMW. The previous writer's stores are ordered before ours by the
+// lock word or the head hand-off.
+template <typename T>
+inline void SingleWriterAdd(std::atomic<T>& counter,
+                            std::type_identity_t<T> delta) {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -60,31 +73,14 @@ void ShflLock::Lock() {
   }
 
   // Fast path: steal only while no queue exists (bounded unfairness).
-  if (tail_.load(std::memory_order_relaxed) == nullptr && TryAcquireWord()) {
-    holder_acquire_ns_ = track_time ? MonotonicNowNs() : 0;
-    holder_ctx_ = &ctx;
-    ctx.locks_held.fetch_add(1, std::memory_order_relaxed);
-    acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    TraceRecord(lock_id_, TraceEventKind::kAcquired);
-    if (hooked) {
-      RcuReadGuard rcu;
-      const ShflHooks* hooks = hooks_.Read();
-      if (hooks != nullptr) {
-        CallTap(hooks->lock_acquired, hooks->user_data, lock_id_);
-      }
-    }
-    return;
+  if (tail_.load(std::memory_order_relaxed) != nullptr || !TryAcquireWord()) {
+    ShflQNode node;
+    node.ctx = &ctx;
+    node.enqueue_ns = hooked ? MonotonicNowNs() : 0;
+    SlowLock(node);
   }
 
-  ShflQNode node;
-  node.ctx = &ctx;
-  node.enqueue_ns = hooked ? MonotonicNowNs() : 0;
-  SlowLock(node);
-
-  holder_acquire_ns_ = track_time ? MonotonicNowNs() : 0;
-  holder_ctx_ = &ctx;
-  ctx.locks_held.fetch_add(1, std::memory_order_relaxed);
-  acquisitions_.fetch_add(1, std::memory_order_relaxed);
+  RecordAcquired(ctx, track_time ? MonotonicNowNs() : 0);
   TraceRecord(lock_id_, TraceEventKind::kAcquired);
   if (hooked) {
     RcuReadGuard rcu;
@@ -102,12 +98,15 @@ bool ShflLock::TryLock() {
   if (!TryAcquireWord()) {
     return false;
   }
-  ThreadContext& ctx = Self();
-  holder_acquire_ns_ = 0;  // TryLock fires no hooks; see class comment
-  holder_ctx_ = &ctx;
-  ctx.locks_held.fetch_add(1, std::memory_order_relaxed);
-  acquisitions_.fetch_add(1, std::memory_order_relaxed);
+  RecordAcquired(Self(), 0);  // TryLock fires no hooks; see class comment
   return true;
+}
+
+void ShflLock::RecordAcquired(ThreadContext& ctx, std::uint64_t acquire_ns) {
+  holder_acquire_ns_ = acquire_ns;
+  holder_ctx_ = &ctx;
+  SingleWriterAdd(ctx.locks_held, 1);
+  SingleWriterAdd(acquisitions_, 1);
 }
 
 void ShflLock::SlowLock(ShflQNode& node) {
@@ -248,7 +247,7 @@ std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const ShflHooks& hooks) {
       hooks.skip_shuffle(hooks.user_data, head_view)) {
     return 0;
   }
-  shuffle_rounds_.fetch_add(1, std::memory_order_relaxed);
+  SingleWriterAdd(shuffle_rounds_, 1);
 
   const std::uint32_t bypass_bound =
       hooks.max_waiter_bypasses < kBypassCap ? hooks.max_waiter_bypasses
@@ -293,7 +292,7 @@ std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const ShflHooks& hooks) {
           }
         }
         if (frozen) {
-          bypass_freezes_.fetch_add(1, std::memory_order_relaxed);
+          SingleWriterAdd(bypass_freezes_, 1);
           break;  // a saturated waiter blocks all further reordering
         }
         for (std::uint32_t i = 0; i < num_skipped; ++i) {
@@ -318,7 +317,7 @@ std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const ShflHooks& hooks) {
 
   TraceRecord(lock_id_, TraceEventKind::kShuffleRound, moved);
   if (moved > 0) {
-    shuffle_moves_.fetch_add(moved, std::memory_order_relaxed);
+    SingleWriterAdd(shuffle_moves_, moved);
     // Queue-integrity runtime check (§4.2): the shuffled window must still
     // contain exactly the nodes we scanned — re-walk and count.
     std::uint32_t recount = 0;
@@ -335,12 +334,15 @@ std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const ShflHooks& hooks) {
 void ShflLock::Unlock() {
   ThreadContext* holder = holder_ctx_;
   CONCORD_CHECK(holder != nullptr);
+  // The thread that locked must unlock: the holder and per-thread counters
+  // below have that thread as their only writer.
+  CONCORD_DCHECK(holder == &Self());
   if (holder_acquire_ns_ != 0) {
     const std::uint64_t held_ns = MonotonicNowNs() - holder_acquire_ns_;
     holder->UpdateCsEwma(held_ns);
-    holder->lock_hold_total_ns.fetch_add(held_ns, std::memory_order_relaxed);
+    SingleWriterAdd(holder->lock_hold_total_ns, held_ns);
   }
-  holder->locks_held.fetch_sub(1, std::memory_order_relaxed);
+  SingleWriterAdd(holder->locks_held, -1u);  // wraps: subtracts one
   holder_ctx_ = nullptr;
 
   const std::uint32_t prev = locked_.exchange(0, std::memory_order_release);

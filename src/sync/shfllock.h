@@ -131,6 +131,9 @@ class ShflLock {
 
   void SlowLock(ShflQNode& node);
 
+  // Holder bookkeeping once the lock word is won; only the new holder runs it.
+  void RecordAcquired(ThreadContext& ctx, std::uint64_t acquire_ns);
+
   // One shuffle round; only the queue head calls this. Returns the number of
   // waiters moved.
   std::uint32_t ShuffleRound(ShflQNode& head, const ShflHooks& hooks);
@@ -142,22 +145,32 @@ class ShflLock {
   // Spins/parks until this node becomes the queue head.
   void WaitUntilHead(ShflQNode& node);
 
+  // Each group below sits on its own cache line, so a write to one never
+  // invalidates a line another role is reading or spinning on. A
+  // single-writer counter is updated with a relaxed load and store instead of
+  // a locked RMW; it stays atomic so readers on other threads are race-free.
+
+  // Lock word: every acquirer and the holder's release.
   CONCORD_CACHE_ALIGNED std::atomic<std::uint32_t> locked_{0};
+  // Queue tail: every enqueuer exchanges it.
   CONCORD_CACHE_ALIGNED std::atomic<ShflQNode*> tail_{nullptr};
-  RcuPointer<ShflHooks> hooks_{nullptr};
+
+  // Read-mostly config: written by the control plane, read on every path.
+  CONCORD_CACHE_ALIGNED RcuPointer<ShflHooks> hooks_{nullptr};
   std::atomic<std::uint32_t> blocking_{0};
   std::uint64_t lock_id_ = 0;
 
-  // Holder bookkeeping (written under the lock).
-  std::uint64_t holder_acquire_ns_ = 0;
+  // Holder-only: written by the thread holding the lock.
+  CONCORD_CACHE_ALIGNED std::uint64_t holder_acquire_ns_ = 0;
   ThreadContext* holder_ctx_ = nullptr;
-
-  // Statistics (relaxed counters).
   std::atomic<std::uint64_t> acquisitions_{0};
-  std::atomic<std::uint64_t> shuffle_rounds_{0};
+
+  // Waiter-side statistics: the rounds, moves and freezes are written only by
+  // the queue head; parks_ by any waiter, so it stays an RMW.
+  CONCORD_CACHE_ALIGNED std::atomic<std::uint64_t> shuffle_rounds_{0};
   std::atomic<std::uint64_t> shuffle_moves_{0};
-  std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> bypass_freezes_{0};
+  std::atomic<std::uint64_t> parks_{0};
 };
 
 // RAII guard.

@@ -29,7 +29,9 @@ class CONCORD_CACHE_ALIGNED TicketLock {
   }
 
   bool TryLock() {
-    std::uint32_t serving = serving_.load(std::memory_order_relaxed);
+    // Acquire: on success this pairs with the previous holder's release of
+    // serving_, like the acquire load that ends Lock()'s spin.
+    std::uint32_t serving = serving_.load(std::memory_order_acquire);
     std::uint32_t expected = serving;
     // Lock is free iff next == serving; claim by bumping next.
     return next_.compare_exchange_strong(expected, serving + 1,

@@ -40,6 +40,9 @@ struct CONCORD_CACHE_ALIGNED ThreadContext {
   std::atomic<std::uint32_t> preemptible{1};    // 0 => vCPU known-runnable (hypervisor hint)
 
   // --- runtime-maintained lock context ------------------------------------
+  // Written only by the owning thread (ShflLock's holder bookkeeping), with a
+  // relaxed load and store rather than an RMW; policies on other threads
+  // read them.
   std::atomic<std::uint32_t> locks_held{0};     // nesting depth across all locks
   std::atomic<std::uint64_t> cs_length_ewma_ns{0};  // critical-section length estimate
   std::atomic<std::uint64_t> lock_hold_total_ns{0}; // cumulative hold time (SCL accounting)

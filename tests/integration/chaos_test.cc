@@ -1,12 +1,13 @@
 // Chaos/soak harness: hostile policies and injected faults under real
 // contention. The containment pipeline (src/concord/containment.h) must
 // quarantine the offender, the lock must keep making progress (zero lost
-// wakeups), and throughput must recover once the policy is off the lock.
+// wakeups), and the offending hook must never run again once it is off the
+// lock. Assertions count events rather than time them, so they hold under
+// any load; the throughput bounds live in bench/a10_containment.
 
 #include <gtest/gtest.h>
 #include <time.h>
 
-#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/concord/containment.h"
 #include "src/concord/policies.h"
 #include "src/concord/safety.h"
+#include "src/rcu/rcu.h"
 #include "src/sync/shfllock.h"
 
 namespace concord {
@@ -54,37 +56,18 @@ bool Await(Pred pred) {
   return true;
 }
 
-// Single-threaded fixed-op throughput. Multi-thread timed windows are
-// bimodal on a single-core host (whole quanta of uncontended fast-path vs
-// handoff thrash, a ~5x spread between back-to-back runs), so the
-// stock-vs-recovered comparison uses this deterministic shape; the hostile
-// phase still runs real multi-thread contention.
-double OpsPerSec(ShflLock& lock) {
-  constexpr int kOps = 200'000;
-  const std::uint64_t start = MonotonicNowNs();
-  for (int i = 0; i < kOps; ++i) {
-    lock.Lock();
-    lock.Unlock();
-  }
-  const std::uint64_t elapsed = MonotonicNowNs() - start;
-  return static_cast<double>(kOps) * 1e9 / static_cast<double>(elapsed);
-}
-
-double BestOf5(ShflLock& lock) {
-  double best = 0.0;
-  for (int i = 0; i < 5; ++i) {
-    best = std::max(best, OpsPerSec(lock));
-  }
-  return best;
-}
-
 #if CONCORD_HOOK_BUDGETS
 
 // Hostile profiling tap: ~150us burned inside every lock release, inflating
-// the critical section two orders of magnitude past its budget.
-void HostileSlowReleaseTap(void*, std::uint64_t) { BurnNs(150'000); }
+// the critical section two orders of magnitude past its budget. Counts its
+// invocations in the counter `calls` points to.
+void HostileSlowReleaseTap(void* calls, std::uint64_t) {
+  static_cast<std::atomic<std::uint64_t>*>(calls)->fetch_add(
+      1, std::memory_order_relaxed);
+  BurnNs(150'000);
+}
 
-TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndThroughputRecovers) {
+TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndNeverFiresAgain) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock_, "chaos", "t");
   ASSERT_TRUE(concord.EnableProfiling(id).ok());
@@ -95,10 +78,9 @@ TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndThroughputRecovers) {
   registry.SetConfig(config);
 
   constexpr int kThreads = 4;
-  const double stock = BestOf5(lock_);
-  ASSERT_GT(stock, 0.0);
-
+  std::atomic<std::uint64_t> tap_calls{0};
   ShflHooks hooks;
+  hooks.user_data = &tap_calls;
   hooks.lock_release = HostileSlowReleaseTap;
   hooks.hook_budget_ns = 20'000;  // 20us budget vs ~150us actual
   hooks.hook_budget_trip = 8;
@@ -119,29 +101,36 @@ TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndThroughputRecovers) {
     registry.Poll();
     return registry.HealthOf(id) == PolicyHealth::kQuarantined;
   });
+  // Quarantine swapped the tap's table out. After one more grace period no
+  // release can still be inside the tap, so its count is final while the
+  // workers go on through the profiling-only table.
+  constexpr std::uint64_t kAcquisitionsAfterQuarantine = 20'000;
+  std::uint64_t calls_after_grace = 0;
+  bool progressed = false;
+  if (quarantined) {
+    Rcu::Global().Synchronize();
+    calls_after_grace = tap_calls.load();
+    const std::uint64_t base = lock_.acquisitions();
+    progressed = Await([&] {
+      return lock_.acquisitions() >= base + kAcquisitionsAfterQuarantine;
+    });
+  }
   stop.store(true);
   for (std::thread& worker : workers) {
     worker.join();
   }
   ASSERT_TRUE(quarantined);
+  EXPECT_TRUE(progressed);
+  EXPECT_GT(calls_after_grace, 0u);
+  const std::uint64_t calls_at_end = tap_calls.load();
+  EXPECT_EQ(calls_at_end, calls_after_grace)
+      << "the quarantined tap still ran on "
+      << calls_at_end - calls_after_grace << " releases";
 
   const ShardedLockProfileStats* stats = concord.Stats(id);
   ASSERT_NE(stats, nullptr);
   EXPECT_GE(stats->BudgetOverruns(), 8u);
   EXPECT_GE(stats->Quarantines(), 1u);
-
-  // With the tap off the lock, throughput returns to >= 90% of stock. The
-  // post-quarantine hook table is identical to the pre-attach one
-  // (profiling-only), so a containment failure shows up as a ~50x gap (the
-  // 150us tap still firing), not a near-miss; values near the bar are
-  // single-core sampling noise, so let the recovered side take extra
-  // samples to converge on its true max.
-  double recovered = BestOf5(lock_);
-  for (int i = 0; i < 10 && recovered < stock * 0.9; ++i) {
-    recovered = std::max(recovered, OpsPerSec(lock_));
-  }
-  EXPECT_GE(recovered, stock * 0.9)
-      << "stock=" << stock << " ops/s, recovered=" << recovered << " ops/s";
 }
 
 // Hostile parking decision: burns time on every consult and never lets a

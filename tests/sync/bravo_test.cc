@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -61,6 +63,83 @@ TEST(BravoTest, BiasReenablesAfterInhibitWindow) {
   lock.ReadLock();
   lock.ReadUnlock();
   EXPECT_TRUE(lock.bias_active());
+}
+
+TEST(BravoTest, ReaderBiasNeverAdmitsAReaderPastAnActiveWriter) {
+  // Re-arming the bias is only safe under the underlying read lock: a reader
+  // that re-armed it before taking that lock would take the fast path while
+  // the writer below is still inside.
+  BravoLock<NeutralRwLock> lock;
+  lock.SetDefaultMode(RwMode::kReaderBias);
+  lock.WriteLock();
+
+  std::atomic<bool> reader_in{false};
+  std::thread reader([&] {
+    lock.ReadLock();
+    reader_in.store(true);
+    lock.ReadUnlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(reader_in.load());
+  EXPECT_EQ(lock.fast_reads(), 0u);
+
+  lock.WriteUnlock();
+  reader.join();
+  EXPECT_TRUE(reader_in.load());
+  EXPECT_EQ(lock.slow_reads(), 1u);
+}
+
+TEST(BravoTest, ReadCountersStayExactUnderConcurrentReaders) {
+  // Every read acquisition is counted exactly once, as fast or slow, while
+  // readers race each other and a writer that revokes the bias. The first
+  // phase has no writer, so it takes the fast path; every reader reads again
+  // after the writer's last revocation, so some read takes the slow path.
+  BravoLock<NeutralRwLock> lock;
+  lock.SetDefaultMode(RwMode::kReaderBias);
+  constexpr int kReaders = 3;
+  constexpr std::uint64_t kReadsPerPhase = 10'000;
+  std::barrier start_writer(kReaders + 1);
+  std::atomic<bool> writer_done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      std::uint64_t mine = 0;
+      auto read = [&] {
+        lock.ReadLock();
+        lock.ReadUnlock();
+        ++mine;
+      };
+      for (std::uint64_t i = 0; i < kReadsPerPhase; ++i) {
+        read();
+      }
+      start_writer.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kReadsPerPhase; ++i) {
+        read();
+      }
+      while (!writer_done.load()) {
+        read();
+      }
+      read();
+      reads.fetch_add(mine);
+    });
+  }
+  threads.emplace_back([&] {
+    start_writer.arrive_and_wait();
+    for (int i = 0; i < 100; ++i) {
+      lock.WriteLock();
+      lock.WriteUnlock();
+      std::this_thread::yield();
+    }
+    writer_done.store(true);
+  });
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(lock.fast_reads() + lock.slow_reads(), reads.load());
+  EXPECT_GT(lock.fast_reads(), 0u);
+  EXPECT_GT(lock.slow_reads(), 0u);
+  EXPECT_GT(lock.revocations(), 0u);
 }
 
 TEST(BravoTest, WriterOnlyModeSerializesReaders) {

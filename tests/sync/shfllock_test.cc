@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/base/time.h"
+#include "src/concord/concord.h"
 #include "src/rcu/rcu.h"
 
 namespace concord {
@@ -39,6 +41,93 @@ TEST(ShflLockTest, AcquisitionCountTracks) {
     ShflGuard guard(lock);
   }
   EXPECT_EQ(lock.acquisitions(), before + 10);
+}
+
+TEST(ShflLockTest, SingleWriterCountersStayExactUnderContention) {
+  // acquisitions() and each thread's locks_held are updated with a plain
+  // load and store by their single writer. Under contention, TryLock and
+  // nesting, every count must still match what the threads did and what the
+  // profiler saw.
+  ShflLock outer;
+  ShflLock inner;
+  Concord& concord = Concord::Global();
+  const std::uint64_t ids[2] = {
+      concord.RegisterShflLock(outer, "exact-outer", "exact"),
+      concord.RegisterShflLock(inner, "exact-inner", "exact")};
+  EXPECT_TRUE(concord.EnableProfilingBySelector("class:exact").ok());
+  ShflLock* locks[2] = {&outer, &inner};
+
+  constexpr int kThreads = 4;
+  constexpr int kIters = 5'000;
+  struct Counts {
+    std::uint64_t locked[2] = {0, 0};  // via Lock()
+    std::uint64_t tried[2] = {0, 0};   // via a successful TryLock()
+    std::uint32_t held_at_exit = 0;
+    bool nesting_miscounted = false;
+  };
+  std::vector<Counts> counts(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Counts& mine = counts[t];
+      Xoshiro256 rng(t + 1);
+      for (int i = 0; i < kIters; ++i) {
+        const std::uint64_t dice = rng.NextBounded(10);
+        if (dice < 2) {
+          if (outer.TryLock()) {
+            ++mine.tried[0];
+            outer.Unlock();
+          }
+          continue;
+        }
+        outer.Lock();
+        ++mine.locked[0];
+        if (dice < 5) {
+          if (dice == 2) {
+            if (inner.TryLock()) {
+              ++mine.tried[1];
+              mine.nesting_miscounted |= Self().locks_held.load() != 2;
+              inner.Unlock();
+            }
+          } else {
+            inner.Lock();
+            ++mine.locked[1];
+            mine.nesting_miscounted |= Self().locks_held.load() != 2;
+            inner.Unlock();
+          }
+        }
+        outer.Unlock();
+      }
+      mine.held_at_exit = Self().locks_held.load();
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+
+  for (int k = 0; k < 2; ++k) {
+    std::uint64_t locked = 0;
+    std::uint64_t tried = 0;
+    for (const Counts& c : counts) {
+      locked += c.locked[k];
+      tried += c.tried[k];
+    }
+    EXPECT_EQ(locks[k]->acquisitions(), locked + tried) << "lock " << k;
+    // TryLock fires no hooks, so the profiler counts only Lock() among the
+    // acquisitions, but every Unlock() among the releases.
+    const ShardedLockProfileStats* stats = concord.Stats(ids[k]);
+    EXPECT_NE(stats, nullptr);
+    if (stats != nullptr) {
+      EXPECT_EQ(stats->Acquisitions(), locked) << "lock " << k;
+      EXPECT_EQ(stats->Releases(), locked + tried) << "lock " << k;
+    }
+  }
+  for (const Counts& c : counts) {
+    EXPECT_EQ(c.held_at_exit, 0u);
+    EXPECT_FALSE(c.nesting_miscounted);
+  }
+  EXPECT_TRUE(concord.Unregister(ids[0]).ok());
+  EXPECT_TRUE(concord.Unregister(ids[1]).ok());
 }
 
 TEST(ShflLockTest, HoldTimeFeedsContextEwma) {
