@@ -4,6 +4,8 @@
 
 #include "src/concord/policies.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/bpf/verifier.h"
@@ -226,12 +228,22 @@ TEST(PoliciesTest, LockCensusCountsPerTaskClass) {
 
 // Property sweep: every factory policy verifies cleanly under its hook's
 // capability mask (i.e. no ready-made policy depends on capabilities its
-// attach point would deny).
-using PolicyFactory = StatusOr<TunablePolicy> (*)();
-class PolicyVerificationTest : public ::testing::TestWithParam<PolicyFactory> {};
+// attach point would deny). Each case prints as its factory's name, which
+// gtest_discover_tests puts in the CTest name: a bare function pointer
+// prints as its address, which ASLR changes on every run.
+struct NamedFactory {
+  const char* name;
+  StatusOr<TunablePolicy> (*make)();
+};
+
+void PrintTo(const NamedFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
+
+class PolicyVerificationTest : public ::testing::TestWithParam<NamedFactory> {};
 
 TEST_P(PolicyVerificationTest, FactoryPolicyVerifies) {
-  auto policy = GetParam()();
+  auto policy = GetParam().make();
   ASSERT_TRUE(policy.ok()) << policy.status().ToString();
   Status status = policy->spec.VerifyAll();
   EXPECT_TRUE(status.ok()) << status.ToString();
@@ -245,15 +257,16 @@ TEST_P(PolicyVerificationTest, FactoryPolicyVerifies) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFactories, PolicyVerificationTest,
-                         ::testing::Values(&MakeNumaGroupingPolicy,
-                                           &MakePriorityBoostPolicy,
-                                           &MakeLockInheritancePolicy,
-                                           &MakeSclPolicy,
-                                           &MakeAmpFastCorePolicy,
-                                           &MakeVcpuPreemptionPolicy,
-                                           &MakeAdaptiveParkingPolicy,
-                                           &MakeShuffleFairnessGuard));
+INSTANTIATE_TEST_SUITE_P(
+    AllFactories, PolicyVerificationTest,
+    ::testing::Values(NamedFactory{"NumaGrouping", &MakeNumaGroupingPolicy},
+                      NamedFactory{"PriorityBoost", &MakePriorityBoostPolicy},
+                      NamedFactory{"LockInheritance", &MakeLockInheritancePolicy},
+                      NamedFactory{"Scl", &MakeSclPolicy},
+                      NamedFactory{"AmpFastCore", &MakeAmpFastCorePolicy},
+                      NamedFactory{"VcpuPreemption", &MakeVcpuPreemptionPolicy},
+                      NamedFactory{"AdaptiveParking", &MakeAdaptiveParkingPolicy},
+                      NamedFactory{"ShuffleFairnessGuard", &MakeShuffleFairnessGuard}));
 
 }  // namespace
 }  // namespace concord
