@@ -15,9 +15,8 @@
 // when enabled — is on the *contended* path, where each acquisition pays a
 // queue handoff plus the critical section: the Contended_* pair holds the
 // lock for ~2us of real work with 4 hammering threads so the denominator is
-// a realistic contended op, not an empty lock/unlock. Rebuilding with
-// -DCONCORD_ENABLE_HOOK_BUDGETS=OFF empties DispatchScope entirely; in that
-// build BudgetOn collapses into BudgetOff (accounting compiles out).
+// a realistic contended op, not an empty lock/unlock. With fault injection
+// compiled out (Release), BudgetOff carries no budget state at all.
 
 #include <benchmark/benchmark.h>
 
@@ -44,7 +43,7 @@ void AttachOnce(ShflLock& lock, std::once_flag& once, std::uint64_t& id,
   std::call_once(once, [&] {
     Concord& concord = Concord::Global();
     id = concord.RegisterShflLock(lock, name, "bench");
-    ShflHooks hooks;
+    HookTable hooks;
     hooks.lock_release = NullReleaseTap;
     hooks.hook_budget_ns = budget_ns;
     hooks.hook_budget_trip = ~0u;  // never trip during the run
@@ -53,17 +52,12 @@ void AttachOnce(ShflLock& lock, std::once_flag& once, std::uint64_t& id,
 }
 
 void ReportBudgetCounters(benchmark::State& state, std::uint64_t id) {
-#if CONCORD_HOOK_BUDGETS
   if (state.thread_index() == 0) {
     if (const HookBudgetState* budget = Concord::Global().BudgetState(id)) {
       state.counters["dispatches"] = static_cast<double>(budget->TotalCalls());
       state.counters["spent_ns"] = static_cast<double>(budget->TotalSpentNs());
     }
   }
-#else
-  (void)state;
-  (void)id;
-#endif
 }
 
 // --- uncontended: absolute per-dispatch accounting cost ----------------------

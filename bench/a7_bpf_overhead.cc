@@ -108,16 +108,16 @@ BENCHMARK(BM_UncontendedLock_NoHooks);
 
 void BM_UncontendedLock_NativeHooks(benchmark::State& state) {
   ShflLock lock;
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.cmp_node = [](void*, const ShflWaiterView& s, const ShflWaiterView& c) {
     return s.socket == c.socket;
   };
-  lock.InstallHooks(&hooks);
+  lock.hook_site().Install(&hooks);
   for (auto _ : state) {
     lock.Lock();
     lock.Unlock();
   }
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
 }
 BENCHMARK(BM_UncontendedLock_NativeHooks);

@@ -74,13 +74,13 @@ void RunRealPart() {
     ProcLockTable<ShflLock> shfl_table;
     shfl_table.global_lock().SetBlocking(true);
     {
-      ShflHooks native;
+      HookTable native;
       native.cmp_node = [](void*, const ShflWaiterView& s,
                            const ShflWaiterView& c) { return s.socket == c.socket; };
-      shfl_table.global_lock().InstallHooks(&native);
+      shfl_table.global_lock().hook_site().Install(&native);
       // Keep `native` alive for the run: block scope below.
       const double shfl = RunRealWorkload(shfl_table, threads, kMs);
-      shfl_table.global_lock().InstallHooks(nullptr);
+      shfl_table.global_lock().hook_site().Install(nullptr);
       Rcu::Global().Synchronize();
 
       // Concord path: same policy as verified BPF, attached via the facade.

@@ -109,9 +109,10 @@ int main() {
   // Verification runs before anything touches the lock, so the previously
   // attached (verified) policy is still in place:
   std::printf("lock hooks after failed attach: %s\n",
-              lock.CurrentHooks() != nullptr ? "previous policy still active"
-                                             : "none");
-  CONCORD_CHECK(lock.CurrentHooks() != nullptr);
+              lock.hook_site().Current() != nullptr
+                  ? "previous policy still active"
+                  : "none");
+  CONCORD_CHECK(lock.hook_site().Current() != nullptr);
 
   CONCORD_CHECK(concord.Unregister(lock_id).ok());
   return 0;

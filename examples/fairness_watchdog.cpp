@@ -98,7 +98,7 @@ int main() {
                 violation.detached ? "policy detached" : "reported only");
   }
   std::printf("lock hooks now: %s\n",
-              g_lock.CurrentHooks() == nullptr
+              g_lock.hook_site().Current() == nullptr
                   ? "none — reverted to stock FIFO"
                   : "still attached (profiling only)");
 

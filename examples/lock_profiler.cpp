@@ -63,7 +63,8 @@ int main() {
   std::printf("--- profiling class:vm ---\n%s\n",
               concord.ProfileReport("class:vm").c_str());
   std::printf("rename_lock hook table installed: %s\n",
-              g_rename_lock.CurrentHooks() != nullptr ? "yes" : "no (zero cost)");
+              g_rename_lock.hook_site().Current() != nullptr ? "yes"
+                                                             : "no (zero cost)");
 
   // Detailed histograms for the hot lock.
   const ShardedLockProfileStats* stats = concord.Stats(page_id);

@@ -77,7 +77,7 @@ std::uint64_t AluOp64(std::uint8_t op, std::uint64_t dst, std::uint64_t src,
     case kBpfRsh:
       return dst >> (src & shift_mask);
     case kBpfNeg:
-      return static_cast<std::uint64_t>(-static_cast<std::int64_t>(dst));
+      return 0 - dst;  // two's complement; INT64_MIN negates to itself
     case kBpfMod:
       return src == 0 ? dst : dst % src;
     case kBpfXor:

@@ -1,5 +1,7 @@
 #include "src/concord/concord.h"
 
+#include <utility>
+
 #include "src/base/fault.h"
 #include "src/base/json.h"
 #include "src/base/time.h"
@@ -19,15 +21,13 @@ namespace concord {
 struct CompiledPolicy {
   std::uint64_t lock_id = 0;
   std::shared_ptr<const PolicySpec> spec;  // nullable
-  std::optional<ShflHooks> native;         // nullable user native hooks
-  std::optional<RwHooks> native_rw;
+  std::optional<HookTable> native;         // nullable user native hooks
   ShardedLockProfileStats* stats = nullptr;  // nullable; owned by the entry
   // Budget accounting, owned by the entry; outlives this table (the entry
   // only swaps its budget after the RCU grace period retiring this table).
   HookBudgetState* budget = nullptr;
 
-  ShflHooks shfl_table;
-  RwHooks rw_table;
+  HookTable table;
 
   const HookChain* ChainFor(HookKind kind) const {
     if (spec == nullptr) {
@@ -95,7 +95,6 @@ void RunTapChain(const HookChain* chain, std::uint64_t lock_id, HookKind kind) {
 // inside an RCU read section where waiting out a grace period would
 // deadlock. ContainmentRegistry::Poll() harvests the flag asynchronously.
 
-#if CONCORD_HOOK_BUDGETS
 class DispatchScope {
  public:
   DispatchScope(CompiledPolicy* cp, HookKind kind)
@@ -137,12 +136,6 @@ class DispatchScope {
   std::uint64_t fires_before_ = 0;
 #endif
 };
-#else   // !CONCORD_HOOK_BUDGETS
-class DispatchScope {
- public:
-  DispatchScope(CompiledPolicy*, HookKind) {}
-};
-#endif  // CONCORD_HOOK_BUDGETS
 
 // Flight-recorder tap: one kPolicyDispatch event per policy hook invocation
 // (arg = the HookKind), so a trace shows exactly where attached-policy time
@@ -152,7 +145,67 @@ inline void TraceDispatch(const CompiledPolicy* cp, HookKind kind) {
               static_cast<std::uint64_t>(kind));
 }
 
-// --- ShflLock trampolines ----------------------------------------------------
+// The table slot a profiling tap kind fires.
+constexpr HookTable::Tap HookTable::*TapSlot(HookKind kind) {
+  switch (kind) {
+    case HookKind::kLockAcquire:
+      return &HookTable::lock_acquire;
+    case HookKind::kLockContended:
+      return &HookTable::lock_contended;
+    case HookKind::kLockAcquired:
+      return &HookTable::lock_acquired;
+    default:
+      return &HookTable::lock_release;
+  }
+}
+
+// True if a native table fills the slot for `kind`.
+bool Fills(const HookTable& table, HookKind kind) {
+  switch (kind) {
+    case HookKind::kCmpNode:
+      return table.cmp_node != nullptr;
+    case HookKind::kSkipShuffle:
+      return table.skip_shuffle != nullptr;
+    case HookKind::kScheduleWaiter:
+      return table.schedule_waiter != nullptr;
+    case HookKind::kRwMode:
+      return table.rw_mode != nullptr;
+    default:
+      return table.*TapSlot(kind) != nullptr;
+  }
+}
+
+// True if the policy (native table or BPF chain) has a hook of `kind`.
+bool Fills(const CompiledPolicy& cp, HookKind kind) {
+  return cp.ChainFor(kind) != nullptr ||
+         (cp.native.has_value() && Fills(*cp.native, kind));
+}
+
+// The one kind rule, for native tables and BPF specs alike: a hook the lock
+// never consults cannot attach. ShflLock consults every hook but rw_mode;
+// a readers-writer lock consults rw_mode and the four taps.
+template <typename FilledFn>
+Status CheckHookKinds(bool rw_lock, const std::string& lock_name,
+                      FilledFn filled) {
+  for (int k = 0; k < kNumHookKinds; ++k) {
+    const auto kind = static_cast<HookKind>(k);
+    bool consulted = true;
+    if (kind == HookKind::kCmpNode || kind == HookKind::kSkipShuffle ||
+        kind == HookKind::kScheduleWaiter) {
+      consulted = !rw_lock;
+    } else if (kind == HookKind::kRwMode) {
+      consulted = rw_lock;
+    }
+    if (!consulted && filled(kind)) {
+      return FailedPreconditionError(
+          std::string("hook ") + HookKindName(kind) + " cannot attach to " +
+          (rw_lock ? "readers-writer lock '" : "mutex '") + lock_name + "'");
+    }
+  }
+  return Status::Ok();
+}
+
+// --- trampolines ---------------------------------------------------------------
 
 bool CmpNodeTrampoline(void* user_data, const ShflWaiterView& shuffler,
                        const ShflWaiterView& curr) {
@@ -199,6 +252,20 @@ bool ScheduleWaiterTrampoline(void* user_data, const ShflWaiterView& waiter,
   return spin_iterations > 128;  // lock default
 }
 
+std::uint32_t RwModeTrampoline(void* user_data) {
+  auto* cp = static_cast<CompiledPolicy*>(user_data);
+  TraceDispatch(cp, HookKind::kRwMode);
+  DispatchScope scope(cp, HookKind::kRwMode);
+  if (cp->native.has_value() && cp->native->rw_mode != nullptr) {
+    return cp->native->rw_mode(cp->native->user_data);
+  }
+  if (const HookChain* chain = cp->ChainFor(HookKind::kRwMode)) {
+    RwModeCtx ctx{cp->lock_id};
+    return static_cast<std::uint32_t>(RunDecisionChain(*chain, &ctx));
+  }
+  return static_cast<std::uint32_t>(RwMode::kNeutral);
+}
+
 template <HookKind kKind>
 void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
   auto* cp = static_cast<CompiledPolicy*>(user_data);
@@ -207,17 +274,7 @@ void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
     // the framework profiler below — the budget bounds the *policy*.
     DispatchScope scope(cp, kKind);
     if (cp->native.has_value()) {
-      void (*tap)(void*, std::uint64_t) = nullptr;
-      if constexpr (kKind == HookKind::kLockAcquire) {
-        tap = cp->native->lock_acquire;
-      } else if constexpr (kKind == HookKind::kLockContended) {
-        tap = cp->native->lock_contended;
-      } else if constexpr (kKind == HookKind::kLockAcquired) {
-        tap = cp->native->lock_acquired;
-      } else {
-        tap = cp->native->lock_release;
-      }
-      if (tap != nullptr) {
+      if (const HookTable::Tap tap = (*cp->native).*TapSlot(kKind)) {
         TraceDispatch(cp, kKind);
         tap(cp->native->user_data, lock_id);
       }
@@ -240,96 +297,6 @@ void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
   }
 }
 
-// --- RW trampolines ------------------------------------------------------------
-
-std::uint32_t RwModeTrampoline(void* user_data) {
-  auto* cp = static_cast<CompiledPolicy*>(user_data);
-  TraceDispatch(cp, HookKind::kRwMode);
-  DispatchScope scope(cp, HookKind::kRwMode);
-  if (cp->native_rw.has_value() && cp->native_rw->rw_mode != nullptr) {
-    return cp->native_rw->rw_mode(cp->native_rw->user_data);
-  }
-  if (const HookChain* chain = cp->ChainFor(HookKind::kRwMode)) {
-    RwModeCtx ctx{cp->lock_id};
-    return static_cast<std::uint32_t>(RunDecisionChain(*chain, &ctx));
-  }
-  return static_cast<std::uint32_t>(RwMode::kNeutral);
-}
-
-template <HookKind kKind>
-void RwProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
-  auto* cp = static_cast<CompiledPolicy*>(user_data);
-  {
-    DispatchScope scope(cp, kKind);
-    if (cp->native_rw.has_value()) {
-      void (*tap)(void*, std::uint64_t) = nullptr;
-      if constexpr (kKind == HookKind::kLockAcquire) {
-        tap = cp->native_rw->lock_acquire;
-      } else if constexpr (kKind == HookKind::kLockContended) {
-        tap = cp->native_rw->lock_contended;
-      } else if constexpr (kKind == HookKind::kLockAcquired) {
-        tap = cp->native_rw->lock_acquired;
-      } else {
-        tap = cp->native_rw->lock_release;
-      }
-      if (tap != nullptr) {
-        TraceDispatch(cp, kKind);
-        tap(cp->native_rw->user_data, lock_id);
-      }
-    }
-    if (const HookChain* chain = cp->ChainFor(kKind)) {
-      TraceDispatch(cp, kKind);
-      RunTapChain(chain, lock_id, kKind);
-    }
-  }
-  if (cp->stats != nullptr) {
-    if constexpr (kKind == HookKind::kLockAcquire) {
-      ProfilerTaps::OnAcquire(*cp->stats, lock_id);
-    } else if constexpr (kKind == HookKind::kLockContended) {
-      ProfilerTaps::OnContended(*cp->stats, lock_id);
-    } else if constexpr (kKind == HookKind::kLockAcquired) {
-      ProfilerTaps::OnAcquired(*cp->stats, lock_id);
-    } else {
-      ProfilerTaps::OnRelease(*cp->stats, lock_id);
-    }
-  }
-}
-
-// True if the compiled policy needs the given profiling tap slot filled.
-bool NeedsTap(const CompiledPolicy& cp, HookKind kind, bool is_rw) {
-  if (cp.stats != nullptr) {
-    return true;
-  }
-  if (cp.ChainFor(kind) != nullptr) {
-    return true;
-  }
-  if (!is_rw && cp.native.has_value()) {
-    switch (kind) {
-      case HookKind::kLockAcquire:
-        return cp.native->lock_acquire != nullptr;
-      case HookKind::kLockContended:
-        return cp.native->lock_contended != nullptr;
-      case HookKind::kLockAcquired:
-        return cp.native->lock_acquired != nullptr;
-      default:
-        return cp.native->lock_release != nullptr;
-    }
-  }
-  if (is_rw && cp.native_rw.has_value()) {
-    switch (kind) {
-      case HookKind::kLockAcquire:
-        return cp.native_rw->lock_acquire != nullptr;
-      case HookKind::kLockContended:
-        return cp.native_rw->lock_contended != nullptr;
-      case HookKind::kLockAcquired:
-        return cp.native_rw->lock_acquired != nullptr;
-      default:
-        return cp.native_rw->lock_release != nullptr;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 Concord& Concord::Global() {
@@ -339,33 +306,23 @@ Concord& Concord::Global() {
 
 std::uint64_t Concord::RegisterShflLock(ShflLock& lock, std::string name,
                                         std::string lock_class) {
-  std::lock_guard<std::mutex> guard(mu_);
-  CONCORD_CHECK(entries_.size() < kMaxLocks);
-  auto entry = std::make_unique<Entry>();
-  entry->kind = LockKind::kShfl;
-  entry->name = std::move(name);
-  entry->lock_class = std::move(lock_class);
-  entry->shfl = &lock;
-  entries_.push_back(std::move(entry));
-  const std::uint64_t id = entries_.size();
-  lock.SetLockId(id);
-  return id;
+  return Register(lock.hook_site(), &lock, std::move(name),
+                  std::move(lock_class));
 }
 
-std::uint64_t Concord::RegisterRwImpl(
-    std::string name, std::string lock_class,
-    std::function<const RwHooks*(const RwHooks*)> install,
-    std::function<void(std::uint64_t)> set_id) {
+std::uint64_t Concord::Register(HookSite& site, ShflLock* shfl,
+                                std::string name, std::string lock_class) {
   std::lock_guard<std::mutex> guard(mu_);
   CONCORD_CHECK(entries_.size() < kMaxLocks);
   auto entry = std::make_unique<Entry>();
-  entry->kind = LockKind::kRw;
+  entry->kind = shfl != nullptr ? LockKind::kShfl : LockKind::kRw;
   entry->name = std::move(name);
   entry->lock_class = std::move(lock_class);
-  entry->rw_install = std::move(install);
+  entry->site = &site;
+  entry->shfl = shfl;
   entries_.push_back(std::move(entry));
   const std::uint64_t id = entries_.size();
-  set_id(id);
+  site.SetLockId(id);
   return id;
 }
 
@@ -391,21 +348,15 @@ Status Concord::Unregister(std::uint64_t lock_id) {
     }
     // Drop profiling hooks too if they were installed.
     if (entry->current != nullptr) {
-      if (entry->kind == LockKind::kShfl) {
-        entry->shfl->InstallHooks(nullptr);
-      } else {
-        entry->rw_install(nullptr);
-      }
+      entry->site->Install(nullptr);
       Rcu::Global().Synchronize();
       entry->current.reset();
     }
     TraceRegistry::Global().DisableLock(lock_id);
     entry->kind = LockKind::kNone;
+    entry->site = nullptr;
     entry->shfl = nullptr;
-    entry->rw_install = nullptr;
-    entry->quarantined_spec.reset();
-    entry->quarantined_native.reset();
-    entry->quarantined_native_rw.reset();
+    entry->quarantined = {};
     entry->budget.reset();
   }
   // Outside mu_: containment may hold its own mutex while calling into this
@@ -466,14 +417,8 @@ std::vector<Concord::LockInfo> Concord::ListLocks(
     info.is_rw = entry->kind == LockKind::kRw;
     info.profiling = entry->profiling;
     info.tracing = TraceEnabled(id);
-    if (entry->spec != nullptr) {
-      info.has_policy = true;
-      info.policy_name = entry->spec->name;
-    } else if (entry->native.has_value() || entry->native_rw.has_value()) {
-      info.has_policy = true;
-      info.policy_name =
-          entry->native_name.empty() ? "<native>" : entry->native_name;
-    }
+    info.has_policy = !entry->attached.empty();
+    info.policy_name = entry->attached.name;
     result.push_back(std::move(info));
   }
   return result;
@@ -485,37 +430,27 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
     return NotFoundError("lock id " + std::to_string(lock_id));
   }
 
+  const Attachment& policy = entry->attached;
   std::shared_ptr<CompiledPolicy> fresh;
   std::unique_ptr<HookBudgetState> fresh_budget;
-  const bool has_payload = entry->spec != nullptr || entry->native.has_value() ||
-                           entry->native_rw.has_value() || entry->profiling;
-  if (has_payload) {
+  if (!policy.empty() || entry->profiling) {
     fresh = std::make_shared<CompiledPolicy>();
     fresh->lock_id = lock_id;
-    fresh->spec = entry->spec;
-    fresh->native = entry->native;
-    fresh->native_rw = entry->native_rw;
+    fresh->spec = policy.spec;
+    fresh->native = policy.native;
     fresh->stats = entry->profiling ? entry->stats.get() : nullptr;
 
-#if CONCORD_HOOK_BUDGETS
     // Budget accounting rides along whenever a policy is attached and either
     // a budget is configured or fault injection is compiled in (the latter
     // needs the state purely for fault attribution). Profiling-only tables
     // carry no budget — there is no policy to contain.
-    if (entry->spec != nullptr || entry->native.has_value() ||
-        entry->native_rw.has_value()) {
-      std::uint64_t budget_ns = 0;
-      std::uint32_t trip = 8;
-      if (entry->spec != nullptr) {
-        budget_ns = entry->spec->hook_budget_ns;
-        trip = entry->spec->hook_budget_trip;
-      } else if (entry->native.has_value()) {
-        budget_ns = entry->native->hook_budget_ns;
-        trip = entry->native->hook_budget_trip;
-      } else {
-        budget_ns = entry->native_rw->hook_budget_ns;
-        trip = entry->native_rw->hook_budget_trip;
-      }
+    if (!policy.empty()) {
+      const std::uint64_t budget_ns = policy.spec != nullptr
+                                          ? policy.spec->hook_budget_ns
+                                          : policy.native->hook_budget_ns;
+      const std::uint32_t trip = policy.spec != nullptr
+                                     ? policy.spec->hook_budget_trip
+                                     : policy.native->hook_budget_trip;
       if (budget_ns != 0 || CONCORD_FAULT_INJECTION) {
         fresh_budget = std::make_unique<HookBudgetState>();
         fresh_budget->budget_ns = budget_ns;
@@ -523,88 +458,57 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
         fresh->budget = fresh_budget.get();
       }
     }
-#endif
 
-    const bool is_rw = entry->kind == LockKind::kRw;
-    if (!is_rw) {
-      ShflHooks& t = fresh->shfl_table;
-      t.user_data = fresh.get();
-      const bool has_cmp =
-          (fresh->native.has_value() && fresh->native->cmp_node != nullptr) ||
-          fresh->ChainFor(HookKind::kCmpNode) != nullptr;
-      if (has_cmp) {
-        t.cmp_node = CmpNodeTrampoline;
-      }
-      const bool has_skip =
-          (fresh->native.has_value() && fresh->native->skip_shuffle != nullptr) ||
-          fresh->ChainFor(HookKind::kSkipShuffle) != nullptr;
-      if (has_skip) {
-        t.skip_shuffle = SkipShuffleTrampoline;
-      }
-      const bool has_sched =
-          (fresh->native.has_value() &&
-           fresh->native->schedule_waiter != nullptr) ||
-          fresh->ChainFor(HookKind::kScheduleWaiter) != nullptr;
-      if (has_sched) {
-        t.schedule_waiter = ScheduleWaiterTrampoline;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockAcquire, false)) {
-        t.lock_acquire = ProfileTapTrampoline<HookKind::kLockAcquire>;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockContended, false)) {
-        t.lock_contended = ProfileTapTrampoline<HookKind::kLockContended>;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockAcquired, false)) {
-        t.lock_acquired = ProfileTapTrampoline<HookKind::kLockAcquired>;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockRelease, false)) {
-        t.lock_release = ProfileTapTrampoline<HookKind::kLockRelease>;
-      }
-      if (entry->spec != nullptr) {
-        t.max_shuffle_rounds = entry->spec->max_shuffle_rounds;
-        t.max_waiter_bypasses = entry->spec->max_waiter_bypasses;
-        t.track_hold_time = entry->spec->needs_hold_accounting;
-      } else if (fresh->native.has_value()) {
-        t.max_shuffle_rounds = fresh->native->max_shuffle_rounds;
-        t.max_waiter_bypasses = fresh->native->max_waiter_bypasses;
-        t.track_hold_time = fresh->native->track_hold_time;
-      }
-      if (entry->profiling) {
-        t.track_hold_time = true;
-      }
-    } else {
-      RwHooks& t = fresh->rw_table;
-      t.user_data = fresh.get();
-      const bool has_mode =
-          (fresh->native_rw.has_value() && fresh->native_rw->rw_mode != nullptr) ||
-          fresh->ChainFor(HookKind::kRwMode) != nullptr;
-      if (has_mode) {
-        t.rw_mode = RwModeTrampoline;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockAcquire, true)) {
-        t.lock_acquire = RwProfileTapTrampoline<HookKind::kLockAcquire>;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockContended, true)) {
-        t.lock_contended = RwProfileTapTrampoline<HookKind::kLockContended>;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockAcquired, true)) {
-        t.lock_acquired = RwProfileTapTrampoline<HookKind::kLockAcquired>;
-      }
-      if (NeedsTap(*fresh, HookKind::kLockRelease, true)) {
-        t.lock_release = RwProfileTapTrampoline<HookKind::kLockRelease>;
-      }
+    // The attach-time kind check keeps slots the lock never consults empty,
+    // so one table serves both lock families.
+    HookTable& t = fresh->table;
+    t.user_data = fresh.get();
+    if (Fills(*fresh, HookKind::kCmpNode)) {
+      t.cmp_node = CmpNodeTrampoline;
+    }
+    if (Fills(*fresh, HookKind::kSkipShuffle)) {
+      t.skip_shuffle = SkipShuffleTrampoline;
+    }
+    if (Fills(*fresh, HookKind::kScheduleWaiter)) {
+      t.schedule_waiter = ScheduleWaiterTrampoline;
+    }
+    if (Fills(*fresh, HookKind::kRwMode)) {
+      t.rw_mode = RwModeTrampoline;
+    }
+    // The profiler needs every tap; a policy only the ones it fills.
+    const bool profiled = fresh->stats != nullptr;
+    if (profiled || Fills(*fresh, HookKind::kLockAcquire)) {
+      t.lock_acquire = ProfileTapTrampoline<HookKind::kLockAcquire>;
+    }
+    if (profiled || Fills(*fresh, HookKind::kLockContended)) {
+      t.lock_contended = ProfileTapTrampoline<HookKind::kLockContended>;
+    }
+    if (profiled || Fills(*fresh, HookKind::kLockAcquired)) {
+      t.lock_acquired = ProfileTapTrampoline<HookKind::kLockAcquired>;
+    }
+    if (profiled || Fills(*fresh, HookKind::kLockRelease)) {
+      t.lock_release = ProfileTapTrampoline<HookKind::kLockRelease>;
+    }
+    if (policy.spec != nullptr) {
+      t.max_shuffle_rounds = policy.spec->max_shuffle_rounds;
+      t.max_waiter_bypasses = policy.spec->max_waiter_bypasses;
+      t.track_hold_time = policy.spec->needs_hold_accounting;
+    } else if (policy.native.has_value()) {
+      t.max_shuffle_rounds = policy.native->max_shuffle_rounds;
+      t.max_waiter_bypasses = policy.native->max_waiter_bypasses;
+      t.track_hold_time = policy.native->track_hold_time;
+    }
+    if (profiled) {
+      t.track_hold_time = true;
     }
   }
 
   // Publish, wait a grace period, then let the old table die.
   std::shared_ptr<CompiledPolicy> old = entry->current;
-  if (entry->kind == LockKind::kShfl) {
-    entry->shfl->InstallHooks(fresh != nullptr ? &fresh->shfl_table : nullptr);
-    if (entry->spec != nullptr && entry->spec->set_blocking.has_value()) {
-      entry->shfl->SetBlocking(*entry->spec->set_blocking);
-    }
-  } else {
-    entry->rw_install(fresh != nullptr ? &fresh->rw_table : nullptr);
+  entry->site->Install(fresh != nullptr ? &fresh->table : nullptr);
+  if (entry->shfl != nullptr && policy.spec != nullptr &&
+      policy.spec->set_blocking.has_value()) {
+    entry->shfl->SetBlocking(*policy.spec->set_blocking);
   }
   entry->current = fresh;
   if (old != nullptr || fresh != nullptr) {
@@ -627,33 +531,18 @@ Status Concord::Attach(std::uint64_t lock_id, PolicySpec spec) {
     if (entry == nullptr) {
       return NotFoundError("lock id " + std::to_string(lock_id));
     }
-    // Kind compatibility: rw locks take rw_mode/profile chains only; shfl
-    // locks take everything except rw_mode.
-    if (entry->kind == LockKind::kRw) {
-      for (HookKind kind : {HookKind::kCmpNode, HookKind::kSkipShuffle,
-                            HookKind::kScheduleWaiter}) {
-        if (!spec.ChainFor(kind).empty()) {
-          return FailedPreconditionError(
-              std::string("hook ") + HookKindName(kind) +
-              " cannot attach to readers-writer lock '" + entry->name + "'");
-        }
-      }
-    } else if (!spec.ChainFor(HookKind::kRwMode).empty()) {
-      return FailedPreconditionError("hook rw_mode cannot attach to mutex '" +
-                                     entry->name + "'");
-    }
+    CONCORD_RETURN_IF_ERROR(CheckHookKinds(
+        entry->kind == LockKind::kRw, entry->name,
+        [&](HookKind kind) { return !spec.ChainFor(kind).empty(); }));
     CONCORD_RETURN_IF_ERROR(spec.VerifyAll());
     // Compile the now-verified chains to native code (no-op when the JIT is
     // disabled; per-program failures keep the interpreter and are surfaced
     // to containment as an informational event).
     jit_failures = spec.JitCompileAll();
-    entry->spec = std::make_shared<const PolicySpec>(std::move(spec));
-    entry->native.reset();
-    entry->native_rw.reset();
+    entry->attached = {std::make_shared<const PolicySpec>(std::move(spec)),
+                       std::nullopt, policy_name};
     // A manual attach supersedes anything parked by a quarantine.
-    entry->quarantined_spec.reset();
-    entry->quarantined_native.reset();
-    entry->quarantined_native_rw.reset();
+    entry->quarantined = {};
     status = ReinstallLocked(lock_id);
   }
   // Containment notifications happen outside mu_: the sanctioned lock order
@@ -681,7 +570,7 @@ Status Concord::AttachBySelector(const std::string& selector,
   return Status::Ok();
 }
 
-Status Concord::AttachNative(std::uint64_t lock_id, const ShflHooks& hooks,
+Status Concord::AttachNative(std::uint64_t lock_id, const HookTable& hooks,
                              std::string name) {
   Status status;
   {
@@ -690,44 +579,11 @@ Status Concord::AttachNative(std::uint64_t lock_id, const ShflHooks& hooks,
     if (entry == nullptr) {
       return NotFoundError("lock id " + std::to_string(lock_id));
     }
-    if (entry->kind != LockKind::kShfl) {
-      return FailedPreconditionError("'" + entry->name + "' is not a ShflLock");
-    }
-    entry->native = hooks;
-    entry->native_name = name;
-    entry->spec.reset();
-    entry->native_rw.reset();
-    entry->quarantined_spec.reset();
-    entry->quarantined_native.reset();
-    entry->quarantined_native_rw.reset();
-    status = ReinstallLocked(lock_id);
-  }
-  if (status.ok()) {
-    ContainmentRegistry::Global().OnManualAttach(lock_id, name);
-  }
-  return status;
-}
-
-Status Concord::AttachNativeRw(std::uint64_t lock_id, const RwHooks& hooks,
-                               std::string name) {
-  Status status;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    Entry* entry = EntryFor(lock_id);
-    if (entry == nullptr) {
-      return NotFoundError("lock id " + std::to_string(lock_id));
-    }
-    if (entry->kind != LockKind::kRw) {
-      return FailedPreconditionError("'" + entry->name +
-                                     "' is not a readers-writer lock");
-    }
-    entry->native_rw = hooks;
-    entry->native_name = name;
-    entry->spec.reset();
-    entry->native.reset();
-    entry->quarantined_spec.reset();
-    entry->quarantined_native.reset();
-    entry->quarantined_native_rw.reset();
+    CONCORD_RETURN_IF_ERROR(
+        CheckHookKinds(entry->kind == LockKind::kRw, entry->name,
+                       [&](HookKind kind) { return Fills(hooks, kind); }));
+    entry->attached = {nullptr, hooks, name.empty() ? "<native>" : name};
+    entry->quarantined = {};
     status = ReinstallLocked(lock_id);
   }
   if (status.ok()) {
@@ -744,12 +600,8 @@ Status Concord::Detach(std::uint64_t lock_id) {
     if (entry == nullptr) {
       return NotFoundError("lock id " + std::to_string(lock_id));
     }
-    entry->spec.reset();
-    entry->native.reset();
-    entry->native_rw.reset();
-    entry->quarantined_spec.reset();
-    entry->quarantined_native.reset();
-    entry->quarantined_native_rw.reset();
+    entry->attached = {};
+    entry->quarantined = {};
     status = ReinstallLocked(lock_id);
   }
   if (status.ok()) {
@@ -764,17 +616,11 @@ Status Concord::DetachForQuarantine(std::uint64_t lock_id) {
   if (entry == nullptr) {
     return NotFoundError("lock id " + std::to_string(lock_id));
   }
-  if (entry->spec == nullptr && !entry->native.has_value() &&
-      !entry->native_rw.has_value()) {
+  if (entry->attached.empty()) {
     return FailedPreconditionError("'" + entry->name +
                                    "' has no attached policy to quarantine");
   }
-  entry->quarantined_spec = std::move(entry->spec);
-  entry->quarantined_native = std::move(entry->native);
-  entry->quarantined_native_rw = std::move(entry->native_rw);
-  entry->spec.reset();
-  entry->native.reset();
-  entry->native_rw.reset();
+  entry->quarantined = std::exchange(entry->attached, {});
   return ReinstallLocked(lock_id);
 }
 
@@ -784,18 +630,11 @@ Status Concord::ReattachFromQuarantine(std::uint64_t lock_id) {
   if (entry == nullptr) {
     return NotFoundError("lock id " + std::to_string(lock_id));
   }
-  if (entry->quarantined_spec == nullptr &&
-      !entry->quarantined_native.has_value() &&
-      !entry->quarantined_native_rw.has_value()) {
+  if (entry->quarantined.empty()) {
     return FailedPreconditionError("'" + entry->name +
                                    "' has no quarantined policy to re-attach");
   }
-  entry->spec = std::move(entry->quarantined_spec);
-  entry->native = std::move(entry->quarantined_native);
-  entry->native_rw = std::move(entry->quarantined_native_rw);
-  entry->quarantined_spec.reset();
-  entry->quarantined_native.reset();
-  entry->quarantined_native_rw.reset();
+  entry->attached = std::exchange(entry->quarantined, {});
   return ReinstallLocked(lock_id);
 }
 
@@ -805,18 +644,8 @@ std::string Concord::AttachedPolicyName(std::uint64_t lock_id) const {
   if (entry == nullptr) {
     return "";
   }
-  if (entry->spec != nullptr) {
-    return entry->spec->name;
-  }
-  if (entry->quarantined_spec != nullptr) {
-    return entry->quarantined_spec->name;
-  }
-  if (entry->native.has_value() || entry->native_rw.has_value() ||
-      entry->quarantined_native.has_value() ||
-      entry->quarantined_native_rw.has_value()) {
-    return entry->native_name.empty() ? "<native>" : entry->native_name;
-  }
-  return "";
+  return entry->attached.empty() ? entry->quarantined.name
+                                 : entry->attached.name;
 }
 
 std::vector<Concord::BudgetTrip> Concord::HarvestBudgetTrips() {
@@ -832,12 +661,7 @@ std::vector<Concord::BudgetTrip> Concord::HarvestBudgetTrips() {
     }
     BudgetTrip trip;
     trip.lock_id = i + 1;
-    if (entry->spec != nullptr) {
-      trip.policy_name = entry->spec->name;
-    } else {
-      trip.policy_name = entry->native_name.empty() ? "<native>"
-                                                    : entry->native_name;
-    }
+    trip.policy_name = entry->attached.name;
     trip.overruns = entry->budget->overruns.load(std::memory_order_relaxed);
     trip.dispatch_faults =
         entry->budget->dispatch_faults.load(std::memory_order_relaxed);
@@ -939,9 +763,10 @@ std::string Concord::StatsJson(const std::string& selector) const {
       writer.EndObject();
       writer.Key("stats");
       entry->stats->AppendJson(writer);
-      if (entry->spec != nullptr && !entry->spec->maps.empty()) {
+      const PolicySpec* spec = entry->attached.spec.get();
+      if (spec != nullptr && !spec->maps.empty()) {
         writer.Key("policy_maps").BeginArray();
-        for (const auto& map : entry->spec->maps) {
+        for (const auto& map : spec->maps) {
           AppendMapDumpJson(writer, *map);
         }
         writer.EndArray();
@@ -967,15 +792,16 @@ StatusOr<std::string> Concord::MapDumpJson(const std::string& selector,
     std::lock_guard<std::mutex> guard(mu_);
     for (std::uint64_t id : ids) {
       const Entry* entry = EntryFor(id);
-      if (entry == nullptr || entry->spec == nullptr) {
+      if (entry == nullptr || entry->attached.spec == nullptr) {
         continue;
       }
+      const PolicySpec& spec = *entry->attached.spec;
       writer.BeginObject();
       writer.NumberField("lock_id", id);
       writer.Field("name", entry->name);
-      writer.Field("policy", entry->spec->name);
+      writer.Field("policy", spec.name);
       writer.Key("maps").BeginArray();
-      for (const auto& map : entry->spec->maps) {
+      for (const auto& map : spec.maps) {
         if (!map_name.empty() && map->name() != map_name) {
           continue;
         }

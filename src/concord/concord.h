@@ -18,7 +18,6 @@
 #ifndef SRC_CONCORD_CONCORD_H_
 #define SRC_CONCORD_CONCORD_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,15 +46,13 @@ class Concord {
   std::uint64_t RegisterShflLock(ShflLock& lock, std::string name,
                                  std::string lock_class);
 
-  // Registers any lock exposing InstallHooks(const RwHooks*) and
-  // SetLockId(u64) — BravoLock<...> in this library.
+  // Registers any readers-writer lock exposing hook_site() — BravoLock<...>
+  // in this library.
   template <typename RwLockT>
   std::uint64_t RegisterRwLock(RwLockT& lock, std::string name,
                                std::string lock_class) {
-    return RegisterRwImpl(
-        std::move(name), std::move(lock_class),
-        [&lock](const RwHooks* hooks) { return lock.InstallHooks(hooks); },
-        [&lock](std::uint64_t id) { lock.SetLockId(id); });
+    return Register(lock.hook_site(), nullptr, std::move(name),
+                    std::move(lock_class));
   }
 
   // Detaches any policy, then removes the lock from the registry.
@@ -92,11 +89,10 @@ class Concord {
   Status AttachBySelector(const std::string& selector, const PolicySpec& spec);
 
   // "Precompiled" comparison path: native function-pointer hooks, no BPF.
-  // `name` identifies the policy in containment events and ListLocks.
-  Status AttachNative(std::uint64_t lock_id, const ShflHooks& hooks,
+  // `name` identifies the policy in containment events and ListLocks. Like
+  // Attach, rejects a table filling a slot the lock never consults.
+  Status AttachNative(std::uint64_t lock_id, const HookTable& hooks,
                       std::string name = "<native>");
-  Status AttachNativeRw(std::uint64_t lock_id, const RwHooks& hooks,
-                        std::string name = "<native>");
 
   // Removes any attached policy (lock reverts to default behaviour;
   // profiling, if enabled, stays).
@@ -104,7 +100,7 @@ class Concord {
 
   // --- containment plumbing (src/concord/containment.h) ----------------------
 
-  // Detaches the policy's hook table but *parks* the spec/native hooks on
+  // Detaches the policy's hook table but *parks* the spec or native table on
   // the entry so ReattachFromQuarantine can restore them without the
   // controller. Profiling stays. Fails if no policy is attached.
   Status DetachForQuarantine(std::uint64_t lock_id);
@@ -128,7 +124,7 @@ class Concord {
   std::vector<BudgetTrip> HarvestBudgetTrips();
 
   // Budget accounting for the attached policy, nullptr when absent (no
-  // policy, or budgets compiled out / not configured).
+  // policy, or no budget set and fault injection compiled out).
   const HookBudgetState* BudgetState(std::uint64_t lock_id) const;
 
   // --- dynamic profiling ------------------------------------------------------
@@ -201,29 +197,33 @@ class Concord {
 
   enum class LockKind { kNone, kShfl, kRw };
 
+  // A policy as the controller attached it: a verified BPF spec or a native
+  // table, and the name containment and ListLocks report for it.
+  struct Attachment {
+    std::shared_ptr<const PolicySpec> spec;
+    std::optional<HookTable> native;
+    std::string name;
+
+    bool empty() const { return spec == nullptr && !native.has_value(); }
+  };
+
   struct Entry {
     LockKind kind = LockKind::kNone;
     std::string name;
     std::string lock_class;
-    ShflLock* shfl = nullptr;
-    std::function<const RwHooks*(const RwHooks*)> rw_install;
+    HookSite* site = nullptr;
+    ShflLock* shfl = nullptr;  // kShfl only: the spec's set_blocking target
 
     // Current attachment state (control plane, guarded by mu_).
     std::shared_ptr<struct CompiledPolicy> current;
-    std::shared_ptr<const PolicySpec> spec;          // BPF policy, if any
-    std::optional<ShflHooks> native;                 // native policy, if any
-    std::optional<RwHooks> native_rw;
-    std::string native_name;                         // label for native hooks
+    Attachment attached;
+    // Parked by DetachForQuarantine for ReattachFromQuarantine.
+    Attachment quarantined;
     bool profiling = false;
     std::unique_ptr<ShardedLockProfileStats> stats;
     // Window boundary reported by StatsJson: ClockNowNs() at the most recent
     // EnableProfiling call (counters are cumulative since then).
     std::uint64_t profile_window_start_ns = 0;
-
-    // Quarantine parking spots (DetachForQuarantine / ReattachFromQuarantine).
-    std::shared_ptr<const PolicySpec> quarantined_spec;
-    std::optional<ShflHooks> quarantined_native;
-    std::optional<RwHooks> quarantined_native_rw;
 
     // Budget accounting shared with the live CompiledPolicy. Replaced (after
     // the RCU grace period) on every reinstall, so counters restart per
@@ -233,10 +233,10 @@ class Concord {
 
   Concord() = default;
 
-  std::uint64_t RegisterRwImpl(
-      std::string name, std::string lock_class,
-      std::function<const RwHooks*(const RwHooks*)> install,
-      std::function<void(std::uint64_t)> set_id);
+  // Adds a registry entry for a lock's hook site; `shfl` is null for a
+  // readers-writer lock.
+  std::uint64_t Register(HookSite& site, ShflLock* shfl, std::string name,
+                         std::string lock_class);
 
   // Rebuilds the hook table from entry state and hot-swaps it in.
   // Pre: mu_ held.

@@ -20,10 +20,6 @@
 #include "src/concord/profiler.h"
 #include "src/sync/policy_hooks.h"
 
-#ifndef CONCORD_HOOK_BUDGETS
-#define CONCORD_HOOK_BUDGETS 1
-#endif
-
 namespace concord {
 
 enum class HookKind : std::uint8_t {
@@ -91,9 +87,6 @@ static_assert(sizeof(RwModeCtx) == 8);
 // containment registry's Poll() harvests trips asynchronously — the hot path
 // never detaches (it runs inside an RCU read section where a synchronize
 // would deadlock), it only raises the `tripped` flag.
-//
-// Compiled out when CONCORD_HOOK_BUDGETS is 0 (the struct remains so the
-// registry layout is stable, but no trampoline touches it).
 
 // Elapsed nanoseconds since `start_ns`, clamped at zero. The clock contract
 // (src/base/time.h) is monotonic, but a test FakeClock can be stepped

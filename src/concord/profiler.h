@@ -231,8 +231,8 @@ class ShardedLockProfileStats {
   std::atomic<std::uint32_t> last_owner_socket_{kNoOwnerSocket};
 };
 
-// Native profiling taps. These functions are installed into ShflHooks/
-// RwHooks slots by the Concord attach machinery; they stamp per-thread
+// Native profiling taps. The tap trampolines Concord installs in a lock's
+// HookTable call these, on both lock families; they stamp per-thread
 // timestamps to compute wait and hold durations. In-flight acquisitions are
 // matched per thread by lock id, newest-first (LIFO), so recursive or
 // repeated acquisition of the same lock nests correctly.

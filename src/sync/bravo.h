@@ -12,7 +12,7 @@
 // can be inside then, and the next writer sees the bias and revokes it. A
 // fresh lock starts biased for the same reason (no writer has run yet).
 //
-// Concord integration: the installed RwHooks' rw_mode() decides per
+// Concord integration: the installed HookTable's rw_mode() decides per
 // acquisition which regime the lock runs in — kNeutral (bias off),
 // kReaderBias (BRAVO fast path) or kWriterOnly (readers take the write path;
 // right for create-heavy directory workloads, §3.1.1(i)). This is the paper's
@@ -29,7 +29,6 @@
 #include "src/base/check.h"
 #include "src/base/spinwait.h"
 #include "src/base/time.h"
-#include "src/rcu/rcu.h"
 #include "src/sync/lock.h"
 #include "src/sync/policy_hooks.h"
 #include "src/sync/rw_lock.h"
@@ -55,12 +54,12 @@ class BravoLock {
   }
 
   void ReadLock() {
-    FireTap(&RwHooks::lock_acquire);
+    hooks_.Tap(&HookTable::lock_acquire);
     const std::uint32_t mode = CurrentMode();
     if (mode == static_cast<std::uint32_t>(RwMode::kWriterOnly)) {
       underlying_.WriteLock();
       PushToken(kTokenWriterOnly);
-      FireTap(&RwHooks::lock_acquired);
+      hooks_.Tap(&HookTable::lock_acquired);
       return;
     }
     const bool reader_bias =
@@ -76,7 +75,7 @@ class BravoLock {
         if (bias_.load(std::memory_order_acquire) != 0) {
           PushToken(index);
           fast_reads_.fetch_add(1, std::memory_order_relaxed);
-          FireTap(&RwHooks::lock_acquired);
+          hooks_.Tap(&HookTable::lock_acquired);
           return;
         }
         slot.store(0, std::memory_order_release);
@@ -88,11 +87,11 @@ class BravoLock {
     }
     PushToken(kTokenUnderlying);
     slow_reads_.fetch_add(1, std::memory_order_relaxed);
-    FireTap(&RwHooks::lock_acquired);
+    hooks_.Tap(&HookTable::lock_acquired);
   }
 
   void ReadUnlock() {
-    FireTap(&RwHooks::lock_release);
+    hooks_.Tap(&HookTable::lock_release);
     const std::uint64_t token = PopToken();
     if (token == kTokenUnderlying) {
       underlying_.ReadUnlock();
@@ -106,32 +105,30 @@ class BravoLock {
   }
 
   void WriteLock() {
-    FireTap(&RwHooks::lock_acquire);
+    hooks_.Tap(&HookTable::lock_acquire);
     underlying_.WriteLock();
     if (bias_.load(std::memory_order_acquire) != 0) {
       Revoke();
     }
-    FireTap(&RwHooks::lock_acquired);
+    hooks_.Tap(&HookTable::lock_acquired);
   }
 
   void WriteUnlock() {
-    FireTap(&RwHooks::lock_release);
+    hooks_.Tap(&HookTable::lock_release);
     underlying_.WriteUnlock();
   }
 
   // --- Concord integration -------------------------------------------------
-  const RwHooks* InstallHooks(const RwHooks* hooks) {
-    return hooks_.Swap(const_cast<RwHooks*>(hooks));
-  }
-  const RwHooks* CurrentHooks() const { return hooks_.Read(); }
+
+  // Where Concord publishes hook tables and the registry id (see HookSite).
+  HookSite& hook_site() { return hooks_; }
+  const HookSite& hook_site() const { return hooks_; }
 
   // Fixed mode used when no policy is installed.
   void SetDefaultMode(RwMode mode) {
     default_mode_.store(static_cast<std::uint32_t>(mode),
                         std::memory_order_relaxed);
   }
-
-  void SetLockId(std::uint64_t id) { lock_id_ = id; }
 
   // --- introspection ---------------------------------------------------------
   std::uint64_t fast_reads() const {
@@ -175,21 +172,13 @@ class BravoLock {
   }
 
   std::uint32_t CurrentMode() const {
-    RcuReadGuard rcu;
-    const RwHooks* hooks = hooks_.Read();
-    if (hooks != nullptr && hooks->rw_mode != nullptr) {
-      return hooks->rw_mode(hooks->user_data);
-    }
-    return default_mode_.load(std::memory_order_relaxed);
-  }
-
-  // Fires one profiling tap slot if a hook table with that slot is installed.
-  void FireTap(void (*RwHooks::*slot)(void*, std::uint64_t)) const {
-    RcuReadGuard rcu;
-    const RwHooks* hooks = hooks_.Read();
-    if (hooks != nullptr && hooks->*slot != nullptr) {
-      (hooks->*slot)(hooks->user_data, lock_id_);
-    }
+    std::uint32_t mode = default_mode_.load(std::memory_order_relaxed);
+    hooks_.Read([&](const HookTable& hooks) {
+      if (hooks.rw_mode != nullptr) {
+        mode = hooks.rw_mode(hooks.user_data);
+      }
+    });
+    return mode;
   }
 
   static std::uint64_t SlotIndexFor(std::uint32_t task_id) {
@@ -232,10 +221,9 @@ class BravoLock {
   // slow-path readers re-arming it, the rest by the control plane.
   CONCORD_CACHE_ALIGNED std::atomic<std::uint32_t> bias_{1};
   std::atomic<std::uint64_t> inhibit_until_{0};
-  RcuPointer<RwHooks> hooks_{nullptr};
+  HookSite hooks_;
   std::atomic<std::uint32_t> default_mode_{
       static_cast<std::uint32_t>(RwMode::kNeutral)};
-  std::uint64_t lock_id_ = 0;
 
   // Statistics: the read counts are written by every reader, revocations_ by
   // revoking writers. Their own line, so counting a read does not invalidate

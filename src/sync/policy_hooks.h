@@ -18,11 +18,15 @@
 //                     Hazard: performance (wake-up latency).
 //   lock_acquire / lock_contended / lock_acquired / lock_release
 //                   - profiling taps. Hazard: lengthen the critical section.
+//   rw_mode         - readers-writer analogue (BRAVO): which RwMode to run
+//                     in. Hazard: performance.
 
 #ifndef SRC_SYNC_POLICY_HOOKS_H_
 #define SRC_SYNC_POLICY_HOOKS_H_
 
 #include <cstdint>
+
+#include "src/rcu/rcu.h"
 
 namespace concord {
 
@@ -41,7 +45,21 @@ struct ShflWaiterView {
 };
 static_assert(sizeof(ShflWaiterView) == 40);
 
-struct ShflHooks {
+// Readers-writer lock mode, consulted by BRAVO-style locks on the reader
+// path. Policies switch a lock between flavours on the fly (§3.1.1 "lock
+// switching").
+enum class RwMode : std::uint32_t {
+  kNeutral = 0,     // plain underlying readers-writer lock
+  kReaderBias = 1,  // BRAVO fast path enabled
+  kWriterOnly = 2,  // readers take the write path (write-heavy workloads)
+};
+
+// One table shape for both lock families. ShflLock consults every slot but
+// rw_mode; BravoLock consults rw_mode and the four taps. Concord rejects a
+// table that fills a slot its lock never consults.
+struct HookTable {
+  using Tap = void (*)(void* user_data, std::uint64_t lock_id);
+
   // Opaque cookie passed to every hook (Concord stores its policy object
   // here; native policies store whatever they like).
   void* user_data = nullptr;
@@ -57,10 +75,14 @@ struct ShflHooks {
                           std::uint32_t spin_iterations) = nullptr;
 
   // Profiling taps. `lock_id` is the lock's registry id (0 if unregistered).
-  void (*lock_acquire)(void* user_data, std::uint64_t lock_id) = nullptr;
-  void (*lock_contended)(void* user_data, std::uint64_t lock_id) = nullptr;
-  void (*lock_acquired)(void* user_data, std::uint64_t lock_id) = nullptr;
-  void (*lock_release)(void* user_data, std::uint64_t lock_id) = nullptr;
+  Tap lock_acquire = nullptr;
+  Tap lock_contended = nullptr;
+  Tap lock_acquired = nullptr;
+  Tap lock_release = nullptr;
+
+  // Which RwMode should a readers-writer lock operate in right now? Null =>
+  // the lock's default mode.
+  std::uint32_t (*rw_mode)(void* user_data) = nullptr;
 
   // Safety bound on shuffling rounds per lock handover (§4.2: "statically
   // bounding the number of shuffling rounds minimizes starvation"). The lock
@@ -86,31 +108,57 @@ struct ShflHooks {
   std::uint32_t hook_budget_trip = 8;
 };
 
-// Readers-writer lock mode, consulted by BRAVO-style locks on the reader
-// path. Policies switch a lock between flavours on the fly (§3.1.1 "lock
-// switching").
-enum class RwMode : std::uint32_t {
-  kNeutral = 0,     // plain underlying readers-writer lock
-  kReaderBias = 1,  // BRAVO fast path enabled
-  kWriterOnly = 2,  // readers take the write path (write-heavy workloads)
-};
+// A lock's only way to its hooks: the RCU-published table and the lock's
+// registry id. Every hook read goes through Read(), which skips the RCU read
+// section entirely while no table is installed.
+class HookSite {
+ public:
+  // Atomically publishes a new table; returns the previous one. The caller
+  // must free the old table only after an RCU grace period (Concord does).
+  // Passing nullptr reverts the lock to its default behaviour.
+  const HookTable* Install(const HookTable* table) {
+    return table_.Swap(table);
+  }
 
-struct RwHooks {
-  void* user_data = nullptr;
+  // The installed table, or nullptr. Dereferencing it needs an RCU guard.
+  const HookTable* Current() const { return table_.Read(); }
 
-  // Which mode should the lock operate in right now? Null => kNeutral unless
-  // the lock was constructed with a fixed mode.
-  std::uint32_t (*rw_mode)(void* user_data) = nullptr;
+  // If a table is installed, runs `fn(table)` inside one RCU read section
+  // and returns true. The null probe comes first and needs no guard (it
+  // dereferences nothing), so an unpatched lock takes no read-side fences.
+  template <typename Fn>
+  bool Read(Fn&& fn) const {
+    if (table_.Read() == nullptr) {
+      return false;
+    }
+    RcuReadGuard rcu;
+    const HookTable* table = table_.Read();
+    if (table == nullptr) {
+      return false;
+    }
+    fn(*table);
+    return true;
+  }
 
-  // Profiling taps (same semantics as ShflHooks).
-  void (*lock_acquire)(void* user_data, std::uint64_t lock_id) = nullptr;
-  void (*lock_contended)(void* user_data, std::uint64_t lock_id) = nullptr;
-  void (*lock_acquired)(void* user_data, std::uint64_t lock_id) = nullptr;
-  void (*lock_release)(void* user_data, std::uint64_t lock_id) = nullptr;
+  // Fires `slot` of a table already read under a guard.
+  void Fire(const HookTable& table, HookTable::Tap HookTable::*slot) const {
+    if (table.*slot != nullptr) {
+      (table.*slot)(table.user_data, lock_id_);
+    }
+  }
 
-  // Same semantics as ShflHooks::hook_budget_ns / hook_budget_trip.
-  std::uint64_t hook_budget_ns = 0;
-  std::uint32_t hook_budget_trip = 8;
+  // Fires `slot` of the installed table, if any, in one read section.
+  void Tap(HookTable::Tap HookTable::*slot) const {
+    Read([&](const HookTable& table) { Fire(table, slot); });
+  }
+
+  // Registry identity passed to the taps (0 = unregistered).
+  void SetLockId(std::uint64_t id) { lock_id_ = id; }
+  std::uint64_t lock_id() const { return lock_id_; }
+
+ private:
+  RcuPointer<const HookTable> table_{nullptr};
+  std::uint64_t lock_id_ = 0;
 };
 
 }  // namespace concord

@@ -11,15 +11,6 @@
 namespace concord {
 namespace {
 
-// Invokes a profiling hook if installed. Kept out-of-line from the hot path
-// shape: the null check is the only cost when no policy is attached.
-inline void CallTap(void (*tap)(void*, std::uint64_t), void* user_data,
-                    std::uint64_t lock_id) {
-  if (tap != nullptr) {
-    tap(user_data, lock_id);
-  }
-}
-
 // Adds to a counter that only one thread at a time writes (the holder, the
 // queue head, or the owning thread): a relaxed load and store instead of a
 // locked RMW. The previous writer's stores are ordered before ours by the
@@ -54,23 +45,16 @@ ShflWaiterView ShflLock::MakeView(const ShflQNode& node, std::uint64_t now_ns) {
 
 void ShflLock::Lock() {
   ThreadContext& ctx = Self();
-  TraceRecord(lock_id_, TraceEventKind::kAcquire);
+  TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquire);
   // Hold-time accounting (timestamps + EWMA) is policy food; it is only
   // maintained while a hook table is installed so that an unpatched lock
   // costs no clock reads. (Install any policy or enable profiling to warm
   // the per-thread CS statistics.)
-  // Raw null probe first: dereferencing needs an RCU guard, checking for
-  // null does not, so an unpatched lock takes no read-side fences at all.
-  const bool hooked = hooks_.Read() != nullptr;
   bool track_time = false;
-  if (hooked) {
-    RcuReadGuard rcu;
-    const ShflHooks* hooks = hooks_.Read();
-    if (hooks != nullptr) {
-      track_time = hooks->track_hold_time;
-      CallTap(hooks->lock_acquire, hooks->user_data, lock_id_);
-    }
-  }
+  const bool hooked = hooks_.Read([&](const HookTable& hooks) {
+    track_time = hooks.track_hold_time;
+    hooks_.Fire(hooks, &HookTable::lock_acquire);
+  });
 
   // Fast path: steal only while no queue exists (bounded unfairness).
   if (tail_.load(std::memory_order_relaxed) != nullptr || !TryAcquireWord()) {
@@ -81,14 +65,8 @@ void ShflLock::Lock() {
   }
 
   RecordAcquired(ctx, track_time ? MonotonicNowNs() : 0);
-  TraceRecord(lock_id_, TraceEventKind::kAcquired);
-  if (hooked) {
-    RcuReadGuard rcu;
-    const ShflHooks* hooks = hooks_.Read();
-    if (hooks != nullptr) {
-      CallTap(hooks->lock_acquired, hooks->user_data, lock_id_);
-    }
-  }
+  TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquired);
+  hooks_.Tap(&HookTable::lock_acquired);
 }
 
 bool ShflLock::TryLock() {
@@ -110,14 +88,8 @@ void ShflLock::RecordAcquired(ThreadContext& ctx, std::uint64_t acquire_ns) {
 }
 
 void ShflLock::SlowLock(ShflQNode& node) {
-  TraceRecord(lock_id_, TraceEventKind::kContended);
-  if (hooks_.Read() != nullptr) {
-    RcuReadGuard rcu;
-    const ShflHooks* hooks = hooks_.Read();
-    if (hooks != nullptr) {
-      CallTap(hooks->lock_contended, hooks->user_data, lock_id_);
-    }
-  }
+  TraceRecord(hooks_.lock_id(), TraceEventKind::kContended);
+  hooks_.Tap(&HookTable::lock_contended);
 
   ShflQNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
   if (pred == nullptr) {
@@ -133,40 +105,36 @@ void ShflLock::SlowLock(ShflQNode& node) {
   SpinWait spin;
   std::uint32_t rounds_done = 0;
   while (!TryAcquireWord()) {
-    bool park_now = false;
-    if (hooks_.Read() != nullptr ||
-        blocking_.load(std::memory_order_relaxed) != 0) {
-      RcuReadGuard rcu;
-      const ShflHooks* hooks = hooks_.Read();
-      if (hooks != nullptr && hooks->cmp_node != nullptr) {
-        const std::uint32_t bound = hooks->max_shuffle_rounds < kShuffleRoundCap
-                                        ? hooks->max_shuffle_rounds
+    // Default spin-then-park: park once the adaptive spinner has escalated
+    // past its pure-spin phase, unless the policy's schedule_waiter decides.
+    const bool blocking = blocking_.load(std::memory_order_relaxed) != 0;
+    bool park_now = blocking && spin.iterations() > 128;
+    hooks_.Read([&](const HookTable& hooks) {
+      if (hooks.cmp_node != nullptr) {
+        const std::uint32_t bound = hooks.max_shuffle_rounds < kShuffleRoundCap
+                                        ? hooks.max_shuffle_rounds
                                         : kShuffleRoundCap;
         // Pace the scans (they are pure overhead when the queue is static)
         // and charge the starvation budget only for rounds that actually
         // reordered waiters — scans that move nobody cannot starve anybody.
         if (rounds_done < bound && (spin.iterations() & 31) == 0) {
-          if (ShuffleRound(node, *hooks) > 0) {
+          if (ShuffleRound(node, hooks) > 0) {
             ++rounds_done;
           }
         }
       }
-      if (blocking_.load(std::memory_order_relaxed) != 0) {
-        if (hooks != nullptr && hooks->schedule_waiter != nullptr) {
-          park_now = hooks->schedule_waiter(hooks->user_data,
-                                            MakeView(node, MonotonicNowNs()),
-                                            spin.iterations());
-        } else {
-          park_now = spin.iterations() > 128;
-        }
+      if (blocking && hooks.schedule_waiter != nullptr) {
+        park_now = hooks.schedule_waiter(hooks.user_data,
+                                         MakeView(node, MonotonicNowNs()),
+                                         spin.iterations());
       }
-    }
+    });
     if (park_now) {
       std::uint32_t expected = 1;
       if (locked_.compare_exchange_strong(expected, 2, std::memory_order_acq_rel,
                                           std::memory_order_relaxed)) {
         parks_.fetch_add(1, std::memory_order_relaxed);
-        TraceRecord(lock_id_, TraceEventKind::kPark, spin.iterations());
+        TraceRecord(hooks_.lock_id(), TraceEventKind::kPark, spin.iterations());
         ParkingLot::Park(&locked_, 2);
         spin.Reset();
       }
@@ -200,19 +168,15 @@ void ShflLock::WaitUntilHead(ShflQNode& node) {
       return;
     }
     const bool blocking = blocking_.load(std::memory_order_relaxed) != 0;
-    bool park_now = false;
+    bool park_now = blocking && spin.iterations() > 128;
     if (blocking) {
-      RcuReadGuard rcu;  // schedule_waiter hook may be installed
-      const ShflHooks* hooks = hooks_.Read();
-      if (hooks != nullptr && hooks->schedule_waiter != nullptr) {
-        park_now = hooks->schedule_waiter(hooks->user_data,
-                                          MakeView(node, MonotonicNowNs()),
-                                          spin.iterations());
-      } else {
-        // Default spin-then-park: park once the adaptive spinner has
-        // escalated past its pure-spin phase.
-        park_now = spin.iterations() > 128;
-      }
+      hooks_.Read([&](const HookTable& hooks) {
+        if (hooks.schedule_waiter != nullptr) {
+          park_now = hooks.schedule_waiter(hooks.user_data,
+                                           MakeView(node, MonotonicNowNs()),
+                                           spin.iterations());
+        }
+      });
     }
     if (park_now) {
       std::uint32_t expected = ShflQNode::kWaiting;
@@ -220,7 +184,7 @@ void ShflLock::WaitUntilHead(ShflQNode& node) {
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
         parks_.fetch_add(1, std::memory_order_relaxed);
-        TraceRecord(lock_id_, TraceEventKind::kPark, spin.iterations());
+        TraceRecord(hooks_.lock_id(), TraceEventKind::kPark, spin.iterations());
         ParkingLot::Park(&node.status, ShflQNode::kParked);
       } else if (expected == ShflQNode::kHead) {
         return;
@@ -235,12 +199,12 @@ void ShflLock::PromoteToHead(ShflQNode& node) {
   const std::uint32_t prev =
       node.status.exchange(ShflQNode::kHead, std::memory_order_acq_rel);
   if (prev == ShflQNode::kParked) {
-    TraceRecord(lock_id_, TraceEventKind::kWake);
+    TraceRecord(hooks_.lock_id(), TraceEventKind::kWake);
     ParkingLot::UnparkOne(&node.status);
   }
 }
 
-std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const ShflHooks& hooks) {
+std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const HookTable& hooks) {
   const std::uint64_t now = MonotonicNowNs();
   const ShflWaiterView head_view = MakeView(head, now);
   if (hooks.skip_shuffle != nullptr &&
@@ -315,7 +279,7 @@ std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const ShflHooks& hooks) {
     }
   }
 
-  TraceRecord(lock_id_, TraceEventKind::kShuffleRound, moved);
+  TraceRecord(hooks_.lock_id(), TraceEventKind::kShuffleRound, moved);
   if (moved > 0) {
     SingleWriterAdd(shuffle_moves_, moved);
     // Queue-integrity runtime check (§4.2): the shuffled window must still
@@ -346,20 +310,14 @@ void ShflLock::Unlock() {
   holder_ctx_ = nullptr;
 
   const std::uint32_t prev = locked_.exchange(0, std::memory_order_release);
-  TraceRecord(lock_id_, TraceEventKind::kRelease);
+  TraceRecord(hooks_.lock_id(), TraceEventKind::kRelease);
   if (prev == 2) {
     // The queue head parked on the lock word; wake it.
-    TraceRecord(lock_id_, TraceEventKind::kWake);
+    TraceRecord(hooks_.lock_id(), TraceEventKind::kWake);
     ParkingLot::UnparkOne(&locked_);
   }
 
-  if (hooks_.Read() != nullptr) {
-    RcuReadGuard rcu;
-    const ShflHooks* hooks = hooks_.Read();
-    if (hooks != nullptr) {
-      CallTap(hooks->lock_release, hooks->user_data, lock_id_);
-    }
-  }
+  hooks_.Tap(&HookTable::lock_release);
 }
 
 }  // namespace concord

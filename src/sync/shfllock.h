@@ -34,7 +34,6 @@
 #include <cstdint>
 
 #include "src/base/cacheline.h"
-#include "src/rcu/rcu.h"
 #include "src/sync/policy_hooks.h"
 #include "src/topology/thread_context.h"
 
@@ -84,25 +83,16 @@ class ShflLock {
 
   // --- Concord integration -------------------------------------------------
 
-  // Atomically publishes a new hook table; returns the previous one. The
-  // caller must free the old table only after an RCU grace period (the
-  // Concord patcher does this; see src/concord/patch.h). Passing nullptr
-  // reverts the lock to plain FIFO behaviour.
-  const ShflHooks* InstallHooks(const ShflHooks* hooks) {
-    return hooks_.Swap(const_cast<ShflHooks*>(hooks));
-  }
-
-  const ShflHooks* CurrentHooks() const { return hooks_.Read(); }
+  // Where Concord publishes hook tables and the registry id (see HookSite).
+  // With no table installed the lock is plain FIFO.
+  HookSite& hook_site() { return hooks_; }
+  const HookSite& hook_site() const { return hooks_; }
 
   // Blocking regime: when true, waiters park after their spin budget.
   void SetBlocking(bool blocking) {
     blocking_.store(blocking ? 1 : 0, std::memory_order_relaxed);
   }
   bool blocking() const { return blocking_.load(std::memory_order_relaxed) != 0; }
-
-  // Registry identity for profiling hooks (0 = unregistered).
-  void SetLockId(std::uint64_t id) { lock_id_ = id; }
-  std::uint64_t lock_id() const { return lock_id_; }
 
   // --- introspection (tests, safety monitors, profiler) --------------------
   std::uint64_t acquisitions() const {
@@ -136,10 +126,10 @@ class ShflLock {
 
   // One shuffle round; only the queue head calls this. Returns the number of
   // waiters moved.
-  std::uint32_t ShuffleRound(ShflQNode& head, const ShflHooks& hooks);
+  std::uint32_t ShuffleRound(ShflQNode& head, const HookTable& hooks);
 
   // Promotes `node` to queue head, waking it if parked. Non-static only for
-  // the flight-recorder tap (needs lock_id_); touches no other lock state.
+  // the flight-recorder tap (needs the lock id); touches no other lock state.
   void PromoteToHead(ShflQNode& node);
 
   // Spins/parks until this node becomes the queue head.
@@ -156,9 +146,8 @@ class ShflLock {
   CONCORD_CACHE_ALIGNED std::atomic<ShflQNode*> tail_{nullptr};
 
   // Read-mostly config: written by the control plane, read on every path.
-  CONCORD_CACHE_ALIGNED RcuPointer<ShflHooks> hooks_{nullptr};
+  CONCORD_CACHE_ALIGNED HookSite hooks_;
   std::atomic<std::uint32_t> blocking_{0};
-  std::uint64_t lock_id_ = 0;
 
   // Holder-only: written by the thread holding the lock.
   CONCORD_CACHE_ALIGNED std::uint64_t holder_acquire_ns_ = 0;

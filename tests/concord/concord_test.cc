@@ -35,7 +35,7 @@ TEST_F(ConcordTest, RegisterAssignsDenseIds) {
       Concord::Global().RegisterShflLock(b, "lock_b", "test");
   EXPECT_NE(id_a, 0u);
   EXPECT_EQ(id_b, id_a + 1);
-  EXPECT_EQ(a.lock_id(), id_a);
+  EXPECT_EQ(a.hook_site().lock_id(), id_a);
   EXPECT_EQ(Concord::Global().NameOf(id_a), "lock_a");
 }
 
@@ -85,7 +85,7 @@ TEST_F(ConcordTest, AttachVerifiesPrograms) {
   Status status = Concord::Global().Attach(id, std::move(spec));
   EXPECT_EQ(status.code(), StatusCode::kPermissionDenied);
   // The lock must be untouched.
-  EXPECT_EQ(lock.CurrentHooks(), nullptr);
+  EXPECT_EQ(lock.hook_site().Current(), nullptr);
 }
 
 TEST_F(ConcordTest, AttachEnforcesHookCapabilities) {
@@ -147,7 +147,7 @@ TEST_F(ConcordTest, AttachDetachRoundTrip) {
   auto numa = MakeNumaGroupingPolicy();
   ASSERT_TRUE(numa.ok());
   ASSERT_TRUE(concord.Attach(id, std::move(numa->spec)).ok());
-  EXPECT_NE(lock.CurrentHooks(), nullptr);
+  EXPECT_NE(lock.hook_site().Current(), nullptr);
 
   // Lock remains usable with the policy attached.
   for (int i = 0; i < 100; ++i) {
@@ -155,7 +155,7 @@ TEST_F(ConcordTest, AttachDetachRoundTrip) {
   }
 
   ASSERT_TRUE(concord.Detach(id).ok());
-  EXPECT_EQ(lock.CurrentHooks(), nullptr);
+  EXPECT_EQ(lock.hook_site().Current(), nullptr);
 }
 
 TEST_F(ConcordTest, AttachBySelectorCoversClass) {
@@ -167,8 +167,8 @@ TEST_F(ConcordTest, AttachBySelectorCoversClass) {
   auto numa = MakeNumaGroupingPolicy();
   ASSERT_TRUE(numa.ok());
   ASSERT_TRUE(concord.AttachBySelector("class:fs", numa->spec).ok());
-  EXPECT_NE(a.CurrentHooks(), nullptr);
-  EXPECT_NE(b.CurrentHooks(), nullptr);
+  EXPECT_NE(a.hook_site().Current(), nullptr);
+  EXPECT_NE(b.hook_site().Current(), nullptr);
 }
 
 TEST_F(ConcordTest, NativeAttachIsThePrecompiledPath) {
@@ -176,12 +176,12 @@ TEST_F(ConcordTest, NativeAttachIsThePrecompiledPath) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock, "l", "test");
 
-  ShflHooks native;
+  HookTable native;
   native.cmp_node = [](void*, const ShflWaiterView& s, const ShflWaiterView& c) {
     return s.socket == c.socket;
   };
   ASSERT_TRUE(concord.AttachNative(id, native).ok());
-  EXPECT_NE(lock.CurrentHooks(), nullptr);
+  EXPECT_NE(lock.hook_site().Current(), nullptr);
   for (int i = 0; i < 100; ++i) {
     ShflGuard guard(lock);
   }
@@ -229,7 +229,7 @@ TEST_F(ConcordTest, UnregisterDetachesFirst) {
   ASSERT_TRUE(numa.ok());
   ASSERT_TRUE(concord.Attach(id, std::move(numa->spec)).ok());
   ASSERT_TRUE(concord.Unregister(id).ok());
-  EXPECT_EQ(lock.CurrentHooks(), nullptr);
+  EXPECT_EQ(lock.hook_site().Current(), nullptr);
   EXPECT_TRUE(concord.Select("*").empty());
 }
 

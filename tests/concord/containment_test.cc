@@ -253,8 +253,6 @@ TEST_F(ContainmentTest, ManualAttachSupersedesQuarantine) {
   EXPECT_TRUE(HasPolicy(id));
 }
 
-#if CONCORD_HOOK_BUDGETS
-
 void SlowReleaseTap(void*, std::uint64_t) { BurnNs(100'000); }
 
 TEST_F(ContainmentTest, BudgetOverrunsTripAndQuarantine) {
@@ -267,7 +265,7 @@ TEST_F(ContainmentTest, BudgetOverrunsTripAndQuarantine) {
   config.auto_reattach = false;
   registry.SetConfig(config);
 
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.lock_release = SlowReleaseTap;  // ~100us per release
   hooks.hook_budget_ns = 10'000;        // budget: 10us
   hooks.hook_budget_trip = 3;
@@ -304,7 +302,7 @@ TEST_F(ContainmentTest, FastPolicyWithinBudgetStaysActive) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "t");
 
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.lock_release = [](void*, std::uint64_t) {};
   hooks.hook_budget_ns = 10'000'000;  // 10ms: generous
   ASSERT_TRUE(concord.AttachNative(id, hooks, "fast").ok());
@@ -378,7 +376,6 @@ TEST_F(ContainmentTest, JitCompileFaultRecordsFallbackEvent) {
 }
 
 #endif  // CONCORD_FAULT_INJECTION
-#endif  // CONCORD_HOOK_BUDGETS
 
 TEST_F(ContainmentTest, WorkerReattachesAfterRealBackoff) {
   const std::uint64_t id = RegisterWithPolicy();

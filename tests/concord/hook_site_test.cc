@@ -1,0 +1,194 @@
+// One hook table and one hook site for both lock families: the same native
+// and BPF attachments, the same quarantine round trip and the same kind rule
+// run over ShflLock and BravoLock<NeutralRwLock>.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <type_traits>
+
+#include "src/bpf/assembler.h"
+#include "src/concord/concord.h"
+#include "src/concord/hooks.h"
+#include "src/concord/policies.h"
+#include "src/sync/bravo.h"
+#include "src/sync/shfllock.h"
+
+namespace concord {
+namespace {
+
+using Bravo = BravoLock<NeutralRwLock>;
+
+// How each family registers, takes one acquisition that fires the acquire,
+// acquired and release taps, and which hooks it never consults.
+template <typename LockT>
+struct Family;
+
+template <>
+struct Family<ShflLock> {
+  static std::uint64_t Register(ShflLock& lock) {
+    return Concord::Global().RegisterShflLock(lock, "site", "t");
+  }
+  static void Cycle(ShflLock& lock) {
+    lock.Lock();
+    lock.Unlock();
+  }
+  static bool Rejects(HookKind kind) { return kind == HookKind::kRwMode; }
+};
+
+template <>
+struct Family<Bravo> {
+  static std::uint64_t Register(Bravo& lock) {
+    return Concord::Global().RegisterRwLock(lock, "site", "t");
+  }
+  static void Cycle(Bravo& lock) {
+    lock.ReadLock();
+    lock.ReadUnlock();
+  }
+  static bool Rejects(HookKind kind) {
+    return kind == HookKind::kCmpNode || kind == HookKind::kSkipShuffle ||
+           kind == HookKind::kScheduleWaiter;
+  }
+};
+
+template <typename LockT>
+class HookSiteTest : public ::testing::Test {
+ protected:
+  void TearDown() override { Concord::Global().ResetForTest(); }
+
+  LockT lock_;
+};
+
+struct FamilyNames {
+  template <typename LockT>
+  static std::string GetName(int) {
+    return std::is_same_v<LockT, ShflLock> ? "Shfl" : "Bravo";
+  }
+};
+
+using LockFamilies = ::testing::Types<ShflLock, Bravo>;
+TYPED_TEST_SUITE(HookSiteTest, LockFamilies, FamilyNames);
+
+void CountTap(void* calls, std::uint64_t) {
+  static_cast<std::atomic<std::uint64_t>*>(calls)->fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+void NoopTap(void*, std::uint64_t) {}
+
+// A native table filling exactly the slot for `kind`.
+HookTable TableFilling(HookKind kind) {
+  HookTable table;
+  switch (kind) {
+    case HookKind::kCmpNode:
+      table.cmp_node = [](void*, const ShflWaiterView&, const ShflWaiterView&) {
+        return false;
+      };
+      break;
+    case HookKind::kSkipShuffle:
+      table.skip_shuffle = [](void*, const ShflWaiterView&) { return false; };
+      break;
+    case HookKind::kScheduleWaiter:
+      table.schedule_waiter = [](void*, const ShflWaiterView&, std::uint32_t) {
+        return false;
+      };
+      break;
+    case HookKind::kLockAcquire:
+      table.lock_acquire = NoopTap;
+      break;
+    case HookKind::kLockContended:
+      table.lock_contended = NoopTap;
+      break;
+    case HookKind::kLockAcquired:
+      table.lock_acquired = NoopTap;
+      break;
+    case HookKind::kLockRelease:
+      table.lock_release = NoopTap;
+      break;
+    case HookKind::kRwMode:
+      table.rw_mode = [](void*) { return 0u; };
+      break;
+  }
+  return table;
+}
+
+// A spec with one trivial program at `kind`, which verifies at every kind.
+PolicySpec SpecFilling(HookKind kind) {
+  PolicySpec spec;
+  spec.name = std::string("only_") + HookKindName(kind);
+  auto program =
+      AssembleProgram(spec.name, "mov r0, 0\nexit\n", &DescriptorFor(kind));
+  EXPECT_TRUE(program.ok()) << HookKindName(kind);
+  if (program.ok()) {
+    EXPECT_TRUE(spec.AddProgram(kind, std::move(*program)).ok());
+  }
+  return spec;
+}
+
+TYPED_TEST(HookSiteTest, NativeAttachmentSurvivesQuarantineRoundTrip) {
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = Family<TypeParam>::Register(this->lock_);
+  std::atomic<std::uint64_t> releases{0};
+  HookTable native;
+  native.user_data = &releases;
+  native.lock_release = CountTap;
+  ASSERT_TRUE(concord.AttachNative(id, native, "counting").ok());
+  Family<TypeParam>::Cycle(this->lock_);
+  EXPECT_EQ(releases.load(), 1u);
+
+  // Parked: off the lock, but still named for the probation re-attach.
+  ASSERT_TRUE(concord.DetachForQuarantine(id).ok());
+  EXPECT_EQ(this->lock_.hook_site().Current(), nullptr);
+  EXPECT_EQ(concord.AttachedPolicyName(id), "counting");
+  Family<TypeParam>::Cycle(this->lock_);
+  EXPECT_EQ(releases.load(), 1u);
+
+  ASSERT_TRUE(concord.ReattachFromQuarantine(id).ok());
+  EXPECT_EQ(concord.AttachedPolicyName(id), "counting");
+  Family<TypeParam>::Cycle(this->lock_);
+  EXPECT_EQ(releases.load(), 2u);
+  EXPECT_EQ(concord.ReattachFromQuarantine(id).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TYPED_TEST(HookSiteTest, BpfAttachmentSurvivesQuarantineRoundTrip) {
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = Family<TypeParam>::Register(this->lock_);
+  auto policy = MakeBpfProfilerPolicy();
+  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(concord.Attach(id, policy->spec).ok());
+  Family<TypeParam>::Cycle(this->lock_);
+  EXPECT_EQ(policy->Count(HookKind::kLockRelease), 1u);
+
+  ASSERT_TRUE(concord.DetachForQuarantine(id).ok());
+  EXPECT_EQ(this->lock_.hook_site().Current(), nullptr);
+  EXPECT_EQ(concord.AttachedPolicyName(id), "bpf_profiler");
+  Family<TypeParam>::Cycle(this->lock_);
+  EXPECT_EQ(policy->Count(HookKind::kLockRelease), 1u);
+
+  ASSERT_TRUE(concord.ReattachFromQuarantine(id).ok());
+  EXPECT_EQ(concord.AttachedPolicyName(id), "bpf_profiler");
+  Family<TypeParam>::Cycle(this->lock_);
+  EXPECT_EQ(policy->Count(HookKind::kLockAcquire), 2u);
+  EXPECT_EQ(policy->Count(HookKind::kLockAcquired), 2u);
+  EXPECT_EQ(policy->Count(HookKind::kLockRelease), 2u);
+}
+
+TYPED_TEST(HookSiteTest, OneKindRuleForTablesAndSpecs) {
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = Family<TypeParam>::Register(this->lock_);
+  for (int k = 0; k < kNumHookKinds; ++k) {
+    const auto kind = static_cast<HookKind>(k);
+    const StatusCode expected = Family<TypeParam>::Rejects(kind)
+                                    ? StatusCode::kFailedPrecondition
+                                    : StatusCode::kOk;
+    EXPECT_EQ(concord.AttachNative(id, TableFilling(kind)).code(), expected)
+        << "native " << HookKindName(kind);
+    EXPECT_EQ(concord.Attach(id, SpecFilling(kind)).code(), expected)
+        << "spec " << HookKindName(kind);
+  }
+}
+
+}  // namespace
+}  // namespace concord

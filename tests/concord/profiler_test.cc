@@ -103,7 +103,7 @@ TEST_F(ProfilerTest, PerLockGranularity) {
   EXPECT_EQ(concord.Stats(hot_id)->Acquisitions(), 20u);
   EXPECT_EQ(concord.Stats(cold_a_id), nullptr);  // never enabled
   // Unprofiled locks carry no hook table at all (zero overhead).
-  EXPECT_EQ(cold_a.CurrentHooks(), nullptr);
+  EXPECT_EQ(cold_a.hook_site().Current(), nullptr);
 }
 
 TEST_F(ProfilerTest, DisableStopsCounting) {

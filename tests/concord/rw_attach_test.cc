@@ -1,4 +1,4 @@
-// Readers-writer lock attachment paths: native rw hooks, BPF rw_mode on
+// Readers-writer lock attachment paths: native rw_mode hooks, BPF rw_mode on
 // both BravoLock instantiations, and registry edge cases.
 
 #include <gtest/gtest.h>
@@ -27,9 +27,9 @@ TEST_F(RwAttachTest, NativeRwModeHookDrivesTheLock) {
 
   static std::atomic<std::uint32_t> mode{
       static_cast<std::uint32_t>(RwMode::kNeutral)};
-  RwHooks native;
+  HookTable native;
   native.rw_mode = [](void*) { return mode.load(); };
-  ASSERT_TRUE(concord.AttachNativeRw(id, native).ok());
+  ASSERT_TRUE(concord.AttachNative(id, native).ok());
 
   neutral_bravo_.ReadLock();
   neutral_bravo_.ReadUnlock();
@@ -47,15 +47,21 @@ TEST_F(RwAttachTest, NativeRwModeHookDrivesTheLock) {
 TEST_F(RwAttachTest, NativeRwAttachRejectedOnShflLock) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(shfl_, "s", "t");
-  RwHooks native;
-  EXPECT_EQ(concord.AttachNativeRw(id, native).code(),
+  // An empty table is a valid no-op policy; rw_mode is what a ShflLock
+  // never consults.
+  HookTable native;
+  native.rw_mode = [](void*) { return 0u; };
+  EXPECT_EQ(concord.AttachNative(id, native).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RwAttachTest, NativeShflAttachRejectedOnRwLock) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterRwLock(neutral_bravo_, "rw", "t");
-  ShflHooks native;
+  HookTable native;
+  native.cmp_node = [](void*, const ShflWaiterView&, const ShflWaiterView&) {
+    return true;
+  };
   EXPECT_EQ(concord.AttachNative(id, native).code(),
             StatusCode::kFailedPrecondition);
 }
@@ -80,11 +86,11 @@ TEST_F(RwAttachTest, ReattachReplacesNativeWithBpf) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterRwLock(neutral_bravo_, "rw", "t");
 
-  RwHooks native;
+  HookTable native;
   native.rw_mode = [](void*) {
     return static_cast<std::uint32_t>(RwMode::kReaderBias);
   };
-  ASSERT_TRUE(concord.AttachNativeRw(id, native).ok());
+  ASSERT_TRUE(concord.AttachNative(id, native).ok());
   neutral_bravo_.ReadLock();
   neutral_bravo_.ReadUnlock();
   const std::uint64_t fast_with_native = neutral_bravo_.fast_reads();

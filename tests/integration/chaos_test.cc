@@ -56,8 +56,6 @@ bool Await(Pred pred) {
   return true;
 }
 
-#if CONCORD_HOOK_BUDGETS
-
 // Hostile profiling tap: ~150us burned inside every lock release, inflating
 // the critical section two orders of magnitude past its budget. Counts its
 // invocations in the counter `calls` points to.
@@ -79,7 +77,7 @@ TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndNeverFiresAgain) {
 
   constexpr int kThreads = 4;
   std::atomic<std::uint64_t> tap_calls{0};
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.user_data = &tap_calls;
   hooks.lock_release = HostileSlowReleaseTap;
   hooks.hook_budget_ns = 20'000;  // 20us budget vs ~150us actual
@@ -150,7 +148,7 @@ TEST_F(ChaosTest, NeverParkScheduleWaiterContainedWithZeroLostWakeups) {
   config.auto_reattach = false;
   registry.SetConfig(config);
 
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.schedule_waiter = HostileNeverPark;
   hooks.hook_budget_ns = 5'000;
   hooks.hook_budget_trip = 4;
@@ -191,8 +189,6 @@ TEST_F(ChaosTest, NeverParkScheduleWaiterContainedWithZeroLostWakeups) {
   }
 }
 
-#endif  // CONCORD_HOOK_BUDGETS
-
 // Hostile (in intent) grouping decision: boosts only a task class nobody
 // runs with, so the policy never helps anyone — and under the manufactured
 // starvation below, the watchdog quarantines it via containment.
@@ -210,7 +206,7 @@ TEST_F(ChaosTest, StarvingCmpNodeQuarantinedByWatchdogWithBackoff) {
   config.probation_success_ns = 50'000'000;
   registry.SetConfig(config);
 
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.cmp_node = StarvingCmpNode;
   ASSERT_TRUE(concord.AttachNative(id, hooks, "starving-cmp-node").ok());
 
@@ -280,7 +276,7 @@ TEST_F(ChaosTest, DelayedWakeupFaultDelaysButNeverLosesWakeups) {
   Concord& concord = Concord::Global();
   lock_.SetBlocking(true);
   const std::uint64_t id = concord.RegisterShflLock(lock_, "chaos", "t");
-  ShflHooks hooks;
+  HookTable hooks;
   hooks.schedule_waiter = AlwaysPark;
   ASSERT_TRUE(concord.AttachNative(id, hooks, "always-park").ok());
 
@@ -354,9 +350,7 @@ TEST_F(ChaosTest, HelperFaultStormUnderContentionIsContained) {
   // with the default-style threshold of 2; a continuing storm would finish
   // the job on the next harvest).
   registry.Poll();
-#if CONCORD_HOOK_BUDGETS
   EXPECT_NE(registry.HealthOf(id), PolicyHealth::kActive);
-#endif
 }
 
 #endif  // CONCORD_FAULT_INJECTION

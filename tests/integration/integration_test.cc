@@ -58,7 +58,7 @@ TEST_F(IntegrationTest, VfsRenameWithInheritancePolicyOnDirClass) {
   }
   EXPECT_EQ(ns.total_entries(), 0u);
   for (std::uint32_t d = 0; d < ns.num_dirs(); ++d) {
-    EXPECT_NE(ns.dir_lock(d).CurrentHooks(), nullptr);
+    EXPECT_NE(ns.dir_lock(d).hook_site().Current(), nullptr);
   }
 }
 

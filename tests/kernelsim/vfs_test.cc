@@ -71,7 +71,7 @@ TEST(VfsTest, RenameHoldsRenameLockWhileTakingDirLocks) {
     std::atomic<std::uint32_t> max_locks_held{0};
   } observed;
 
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &observed;
   hooks->cmp_node = [](void* ud, const ShflWaiterView&,
                        const ShflWaiterView& curr) {
@@ -82,7 +82,7 @@ TEST(VfsTest, RenameHoldsRenameLockWhileTakingDirLocks) {
     }
     return false;
   };
-  ns.dir_lock(0).InstallHooks(hooks.get());
+  ns.dir_lock(0).hook_site().Install(hooks.get());
 
   ASSERT_TRUE(ns.Create(0, "f", 1).ok());
   // Create contention on dir 0 so renamers queue there with a shuffler.
@@ -110,7 +110,7 @@ TEST(VfsTest, RenameHoldsRenameLockWhileTakingDirLocks) {
   for (auto& thread : threads) {
     thread.join();
   }
-  ns.dir_lock(0).InstallHooks(nullptr);
+  ns.dir_lock(0).hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
   // Best-effort: under single-core scheduling the shuffler may never have
   // examined a renamer; only assert we never saw nonsense (> nesting cap).

@@ -61,8 +61,8 @@ std::uint32_t TouchRwMode(void* user_data) {
   return static_cast<std::uint32_t>(RwMode::kReaderBias);
 }
 
-ShflHooks ShflPolicy(PolicyState* state) {
-  ShflHooks hooks;
+HookTable ShflPolicy(PolicyState* state) {
+  HookTable hooks;
   hooks.user_data = state;
   hooks.lock_acquire = TouchTap;
   hooks.lock_acquired = TouchTap;
@@ -70,8 +70,8 @@ ShflHooks ShflPolicy(PolicyState* state) {
   return hooks;
 }
 
-RwHooks RwPolicy(PolicyState* state) {
-  RwHooks hooks;
+HookTable RwPolicy(PolicyState* state) {
+  HookTable hooks;
   hooks.user_data = state;
   hooks.rw_mode = TouchRwMode;
   hooks.lock_acquired = TouchTap;
@@ -146,13 +146,13 @@ TEST_F(RcuDetachStressTest, DetachUnderLoadNeverTouchesFreedPolicyState) {
     auto* shfl_first = new PolicyState;
     auto* rw_first = new PolicyState;
     ASSERT_TRUE(concord.AttachNative(shfl_id, ShflPolicy(shfl_first)).ok());
-    ASSERT_TRUE(concord.AttachNativeRw(rw_id, RwPolicy(rw_first)).ok());
+    ASSERT_TRUE(concord.AttachNative(rw_id, RwPolicy(rw_first)).ok());
     await_traffic();
 
     auto* shfl_second = new PolicyState;
     auto* rw_second = new PolicyState;
     ASSERT_TRUE(concord.AttachNative(shfl_id, ShflPolicy(shfl_second)).ok());
-    ASSERT_TRUE(concord.AttachNativeRw(rw_id, RwPolicy(rw_second)).ok());
+    ASSERT_TRUE(concord.AttachNative(rw_id, RwPolicy(rw_second)).ok());
     Rcu::Global().Synchronize();
     Retire(shfl_first);
     Retire(rw_first);

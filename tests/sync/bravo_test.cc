@@ -170,9 +170,9 @@ TEST(BravoTest, RwModeHookSwitchesRegimesLive) {
   BravoLock<NeutralRwLock> lock;
   static std::atomic<std::uint32_t> mode{
       static_cast<std::uint32_t>(RwMode::kNeutral)};
-  auto hooks = std::make_unique<RwHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->rw_mode = [](void*) { return mode.load(); };
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
 
   lock.ReadLock();
   lock.ReadUnlock();
@@ -185,7 +185,7 @@ TEST(BravoTest, RwModeHookSwitchesRegimesLive) {
   }
   EXPECT_GT(lock.fast_reads(), 0u);
 
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
 }
 

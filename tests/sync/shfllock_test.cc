@@ -25,12 +25,12 @@ bool SameSocketCmp(void*, const ShflWaiterView& shuffler,
 
 TEST(ShflLockTest, HooksInstallAndRevert) {
   ShflLock lock;
-  EXPECT_EQ(lock.CurrentHooks(), nullptr);
-  auto hooks = std::make_unique<ShflHooks>();
+  EXPECT_EQ(lock.hook_site().Current(), nullptr);
+  auto hooks = std::make_unique<HookTable>();
   hooks->cmp_node = SameSocketCmp;
-  EXPECT_EQ(lock.InstallHooks(hooks.get()), nullptr);
-  EXPECT_EQ(lock.CurrentHooks(), hooks.get());
-  EXPECT_EQ(lock.InstallHooks(nullptr), hooks.get());
+  EXPECT_EQ(lock.hook_site().Install(hooks.get()), nullptr);
+  EXPECT_EQ(lock.hook_site().Current(), hooks.get());
+  EXPECT_EQ(lock.hook_site().Install(nullptr), hooks.get());
   Rcu::Global().Synchronize();
 }
 
@@ -134,9 +134,9 @@ TEST(ShflLockTest, HoldTimeFeedsContextEwma) {
   // Hold-time accounting is policy food: it only runs while a hook table is
   // installed (so unpatched locks pay no clock reads).
   ShflLock lock;
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->track_hold_time = true;  // hold accounting is opt-in via the table
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
   ThreadContext& ctx = Self();
   const std::uint64_t before_total =
       ctx.lock_hold_total_ns.load(std::memory_order_relaxed);
@@ -146,7 +146,7 @@ TEST(ShflLockTest, HoldTimeFeedsContextEwma) {
   }
   EXPECT_GE(ctx.lock_hold_total_ns.load(std::memory_order_relaxed),
             before_total + 200'000);
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
 
   // And without hooks, the accounting stays off.
@@ -162,7 +162,7 @@ TEST(ShflLockTest, HoldTimeFeedsContextEwma) {
 
 TEST(ShflLockTest, ProfilingTapsFireInOrder) {
   ShflLock lock;
-  lock.SetLockId(77);
+  lock.hook_site().SetLockId(77);
   struct TapLog {
     std::mutex mu;
     std::vector<std::pair<std::string, std::uint64_t>> events;
@@ -172,7 +172,7 @@ TEST(ShflLockTest, ProfilingTapsFireInOrder) {
     }
   } log;
 
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &log;
   hooks->lock_acquire = [](void* ud, std::uint64_t id) {
     static_cast<TapLog*>(ud)->Add("acquire", id);
@@ -183,12 +183,12 @@ TEST(ShflLockTest, ProfilingTapsFireInOrder) {
   hooks->lock_release = [](void* ud, std::uint64_t id) {
     static_cast<TapLog*>(ud)->Add("release", id);
   };
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
 
   {
     ShflGuard guard(lock);
   }
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
 
   ASSERT_EQ(log.events.size(), 3u);
@@ -218,12 +218,12 @@ bool AwaitCondition(Pred pred) {
 TEST(ShflLockTest, ContendedTapFiresOnSlowPath) {
   ShflLock lock;
   std::atomic<int> contended{0};
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &contended;
   hooks->lock_contended = [](void* ud, std::uint64_t) {
     static_cast<std::atomic<int>*>(ud)->fetch_add(1);
   };
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
 
   lock.Lock();
   std::thread waiter([&lock] {
@@ -233,7 +233,7 @@ TEST(ShflLockTest, ContendedTapFiresOnSlowPath) {
   EXPECT_TRUE(AwaitCondition([&] { return contended.load() >= 1; }));
   lock.Unlock();
   waiter.join();
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
   EXPECT_GE(contended.load(), 1);
 }
@@ -248,13 +248,13 @@ TEST(ShflLockTest, ShuffleGroupsSameSocketWaiters) {
 
   ShflLock lock;
   std::atomic<int> contended{0};
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &contended;
   hooks->cmp_node = SameSocketCmp;
   hooks->lock_contended = [](void* ud, std::uint64_t) {
     static_cast<std::atomic<int>*>(ud)->fetch_add(1);
   };
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
 
   lock.Lock();
   constexpr int kWaiters = 6;
@@ -281,7 +281,7 @@ TEST(ShflLockTest, ShuffleGroupsSameSocketWaiters) {
   for (auto& thread : threads) {
     thread.join();
   }
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
 
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kWaiters));
@@ -292,10 +292,10 @@ TEST(ShflLockTest, ShuffleGroupsSameSocketWaiters) {
 
 TEST(ShflLockTest, SkipShuffleSuppressesShuffling) {
   ShflLock lock;
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->cmp_node = SameSocketCmp;
   hooks->skip_shuffle = [](void*, const ShflWaiterView&) { return true; };
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
 
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -309,7 +309,7 @@ TEST(ShflLockTest, SkipShuffleSuppressesShuffling) {
   for (auto& thread : threads) {
     thread.join();
   }
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
   EXPECT_EQ(lock.shuffle_moves(), 0u);
 }
@@ -337,7 +337,7 @@ TEST(ShflLockTest, ScheduleWaiterHookControlsParking) {
   ShflLock lock;
   lock.SetBlocking(true);
   std::atomic<int> contended{0};
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &contended;
   // Never park, regardless of spin count.
   hooks->schedule_waiter = [](void*, const ShflWaiterView&, std::uint32_t) {
@@ -346,7 +346,7 @@ TEST(ShflLockTest, ScheduleWaiterHookControlsParking) {
   hooks->lock_contended = [](void* ud, std::uint64_t) {
     static_cast<std::atomic<int>*>(ud)->fetch_add(1);
   };
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
 
   lock.Lock();
   std::thread waiter([&] {
@@ -361,7 +361,7 @@ TEST(ShflLockTest, ScheduleWaiterHookControlsParking) {
   EXPECT_EQ(lock.parks(), 0u);
   lock.Unlock();
   waiter.join();
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
   EXPECT_EQ(lock.parks(), 0u);
 }
@@ -386,13 +386,13 @@ TEST(ShflLockTest, HotSwapPolicyUnderContention) {
   }
 
   for (int swap = 0; swap < 30; ++swap) {
-    auto* hooks = new ShflHooks();
+    auto* hooks = new HookTable();
     hooks->cmp_node = SameSocketCmp;
-    const ShflHooks* old = lock.InstallHooks(hooks);
+    const HookTable* old = lock.hook_site().Install(hooks);
     Rcu::Global().Synchronize();
     delete old;
   }
-  const ShflHooks* last = lock.InstallHooks(nullptr);
+  const HookTable* last = lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
   delete last;
 
@@ -412,7 +412,7 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
   auto run_scenario = [&](std::uint32_t bypass_bound) -> std::size_t {
     ShflLock lock;
     std::atomic<int> contended{0};
-    auto hooks = std::make_unique<ShflHooks>();
+    auto hooks = std::make_unique<HookTable>();
     hooks->user_data = &contended;
     hooks->cmp_node = [](void*, const ShflWaiterView&,
                          const ShflWaiterView& curr) {
@@ -422,7 +422,7 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
       static_cast<std::atomic<int>*>(ud)->fetch_add(1);
     };
     hooks->max_waiter_bypasses = bypass_bound;
-    lock.InstallHooks(hooks.get());
+    lock.hook_site().Install(hooks.get());
 
     std::vector<std::string> order;
     std::mutex order_mu;
@@ -457,7 +457,7 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
     for (auto& thread : threads) {
       thread.join();
     }
-    lock.InstallHooks(nullptr);
+    lock.hook_site().Install(nullptr);
     Rcu::Global().Synchronize();
 
     for (std::size_t i = 0; i < order.size(); ++i) {
@@ -479,10 +479,10 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
 
 TEST(ShflLockTest, MaxShuffleRoundsBoundsWork) {
   ShflLock lock;
-  auto hooks = std::make_unique<ShflHooks>();
+  auto hooks = std::make_unique<HookTable>();
   hooks->cmp_node = SameSocketCmp;
   hooks->max_shuffle_rounds = ShflLock::kShuffleRoundCap + 1000;  // over cap
-  lock.InstallHooks(hooks.get());
+  lock.hook_site().Install(hooks.get());
   // The clamp is internal; just exercise contention and ensure no livelock.
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -495,7 +495,7 @@ TEST(ShflLockTest, MaxShuffleRoundsBoundsWork) {
   for (auto& thread : threads) {
     thread.join();
   }
-  lock.InstallHooks(nullptr);
+  lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
   SUCCEED();
 }
