@@ -21,7 +21,7 @@ constexpr struct {
     {"bpf.map_lookup", "map_lookup_elem helper returns null"},
     {"bpf.helper", "map_update/map_delete helpers return -1"},
     {"jit.compile", "Jit::Compile fails; program falls back to interpreter"},
-    {"park.delayed_wake", "UnparkOne/UnparkAll delayed by @delay_ns"},
+    {"park.delayed_wake", "UnparkOne delayed by @delay_ns"},
     {"autotune.decide", "autotune controller skips the lock's decision step"},
     {"rpc.accept", "accepted control-plane connection dropped immediately"},
     {"rpc.read", "control-plane request read fails mid-connection"},

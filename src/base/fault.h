@@ -20,7 +20,7 @@
 //   bpf.map_lookup     map_lookup_elem helper returns null      (helpers.cc)
 //   bpf.helper         map_update/map_delete helpers return -1  (helpers.cc)
 //   jit.compile        Jit::Compile fails -> interpreter tier   (jit/jit.cc)
-//   park.delayed_wake  UnparkOne/UnparkAll delayed by delay_ns  (parking_lot.cc)
+//   park.delayed_wake  UnparkOne delayed by delay_ns            (parking_lot.cc)
 //   autotune.decide    autotune controller decision step aborts (autotune/controller.cc)
 //   rpc.accept         accepted control-plane connection dropped (rpc/server.cc)
 //   rpc.read           request read fails mid-connection         (rpc/server.cc)

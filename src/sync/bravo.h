@@ -68,11 +68,14 @@ class BravoLock {
       const std::uint64_t index = SlotIndexFor(Self().task_id);
       std::atomic<std::uint32_t>& slot = *visible_[index];
       std::uint32_t expected = 0;
-      if (slot.compare_exchange_strong(expected, 1, std::memory_order_acq_rel,
+      if (slot.compare_exchange_strong(expected, 1, std::memory_order_seq_cst,
                                        std::memory_order_relaxed)) {
         // Publish-then-recheck: a racing writer either sees our slot or we
-        // see the cleared bias.
-        if (bias_.load(std::memory_order_acquire) != 0) {
+        // see the cleared bias. This is the store-buffering pattern against
+        // Revoke's bias store and slot scan, so all four accesses are
+        // seq_cst: with acquire/release alone the model lets both sides miss
+        // each other and a fast-path reader run beside the writer.
+        if (bias_.load(std::memory_order_seq_cst) != 0) {
           PushToken(index);
           fast_reads_.fetch_add(1, std::memory_order_relaxed);
           hooks_.Tap(&HookTable::lock_acquired);
@@ -201,7 +204,7 @@ class BravoLock {
     bias_.store(0, std::memory_order_seq_cst);
     for (auto& slot : visible_) {
       SpinWait spin;
-      while (slot->load(std::memory_order_acquire) != 0) {
+      while (slot->load(std::memory_order_seq_cst) != 0) {
         spin.Once();
       }
     }

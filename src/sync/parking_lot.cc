@@ -5,17 +5,14 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <climits>
-
 #include "src/base/fault.h"
 
 namespace concord {
 namespace {
 
-long Futex(std::atomic<std::uint32_t>* word, int op, std::uint32_t value,
-           const timespec* timeout) {
+long Futex(std::atomic<std::uint32_t>* word, int op, std::uint32_t value) {
   return syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word), op, value,
-                 timeout, nullptr, 0);
+                 nullptr, nullptr, 0);
 }
 
 // Injected wakeup latency: stalls (never drops) the wake so tests can prove
@@ -32,26 +29,13 @@ void MaybeDelayWake() {
 
 }  // namespace
 
-void ParkingLot::Park(std::atomic<std::uint32_t>* word, std::uint32_t expected,
-                      std::uint64_t timeout_ns) {
-  if (timeout_ns == 0) {
-    Futex(word, FUTEX_WAIT_PRIVATE, expected, nullptr);
-    return;
-  }
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(timeout_ns / 1'000'000'000ull);
-  ts.tv_nsec = static_cast<long>(timeout_ns % 1'000'000'000ull);
-  Futex(word, FUTEX_WAIT_PRIVATE, expected, &ts);
+void ParkingLot::Park(std::atomic<std::uint32_t>* word, std::uint32_t expected) {
+  Futex(word, FUTEX_WAIT_PRIVATE, expected);
 }
 
 void ParkingLot::UnparkOne(std::atomic<std::uint32_t>* word) {
   MaybeDelayWake();
-  Futex(word, FUTEX_WAKE_PRIVATE, 1, nullptr);
-}
-
-void ParkingLot::UnparkAll(std::atomic<std::uint32_t>* word) {
-  MaybeDelayWake();
-  Futex(word, FUTEX_WAKE_PRIVATE, INT_MAX, nullptr);
+  Futex(word, FUTEX_WAKE_PRIVATE, 1);
 }
 
 }  // namespace concord

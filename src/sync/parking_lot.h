@@ -15,17 +15,13 @@ namespace concord {
 
 class ParkingLot {
  public:
-  // Blocks the calling thread while `*word == expected`. Returns when woken,
-  // when the value changed, or after `timeout_ns` (0 = no timeout). Spurious
-  // returns are allowed; callers must re-check their predicate.
-  static void Park(std::atomic<std::uint32_t>* word, std::uint32_t expected,
-                   std::uint64_t timeout_ns = 0);
+  // Blocks the calling thread while `*word == expected`. Returns when woken
+  // or when the value changed. Spurious returns are allowed; callers must
+  // re-check their predicate.
+  static void Park(std::atomic<std::uint32_t>* word, std::uint32_t expected);
 
   // Wakes at most one parked thread.
   static void UnparkOne(std::atomic<std::uint32_t>* word);
-
-  // Wakes all parked threads.
-  static void UnparkAll(std::atomic<std::uint32_t>* word);
 };
 
 }  // namespace concord

@@ -77,10 +77,6 @@ class ShflLock {
   // instrumentation points).
   bool TryLock();
 
-  bool IsLocked() const {
-    return locked_.load(std::memory_order_relaxed) != 0;
-  }
-
   // --- Concord integration -------------------------------------------------
 
   // Where Concord publishes hook tables and the registry id (see HookSite).

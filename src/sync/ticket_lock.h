@@ -44,18 +44,6 @@ class CONCORD_CACHE_ALIGNED TicketLock {
                    std::memory_order_release);
   }
 
-  bool IsLocked() const {
-    return next_.load(std::memory_order_relaxed) !=
-           serving_.load(std::memory_order_relaxed);
-  }
-
-  // Approximate number of threads waiting behind the current holder.
-  std::uint32_t WaitersApprox() const {
-    const std::uint32_t pending = next_.load(std::memory_order_relaxed) -
-                                  serving_.load(std::memory_order_relaxed);
-    return pending > 1 ? pending - 1 : 0;
-  }
-
  private:
   std::atomic<std::uint32_t> next_{0};
   std::atomic<std::uint32_t> serving_{0};

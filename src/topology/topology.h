@@ -4,10 +4,10 @@
 // may run on anything from a laptop to a single-core CI container, so NUMA
 // structure is *virtualized*: threads register with a MachineTopology and are
 // assigned a virtual CPU (vCPU), which determines their virtual socket. All
-// NUMA-aware policies (ShflLock socket grouping, per-socket reader counters,
-// CNA secondary queue) key off the virtual socket, so the grouping logic they
-// exercise is identical to what would run on real hardware — only the
-// latency consequences are simulated (see src/sim for the cost model).
+// NUMA-aware policies (ShflLock socket grouping, per-socket reader counters)
+// key off the virtual socket, so the grouping logic they exercise is
+// identical to what would run on real hardware — only the latency
+// consequences are simulated (see src/sim for the cost model).
 
 #ifndef SRC_TOPOLOGY_TOPOLOGY_H_
 #define SRC_TOPOLOGY_TOPOLOGY_H_

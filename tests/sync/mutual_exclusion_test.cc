@@ -7,30 +7,11 @@
 #include <thread>
 #include <vector>
 
-#include "src/sync/cna_lock.h"
-#include "src/sync/cohort_lock.h"
-#include "src/sync/lock.h"
-#include "src/sync/mcs_lock.h"
 #include "src/sync/shfllock.h"
-#include "src/sync/tas_lock.h"
 #include "src/sync/ticket_lock.h"
 
 namespace concord {
 namespace {
-
-// Adapters give every lock the implicit Lock()/Unlock() interface.
-struct CnaAdapter {
-  CnaLock lock;
-  void Lock() { lock.Lock(Node()); }
-  void Unlock() { lock.Unlock(Node()); }
-  bool TryLock() { return lock.TryLock(Node()); }
-
- private:
-  static CnaQNode& Node() {
-    thread_local CnaQNode node;
-    return node;
-  }
-};
 
 struct BlockingShflAdapter {
   BlockingShflAdapter() { lock.SetBlocking(true); }
@@ -46,9 +27,8 @@ class MutexPropertyTest : public ::testing::Test {
   LockType lock_;
 };
 
-using MutexTypes = ::testing::Types<TasLock, TtasLock, TicketLock, McsLock,
-                                    ShflLock, BlockingShflAdapter, CnaAdapter,
-                                    CohortLock>;
+using MutexTypes =
+    ::testing::Types<TicketLock, ShflLock, BlockingShflAdapter>;
 TYPED_TEST_SUITE(MutexPropertyTest, MutexTypes);
 
 TYPED_TEST(MutexPropertyTest, UncontendedLockUnlock) {

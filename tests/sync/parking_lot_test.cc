@@ -34,35 +34,5 @@ TEST(ParkingLotTest, UnparkOneWakesParkedThread) {
   EXPECT_TRUE(woke.load());
 }
 
-TEST(ParkingLotTest, UnparkAllWakesEveryone) {
-  std::atomic<std::uint32_t> word{1};
-  std::atomic<int> woke{0};
-  std::thread sleepers[3];
-  for (auto& t : sleepers) {
-    t = std::thread([&] {
-      while (word.load() == 1) {
-        ParkingLot::Park(&word, 1);
-      }
-      woke.fetch_add(1);
-    });
-  }
-  BurnNs(10'000'000);
-  word.store(0);
-  ParkingLot::UnparkAll(&word);
-  for (auto& t : sleepers) {
-    t.join();
-  }
-  EXPECT_EQ(woke.load(), 3);
-}
-
-TEST(ParkingLotTest, TimeoutExpires) {
-  std::atomic<std::uint32_t> word{1};
-  const std::uint64_t start = MonotonicNowNs();
-  ParkingLot::Park(&word, 1, /*timeout_ns=*/5'000'000);  // 5ms
-  const std::uint64_t elapsed = MonotonicNowNs() - start;
-  EXPECT_GE(elapsed, 4'000'000ull);
-  EXPECT_LT(elapsed, 5'000'000'000ull);
-}
-
 }  // namespace
 }  // namespace concord

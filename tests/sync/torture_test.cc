@@ -17,11 +17,7 @@
 #include "src/base/time.h"
 #include "src/concord/concord.h"
 #include "src/concord/policies.h"
-#include "src/sync/cna_lock.h"
-#include "src/sync/cohort_lock.h"
-#include "src/sync/mcs_lock.h"
 #include "src/sync/shfllock.h"
-#include "src/sync/tas_lock.h"
 #include "src/sync/ticket_lock.h"
 
 namespace concord {
@@ -92,28 +88,8 @@ void TortureMutex(LockT& lock, int threads, int iters_per_thread) {
   EXPECT_EQ(payload.a, completed.load());
 }
 
-TEST(LockTortureTest, TasLock) {
-  TasLock lock;
-  TortureMutex(lock, 4, 8000);
-}
-
-TEST(LockTortureTest, TtasLock) {
-  TtasLock lock;
-  TortureMutex(lock, 4, 8000);
-}
-
 TEST(LockTortureTest, TicketLock) {
   TicketLock lock;
-  TortureMutex(lock, 4, 8000);
-}
-
-TEST(LockTortureTest, McsLock) {
-  McsLock lock;
-  TortureMutex(lock, 4, 8000);
-}
-
-TEST(LockTortureTest, CohortLock) {
-  CohortLock lock;
   TortureMutex(lock, 4, 8000);
 }
 
@@ -126,20 +102,6 @@ TEST(LockTortureTest, ShflLockBlocking) {
   ShflLock lock;
   lock.SetBlocking(true);
   TortureMutex(lock, 4, 8000);
-}
-
-TEST(LockTortureTest, CnaLock) {
-  struct Adapter {
-    CnaLock lock;
-    void Lock() { lock.Lock(Node()); }
-    void Unlock() { lock.Unlock(Node()); }
-    bool TryLock() { return lock.TryLock(Node()); }
-    static CnaQNode& Node() {
-      thread_local CnaQNode node;
-      return node;
-    }
-  } adapter;
-  TortureMutex(adapter, 4, 8000);
 }
 
 TEST(LockTortureTest, ShflLockUnderFullControlPlaneChurn) {
