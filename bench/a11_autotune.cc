@@ -123,18 +123,18 @@ int Run() {
 
   AutotuneConfig config;
   config.window_ns = 50'000'000;  // 50ms
-  config.hysteresis_windows = 2;
-  config.canary_windows = 3;
-  config.cooldown_windows = 2;
-  config.min_window_acquisitions = 32;
-  config.promote_margin = 0.05;
+  config.canary.hysteresis_windows = 2;
+  config.canary.canary_windows = 3;
+  config.canary.cooldown_windows = 2;
+  config.canary.min_window_acquisitions = 32;
+  config.canary.promote_margin = 0.05;
   // Retry a rolled-back canary quickly: one noisy baseline window can sink a
   // genuinely better candidate, and this bench is about convergence time.
-  config.failed_candidate_backoff_windows = 6;
+  config.canary.failed_candidate_backoff_windows = 6;
   // This host-threaded workload saturates the lock by design; keep the
   // pathological regime for genuine starvation so the NUMA signal can win.
-  config.classifier.pathological_min_rate = 1.01;
-  config.classifier.pathological_wait_p99_ns = 500'000'000;
+  config.canary.classifier.pathological_min_rate = 1.01;
+  config.canary.classifier.pathological_wait_p99_ns = 500'000'000;
 
   Workload load;
   load.lock = &lock;

@@ -2,7 +2,9 @@
 // terminating, but a *verified* policy can still be unfair. This example
 // attaches a deliberately unfair policy — "boost everyone from socket 0" on
 // a machine where one victim thread sits on socket 7 — and lets the fairness
-// watchdog catch the starvation and revert the lock to stock FIFO, live.
+// watchdog catch the starvation. Containment takes the policy off the lock
+// (stock FIFO) and, after its backoff, re-attaches it on probation. Nothing
+// here polls: the process's control loop runs the watchdog and containment.
 //
 //   build/examples/fairness_watchdog
 
@@ -15,6 +17,7 @@
 #include "src/base/time.h"
 #include "src/bpf/assembler.h"
 #include "src/concord/concord.h"
+#include "src/concord/containment.h"
 #include "src/concord/safety.h"
 #include "src/sync/shfllock.h"
 #include "src/topology/thread_context.h"
@@ -60,7 +63,6 @@ int main() {
   WatchdogConfig config;
   config.max_wait_ns = 50'000'000;
   config.auto_detach = true;
-  config.poll_interval_ms = 5;
   FairnessWatchdog watchdog(config);
   CONCORD_CHECK(watchdog.Watch(id).ok());
   watchdog.Start();
@@ -84,24 +86,36 @@ int main() {
   victim.join();
   std::printf("victim served after an 80ms wait\n");
 
-  // The watchdog saw it.
-  const std::uint64_t deadline = MonotonicNowNs() + 5'000'000'000ull;
+  // The watchdog saw it, and containment quarantined the policy.
+  std::uint64_t deadline = MonotonicNowNs() + 5'000'000'000ull;
   while (watchdog.violations().empty() && MonotonicNowNs() < deadline) {
     SleepMs(5);
   }
-  watchdog.Stop();
-
   for (const auto& violation : watchdog.violations()) {
     std::printf("VIOLATION on '%s': waiter stuck %.1f ms (limit 50.0) -> %s\n",
                 concord.NameOf(violation.lock_id).c_str(),
                 static_cast<double>(violation.observed_ns) / 1e6,
-                violation.detached ? "policy detached" : "reported only");
+                violation.detached ? "policy quarantined" : "reported only");
   }
-  std::printf("lock hooks now: %s\n",
-              g_lock.hook_site().Current() == nullptr
-                  ? "none — reverted to stock FIFO"
-                  : "still attached (profiling only)");
+  ContainmentRegistry& containment = ContainmentRegistry::Global();
+  std::printf("policy health: %s\n",
+              PolicyHealthName(containment.HealthOf(id)));
+
+  // After the backoff, containment re-attaches the policy on probation.
+  deadline = MonotonicNowNs() + 5'000'000'000ull;
+  while (containment.HealthOf(id) == PolicyHealth::kQuarantined &&
+         MonotonicNowNs() < deadline) {
+    SleepMs(5);
+  }
+  watchdog.Stop();
+  const PolicyHealth health = containment.HealthOf(id);
+  std::printf("policy health: %s, '%s' %s\n", PolicyHealthName(health),
+              concord.AttachedPolicyName(id).c_str(),
+              health == PolicyHealth::kQuarantined ? "still parked"
+                                                   : "back on the lock");
 
   CONCORD_CHECK(concord.Unregister(id).ok());
-  return 0;
+  return watchdog.violations().empty() || health == PolicyHealth::kQuarantined
+             ? 1
+             : 0;
 }

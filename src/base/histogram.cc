@@ -104,7 +104,7 @@ std::string Log2Histogram::ToString() const {
     } else {
       std::snprintf(line, sizeof(line),
                     "[%12" PRIu64 ", %12" PRIu64 ") %10" PRIu64 "  %5.1f%%\n",
-                    lo, 1ull << (i + 1), count, pct);
+                    lo, static_cast<std::uint64_t>(1ull << (i + 1)), count, pct);
     }
     out += line;
   }

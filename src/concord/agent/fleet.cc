@@ -2,8 +2,8 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +16,7 @@
 #include "src/bpf/assembler.h"
 #include "src/bpf/maps.h"
 #include "src/concord/autotune/candidates.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/hooks.h"
 #include "src/concord/policy.h"
 #include "src/concord/policy_lint.h"
@@ -23,28 +24,6 @@
 #include "src/concord/rpc/client.h"
 
 namespace concord {
-
-const char* FleetEventKindName(FleetEventKind kind) {
-  switch (kind) {
-    case FleetEventKind::kWorkerJoin:
-      return "worker-join";
-    case FleetEventKind::kWorkerEvict:
-      return "worker-evict";
-    case FleetEventKind::kRegimeChange:
-      return "regime-change";
-    case FleetEventKind::kCanaryStart:
-      return "canary-start";
-    case FleetEventKind::kPromote:
-      return "promote";
-    case FleetEventKind::kRollback:
-      return "rollback";
-    case FleetEventKind::kCanaryAbort:
-      return "canary-abort";
-    case FleetEventKind::kError:
-      return "error";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -120,6 +99,25 @@ FleetAgent& FleetAgent::Global() {
   return *instance;
 }
 
+FleetAgent::FleetAgent()
+    : engine_({[this](const CanaryEngine::Lock& lock, ContentionRegime regime,
+                      const std::vector<std::string>& skip) {
+                 for (const FleetCandidate& candidate : candidates_) {
+                   if (candidate.regime == regime &&
+                       candidate.for_rw == lock.is_rw &&
+                       std::find(skip.begin(), skip.end(), candidate.name) ==
+                           skip.end()) {
+                     return candidate.name;
+                   }
+                 }
+                 return std::string(kPlainCandidateName);
+               },
+               [this](const CanaryEngine::Lock& lock, const std::string& name,
+                      std::uint64_t now_ns,
+                      std::vector<AutotuneEvent>& events) {
+                 return PushToFleetLocked(lock, name, now_ns, events);
+               }}) {}
+
 Status FleetAgent::Configure(const FleetAgentConfig& config) {
   std::string policy_dir;
   {
@@ -129,6 +127,7 @@ Status FleetAgent::Configure(const FleetAgentConfig& config) {
           "fleet agent: cannot reconfigure while running");
     }
     config_ = config;
+    engine_.set_config(config.canary);
     policy_dir = config.policy_dir;
   }
   if (!policy_dir.empty()) {
@@ -213,7 +212,7 @@ Status FleetAgent::RegisterWorker(std::uint64_t pid,
         "agent.register needs pid, shm path and control socket");
   }
   std::lock_guard<std::mutex> guard(mu_);
-  std::vector<FleetEvent> events;
+  std::vector<AutotuneEvent> events;
   // Re-registration (worker restart, or a retry whose first response was
   // lost) replaces the entry wholesale: fresh reader, fresh baselines.
   for (auto it = workers_.begin(); it != workers_.end(); ++it) {
@@ -227,9 +226,9 @@ Status FleetAgent::RegisterWorker(std::uint64_t pid,
   worker->shm_path = shm_path;
   worker->control_socket = control_socket;
   workers_.push_back(std::move(worker));
-  EmitLocked({ClockNowNs(), pid, "", FleetEventKind::kWorkerJoin,
-              ContentionRegime::kUncontended, "", "shm=" + shm_path},
-             events);
+  engine_.Emit({ClockNowNs(), 0, "", AutotuneEventKind::kWorkerJoin,
+                ContentionRegime::kUncontended, "", "shm=" + shm_path, pid},
+               events);
   return Status::Ok();
 }
 
@@ -334,12 +333,12 @@ bool FleetAgent::SampleWorkerLocked(
 void FleetAgent::EvictWorkerPidLocked(std::uint64_t pid,
                                       const std::string& reason,
                                       std::uint64_t now_ns,
-                                      std::vector<FleetEvent>& events) {
+                                      std::vector<AutotuneEvent>& events) {
   for (auto it = workers_.begin(); it != workers_.end(); ++it) {
     if ((*it)->pid == pid) {
-      EmitLocked({now_ns, pid, "", FleetEventKind::kWorkerEvict,
-                  ContentionRegime::kUncontended, "", reason},
-                 events);
+      engine_.Emit({now_ns, 0, "", AutotuneEventKind::kWorkerEvict,
+                    ContentionRegime::kUncontended, "", reason, pid},
+                   events);
       workers_.erase(it);
       return;
     }
@@ -406,42 +405,44 @@ Status FleetAgent::PushToWorkerLocked(Worker& worker,
   return Status::Ok();
 }
 
-Status FleetAgent::PushToFleetLocked(const std::string& lock_name,
+Status FleetAgent::PushToFleetLocked(const CanaryEngine::Lock& lock,
                                      const std::string& name,
                                      std::uint64_t now_ns,
-                                     std::vector<FleetEvent>& events) {
-  std::vector<std::pair<std::uint64_t, std::string>> evictions;
-  Status first_rejection = Status::Ok();
-  for (auto& worker : workers_) {
-    bool transport_failed = false;
-    const Status status =
-        PushToWorkerLocked(*worker, lock_name, name, &transport_failed);
-    if (status.ok()) {
-      continue;
+                                     std::vector<AutotuneEvent>& events) {
+  const auto push = [&](const std::string& policy) {
+    std::vector<std::pair<std::uint64_t, std::string>> evictions;
+    Status first_rejection = Status::Ok();
+    for (auto& worker : workers_) {
+      bool transport_failed = false;
+      const Status status =
+          PushToWorkerLocked(*worker, lock.name, policy, &transport_failed);
+      if (transport_failed) {
+        // Worker unreachable on its own socket: dead or wedged. Evicting
+        // here (instead of failing the push) is what keeps one killed
+        // worker from blocking or rolling back the surviving fleet.
+        evictions.emplace_back(worker->pid,
+                               "policy push failed: " + status.message());
+      } else if (!status.ok() && first_rejection.ok()) {
+        first_rejection = status;
+      }
     }
-    if (transport_failed) {
-      // Worker unreachable on its own socket: dead or wedged. Evicting here
-      // (instead of failing the push) is what keeps one killed worker from
-      // blocking or rolling back the surviving fleet.
-      evictions.emplace_back(worker->pid,
-                             "policy push failed: " + status.message());
-      continue;
+    for (const auto& [pid, reason] : evictions) {
+      EvictWorkerPidLocked(pid, reason, now_ns, events);
     }
-    if (first_rejection.ok()) {
-      first_rejection = status;
-    }
+    return first_rejection;
+  };
+  const Status status = push(name);
+  if (!status.ok() && name != lock.incumbent) {
+    (void)push(lock.incumbent);  // never leave the fleet split
   }
-  for (const auto& [pid, reason] : evictions) {
-    EvictWorkerPidLocked(pid, reason, now_ns, events);
-  }
-  return first_rejection;
+  return status;
 }
 
 bool FleetAgent::SyncWorkerLocked(Worker& worker, std::uint64_t now_ns,
-                                  std::vector<FleetEvent>& events,
+                                  std::vector<AutotuneEvent>& events,
                                   std::string* evict_reason) {
   for (const auto& [lock_name, state] : locks_) {
-    const std::string effective = state->mode == Mode::kCanary
+    const std::string effective = state->mode == CanaryEngine::Mode::kCanary
                                       ? state->canary_candidate
                                       : state->incumbent;
     if (effective == kPlainCandidateName) {
@@ -455,223 +456,21 @@ bool FleetAgent::SyncWorkerLocked(Worker& worker, std::uint64_t now_ns,
       return false;
     }
     if (!status.ok()) {
-      EmitLocked({now_ns, worker.pid, lock_name, FleetEventKind::kError,
-                  ContentionRegime::kUncontended, effective,
-                  "sync rejected: " + status.message()},
-                 events);
+      engine_.Emit({now_ns, 0, lock_name, AutotuneEventKind::kError,
+                    ContentionRegime::kUncontended, effective,
+                    "sync rejected: " + status.message(), worker.pid},
+                   events);
     }
   }
   return true;
 }
 
-// --- decisions ---------------------------------------------------------------
-
-const FleetCandidate* FleetAgent::CandidateForLocked(
-    ContentionRegime regime, bool is_rw,
-    const std::vector<std::string>& skip) const {
-  for (const FleetCandidate& candidate : candidates_) {
-    if (candidate.regime != regime || candidate.for_rw != is_rw) {
-      continue;
-    }
-    bool skipped = false;
-    for (const std::string& name : skip) {
-      if (name == candidate.name) {
-        skipped = true;
-        break;
-      }
-    }
-    if (!skipped) {
-      return &candidate;
-    }
-  }
-  return nullptr;  // the implicit plain candidate
-}
-
-void FleetAgent::TickLockLocked(FleetLockState& state,
-                                const LockProfileSnapshot& window,
-                                std::uint64_t now_ns,
-                                std::vector<FleetEvent>& events) {
-  const bool window_qualifies =
-      window.acquisitions >= config_.min_window_acquisitions;
-
-  // Classify (observation windows only — canary windows measure, not steer).
-  if (state.mode == Mode::kObserving && window_qualifies) {
-    const RegimeSignals signals = RegimeSignals::FromWindow(window, state.is_rw);
-    const DefaultRegimeClassifier classifier(config_.classifier);
-    const ContentionRegime before = state.hysteresis.stable();
-    const ContentionRegime stable =
-        state.hysteresis.Observe(classifier.Classify(signals));
-    if (stable != before) {
-      EmitLocked({now_ns, 0, state.name, FleetEventKind::kRegimeChange, stable,
-                  "", std::string("from ") + ContentionRegimeName(before)},
-                 events);
-    }
-    state.baseline_p50_ns = window.wait_ns.Percentile(50);
-    state.baseline_p99_ns = window.wait_ns.Percentile(99);
-    state.have_baseline = true;
-  }
-
-  for (SkipEntry& entry : state.skip) {
-    if (entry.windows_left > 0) {
-      --entry.windows_left;
-    }
-  }
-  if (state.cooldown > 0) {
-    --state.cooldown;
-    return;
-  }
-
-  if (state.mode == Mode::kCanary) {
-    ++state.canary_total;
-    if (window_qualifies) {
-      state.canary_wait.MergeFrom(window.wait_ns);
-      ++state.canary_scored;
-    }
-    if (state.canary_scored < config_.canary_windows) {
-      if (state.canary_total >= config_.canary_windows * kCanaryPatience) {
-        FinishCanaryLocked(state, /*promote=*/false,
-                           FleetEventKind::kCanaryAbort,
-                           "canary starved of samples", now_ns, events);
-      }
-      return;
-    }
-    // Verdict — the same evidence rule as the in-process controller.
-    const CanaryScore score = {state.baseline_p50_ns, state.baseline_p99_ns,
-                               state.canary_wait.Percentile(50),
-                               state.canary_wait.Percentile(99)};
-    const bool promote = CanaryPromotes(score, config_.promote_margin);
-    FinishCanaryLocked(state, promote,
-                       promote ? FleetEventKind::kPromote
-                               : FleetEventKind::kRollback,
-                       CanaryScoreDetail(score), now_ns, events);
-    return;
-  }
-
-  // Observing, no cooldown: act if the stable regime wants a different
-  // policy than the fleet incumbent.
-  const ContentionRegime stable = state.hysteresis.stable();
-  std::vector<std::string> skip;
-  for (const SkipEntry& entry : state.skip) {
-    if (entry.windows_left > 0) {
-      skip.push_back(entry.name);
-    }
-  }
-  const FleetCandidate* target =
-      CandidateForLocked(stable, state.is_rw, skip);
-  const std::string target_name =
-      target != nullptr ? target->name : std::string(kPlainCandidateName);
-  if (target_name == state.incumbent) {
-    return;
-  }
-  if (target == nullptr) {
-    // Reverting the fleet to plain needs no canary: detaching is always
-    // safe, and an uncontended fleet produces no samples to score anyway.
-    const Status status =
-        PushToFleetLocked(state.name, kPlainCandidateName, now_ns, events);
-    if (status.ok()) {
-      const std::string previous = state.incumbent;
-      state.incumbent = kPlainCandidateName;
-      state.cooldown = config_.cooldown_windows;
-      EmitLocked({now_ns, 0, state.name, FleetEventKind::kPromote, stable,
-                  kPlainCandidateName, "reverted fleet from " + previous},
-                 events);
-    } else {
-      EmitLocked({now_ns, 0, state.name, FleetEventKind::kError, stable,
-                  kPlainCandidateName, "revert failed: " + status.message()},
-                 events);
-    }
-    return;
-  }
-  if (!state.have_baseline) {
-    return;  // nothing to score a canary against yet
-  }
-  StartCanaryLocked(state, *target, now_ns, events);
-}
-
-void FleetAgent::StartCanaryLocked(FleetLockState& state,
-                                   const FleetCandidate& candidate,
-                                   std::uint64_t now_ns,
-                                   std::vector<FleetEvent>& events) {
-  const Status status =
-      PushToFleetLocked(state.name, candidate.name, now_ns, events);
-  if (!status.ok()) {
-    // Some worker's gate rejected the candidate: back it off, and restore
-    // the incumbent everywhere so the fleet never splits on a half-applied
-    // canary.
-    AddSkipLocked(state, candidate.name);
-    (void)PushToFleetLocked(state.name, state.incumbent, now_ns, events);
-    EmitLocked({now_ns, 0, state.name, FleetEventKind::kError,
-                state.hysteresis.stable(), candidate.name,
-                "canary attach failed: " + status.message()},
-               events);
-    return;
-  }
-  state.mode = Mode::kCanary;
-  state.canary_candidate = candidate.name;
-  state.canary_wait.Reset();
-  state.canary_scored = 0;
-  state.canary_total = 0;
-  EmitLocked({now_ns, 0, state.name, FleetEventKind::kCanaryStart,
-              state.hysteresis.stable(), candidate.name,
-              "fleet of " + std::to_string(workers_.size())},
-             events);
-}
-
-void FleetAgent::FinishCanaryLocked(FleetLockState& state, bool promote,
-                                    FleetEventKind kind,
-                                    const std::string& detail,
-                                    std::uint64_t now_ns,
-                                    std::vector<FleetEvent>& events) {
-  const std::string candidate = state.canary_candidate;
-  state.mode = Mode::kObserving;
-  state.canary_candidate.clear();
-  state.canary_wait.Reset();
-  state.canary_scored = 0;
-  state.canary_total = 0;
-  state.cooldown = config_.cooldown_windows;
-  if (promote) {
-    state.incumbent = candidate;
-  } else {
-    AddSkipLocked(state, candidate);
-    const Status status =
-        PushToFleetLocked(state.name, state.incumbent, now_ns, events);
-    if (!status.ok()) {
-      EmitLocked({now_ns, 0, state.name, FleetEventKind::kError,
-                  state.hysteresis.stable(), state.incumbent,
-                  "rollback push failed: " + status.message()},
-                 events);
-    }
-  }
-  EmitLocked({now_ns, 0, state.name, kind, state.hysteresis.stable(),
-              candidate, detail},
-             events);
-}
-
-void FleetAgent::AddSkipLocked(FleetLockState& state,
-                               const std::string& name) {
-  for (SkipEntry& entry : state.skip) {
-    if (entry.name == name) {
-      entry.windows_left = config_.failed_candidate_backoff_windows;
-      return;
-    }
-  }
-  state.skip.push_back({name, config_.failed_candidate_backoff_windows});
-}
-
-void FleetAgent::EmitLocked(FleetEvent event, std::vector<FleetEvent>& events) {
-  events_.push_back(event);
-  while (events_.size() > kMaxEvents) {
-    events_.pop_front();
-  }
-  events.push_back(std::move(event));
-}
-
 // --- the loop ----------------------------------------------------------------
 
-std::vector<FleetEvent> FleetAgent::Tick() {
+std::vector<AutotuneEvent> FleetAgent::Tick() {
   std::lock_guard<std::mutex> guard(mu_);
   const std::uint64_t now_ns = ClockNowNs();
-  std::vector<FleetEvent> events;
+  std::vector<AutotuneEvent> events;
 
   // Sample phase: read every worker's segment, evicting the unreadable.
   std::map<std::string, LockProfileSnapshot> merged;
@@ -711,60 +510,26 @@ std::vector<FleetEvent> FleetAgent::Tick() {
     return events;
   }
 
-  // Decision phase: one fleet-wide canary loop per lock name.
+  // Decision phase: one fleet-wide canary per lock name.
   for (auto& [name, window] : merged) {
     auto it = locks_.find(name);
     if (it == locks_.end()) {
-      auto state = std::make_unique<FleetLockState>();
+      auto state = std::make_unique<CanaryEngine::Lock>();
       state->name = name;
-      state->incumbent = kPlainCandidateName;
-      state->hysteresis = RegimeHysteresis(config_.hysteresis_windows);
+      state->hysteresis = RegimeHysteresis(config_.canary.hysteresis_windows);
       it = locks_.emplace(name, std::move(state)).first;
     }
-    TickLockLocked(*it->second, window, now_ns, events);
+    engine_.TickLock(*it->second, window, now_ns, events);
   }
   return events;
 }
 
-void FleetAgent::ThreadMain() {
-  while (running_.load(std::memory_order_acquire)) {
-    (void)Tick();
-    std::unique_lock<std::mutex> lock(stop_mu_);
-    const std::uint64_t window_ns = [this] {
-      std::lock_guard<std::mutex> guard(mu_);
-      return config_.window_ns;
-    }();
-    stop_cv_.wait_for(lock, std::chrono::nanoseconds(window_ns),
-                      [this] { return stop_requested_; });
-  }
+void FleetAgent::Start() {
+  running_.store(true, std::memory_order_release);
+  ControlLoop::Global().Start();
 }
 
-Status FleetAgent::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) {
-    return FailedPreconditionError("fleet agent: already running");
-  }
-  {
-    std::lock_guard<std::mutex> guard(stop_mu_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { ThreadMain(); });
-  return Status::Ok();
-}
-
-void FleetAgent::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> guard(stop_mu_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
+void FleetAgent::Stop() { running_.store(false, std::memory_order_release); }
 
 // --- introspection -----------------------------------------------------------
 
@@ -795,15 +560,15 @@ std::string FleetAgent::StatusJson() const {
     json.BeginObject();
     json.Field("name", name);
     json.Field("regime", ContentionRegimeName(state->hysteresis.stable()));
-    json.Field("mode",
-               state->mode == Mode::kCanary ? "canary" : "observing");
+    const bool canary = state->mode == CanaryEngine::Mode::kCanary;
+    json.Field("mode", canary ? "canary" : "observing");
     json.Field("incumbent", state->incumbent);
     json.NumberField("cooldown", state->cooldown);
     if (state->have_baseline) {
       json.NumberField("baseline_p50_ns", state->baseline_p50_ns);
       json.NumberField("baseline_p99_ns", state->baseline_p99_ns);
     }
-    if (state->mode == Mode::kCanary) {
+    if (canary) {
       json.Key("canary").BeginObject();
       json.Field("candidate", state->canary_candidate);
       json.NumberField("scored", state->canary_scored);
@@ -823,7 +588,7 @@ std::string FleetAgent::StatusJson() const {
   }
   json.EndArray();
   json.Key("events").BeginArray();
-  for (const FleetEvent& event : events_) {
+  for (const AutotuneEvent& event : engine_.events()) {
     json.BeginObject();
     json.NumberField("ts_ns", event.ts_ns);
     if (event.worker_pid != 0) {
@@ -832,7 +597,7 @@ std::string FleetAgent::StatusJson() const {
     if (!event.lock_name.empty()) {
       json.Field("lock", event.lock_name);
     }
-    json.Field("kind", FleetEventKindName(event.kind));
+    json.Field("kind", AutotuneEventKindName(event.kind));
     json.Field("regime", ContentionRegimeName(event.regime));
     if (!event.candidate.empty()) {
       json.Field("candidate", event.candidate);
@@ -845,10 +610,9 @@ std::string FleetAgent::StatusJson() const {
   return json.TakeString();
 }
 
-std::vector<FleetEvent> FleetAgent::RecentEvents(std::size_t max) const {
+std::vector<AutotuneEvent> FleetAgent::RecentEvents(std::size_t max) const {
   std::lock_guard<std::mutex> guard(mu_);
-  const std::size_t start = events_.size() > max ? events_.size() - max : 0;
-  return std::vector<FleetEvent>(events_.begin() + start, events_.end());
+  return engine_.RecentEvents(max);
 }
 
 void FleetAgent::ResetForTest() {
@@ -857,8 +621,9 @@ void FleetAgent::ResetForTest() {
   workers_.clear();
   locks_.clear();
   candidates_.clear();
-  events_.clear();
+  engine_.ClearEvents();
   config_ = FleetAgentConfig{};
+  engine_.set_config(config_.canary);
 }
 
 }  // namespace concord

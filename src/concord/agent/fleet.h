@@ -9,12 +9,10 @@
 //            previous read per lock *name* (the fleet key — lock ids are
 //            per-process), and merges the per-worker deltas into one
 //            fleet-wide window per lock name
-//   classify runs the same RegimeSignals/RegimeHysteresis machinery as the
-//            in-process controller on the merged window
-//   act      runs one canary-promote-rollback loop per lock name, scoring
-//            with the shared CanaryScore/CanaryPromotes verdict from
-//            autotune/controller.h, and pushes the winning policy to every
-//            worker through its certifier-gated policy.attach verb
+//   decide   hands each merged window to the same canary engine the
+//            in-process controller runs (src/concord/autotune/canary.h),
+//            one lock per name, and pushes its choice to every worker
+//            through the worker's certifier-gated policy.attach verb
 //
 // Aggregating across workers is the point: per-process windows are noisy,
 // the merged window is what makes a promotion trustworthy — and a promotion
@@ -37,20 +35,16 @@
 #define SRC_CONCORD_AGENT_FLEET_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/concord/autotune/controller.h"
-#include "src/concord/autotune/regime.h"
 #include "src/concord/agent/shm_segment.h"
+#include "src/concord/autotune/canary.h"
 
 namespace concord {
 
@@ -67,18 +61,11 @@ struct FleetCandidate {
 };
 
 struct FleetAgentConfig {
-  // Background tick period (also the merged sampling window).
+  // Merged sampling window; the control loop ticks the agent once per window.
   std::uint64_t window_ns = 100'000'000;  // 100ms
 
-  // Same roles as their AutotuneConfig namesakes, applied to the merged
-  // fleet-wide window.
-  std::uint32_t hysteresis_windows = 2;
-  std::uint32_t canary_windows = 3;
-  std::uint64_t min_window_acquisitions = 64;
-  double promote_margin = 0.05;
-  std::uint32_t cooldown_windows = 5;
-  std::uint32_t failed_candidate_backoff_windows = 20;
-  ClassifierConfig classifier;
+  // The canary engine's knobs, applied to the merged fleet-wide window.
+  CanaryConfig canary;
 
   // Eviction: a worker is evicted after this many consecutive ticks without
   // readable publish progress (transient read failures and unchanged
@@ -97,36 +84,13 @@ struct FleetAgentConfig {
   std::string policy_dir;
 };
 
-enum class FleetEventKind : std::uint8_t {
-  kWorkerJoin,
-  kWorkerEvict,
-  kRegimeChange,
-  kCanaryStart,
-  kPromote,
-  kRollback,
-  kCanaryAbort,
-  kError,
-};
-
-const char* FleetEventKindName(FleetEventKind kind);
-
-struct FleetEvent {
-  std::uint64_t ts_ns = 0;
-  std::uint64_t worker_pid = 0;   // 0 for fleet-wide (lock-keyed) events
-  std::string lock_name;          // "" for worker-keyed events
-  FleetEventKind kind = FleetEventKind::kError;
-  ContentionRegime regime = ContentionRegime::kUncontended;
-  std::string candidate;
-  std::string detail;
-};
-
 // The agent. One per process (Global()); the RPC verbs agent.register/
 // agent.leave/agent.status are thin wrappers over it.
 class FleetAgent {
  public:
   static FleetAgent& Global();
 
-  // Applies config; fails while the background loop is running.
+  // Applies config; fails while the agent is on the control loop.
   Status Configure(const FleetAgentConfig& config);
   FleetAgentConfig config() const;
 
@@ -153,11 +117,14 @@ class FleetAgent {
 
   // --- the loop -------------------------------------------------------------
 
-  // One sample+classify+act pass. Deterministic given manual ticks and
-  // deterministic worker feeds; tests call this directly instead of Start().
-  std::vector<FleetEvent> Tick();
+  // One sample+decide pass. Deterministic given manual ticks and
+  // deterministic worker feeds; tests call this directly under a
+  // ScopedManualControlLoop.
+  std::vector<AutotuneEvent> Tick();
 
-  Status Start();
+  // Joins / leaves the control loop, which then ticks the agent every
+  // config().window_ns.
+  void Start();
   void Stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -166,22 +133,12 @@ class FleetAgent {
   // {"running","window_ns","workers":[...],"locks":[...],
   //  "candidates":[...],"events":[...]}
   std::string StatusJson() const;
-  std::vector<FleetEvent> RecentEvents(std::size_t max = 64) const;
+  std::vector<AutotuneEvent> RecentEvents(std::size_t max = 64) const;
 
-  // Stops the loop, drops workers/locks/candidates/events/config.
+  // Leaves the loop, drops workers/locks/candidates/events/config.
   void ResetForTest();
 
  private:
-  static constexpr std::uint32_t kCanaryPatience = 8;  // as the controller
-  static constexpr std::size_t kMaxEvents = 256;
-
-  enum class Mode : std::uint8_t { kObserving, kCanary };
-
-  struct SkipEntry {
-    std::string name;
-    std::uint32_t windows_left = 0;
-  };
-
   struct Worker {
     std::uint64_t pid = 0;
     std::string shm_path;
@@ -202,59 +159,24 @@ class FleetAgent {
     bool needs_sync = true;
   };
 
-  struct FleetLockState {
-    std::string name;
-    bool is_rw = false;  // mutex-profiled segments cannot mark rw; stays false
+  FleetAgent();
 
-    RegimeHysteresis hysteresis;
-    std::string incumbent;  // kPlainCandidateName when no policy
-    Mode mode = Mode::kObserving;
-    std::uint32_t cooldown = 0;
-
-    bool have_baseline = false;
-    std::uint64_t baseline_p50_ns = 0;
-    std::uint64_t baseline_p99_ns = 0;
-
-    std::string canary_candidate;
-    Log2Histogram canary_wait;
-    std::uint32_t canary_scored = 0;
-    std::uint32_t canary_total = 0;
-
-    std::vector<SkipEntry> skip;
-  };
-
-  FleetAgent() = default;
-
-  // Sampling phase helpers. All return false if the worker must be evicted
-  // (reason in *evict_reason).
+  // Sampling phase. Returns false if the worker must be evicted (reason in
+  // *evict_reason).
   bool SampleWorkerLocked(Worker& worker,
                           std::map<std::string, LockProfileSnapshot>& merged,
                           std::string* evict_reason);
   void EvictWorkerPidLocked(std::uint64_t pid, const std::string& reason,
                             std::uint64_t now_ns,
-                            std::vector<FleetEvent>& events);
+                            std::vector<AutotuneEvent>& events);
 
-  // Decision phase helpers (mirror the controller's, on merged windows).
-  void TickLockLocked(FleetLockState& state,
-                      const LockProfileSnapshot& window, std::uint64_t now_ns,
-                      std::vector<FleetEvent>& events);
-  const FleetCandidate* CandidateForLocked(
-      ContentionRegime regime, bool is_rw,
-      const std::vector<std::string>& skip) const;
-  void StartCanaryLocked(FleetLockState& state,
-                         const FleetCandidate& candidate, std::uint64_t now_ns,
-                         std::vector<FleetEvent>& events);
-  void FinishCanaryLocked(FleetLockState& state, bool promote,
-                          FleetEventKind kind, const std::string& detail,
-                          std::uint64_t now_ns,
-                          std::vector<FleetEvent>& events);
-
-  // Pushes candidate `name` ("plain" = detach) for `lock_name` to every
-  // live worker; workers whose socket fails are evicted. Returns ok if at
-  // least one worker holds the policy afterwards (or the fleet is empty).
-  Status PushToFleetLocked(const std::string& lock_name,
+  // The engine's actuator: pushes candidate `name` ("plain" = detach) for
+  // `lock` to every live worker, evicting workers whose socket fails. If a
+  // worker rejects a candidate, the incumbent is pushed back to every worker
+  // so the fleet never splits, and the rejection is returned.
+  Status PushToFleetLocked(const CanaryEngine::Lock& lock,
                            const std::string& name, std::uint64_t now_ns,
-                           std::vector<FleetEvent>& events);
+                           std::vector<AutotuneEvent>& events);
   // One worker, one lock; "plain" detaches. Sets *transport_failed when the
   // failure is the worker's socket (dead/wedged worker — evict) rather than
   // a server-side rejection (bad candidate — back off).
@@ -263,25 +185,16 @@ class FleetAgent {
   // Brings a late joiner up to date with every incumbent/canary policy.
   // Returns false if the worker must be evicted (reason in *evict_reason).
   bool SyncWorkerLocked(Worker& worker, std::uint64_t now_ns,
-                        std::vector<FleetEvent>& events,
+                        std::vector<AutotuneEvent>& events,
                         std::string* evict_reason);
-
-  void AddSkipLocked(FleetLockState& state, const std::string& name);
-  void EmitLocked(FleetEvent event, std::vector<FleetEvent>& events);
-  void ThreadMain();
 
   mutable std::mutex mu_;
   FleetAgentConfig config_;
   std::vector<FleetCandidate> candidates_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::map<std::string, std::unique_ptr<FleetLockState>> locks_;
-  std::deque<FleetEvent> events_;
-
+  CanaryEngine engine_;
+  std::map<std::string, std::unique_ptr<CanaryEngine::Lock>> locks_;
   std::atomic<bool> running_{false};
-  std::thread thread_;
-  std::condition_variable stop_cv_;
-  std::mutex stop_mu_;
-  bool stop_requested_ = false;
 };
 
 }  // namespace concord

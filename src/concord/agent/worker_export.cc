@@ -1,12 +1,14 @@
 #include "src/concord/agent/worker_export.h"
 
 #include <chrono>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/base/json.h"
 #include "src/base/time.h"
 #include "src/concord/concord.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/rpc/client.h"
 
 namespace concord {
@@ -45,27 +47,9 @@ Status ShmExporter::ExportOnce() {
   return writer_->Publish(samples, ClockNowNs());
 }
 
-Status ShmExporter::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) {
-    return FailedPreconditionError("shm exporter already running");
-  }
-  thread_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      // Export errors are not fatal to the loop: a transiently over-capacity
-      // registry simply skips a beat and the agent sees no publish progress.
-      (void)ExportOnce();
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.period_ms));
-    }
-  });
-  return Status::Ok();
-}
+void ShmExporter::Start() { ControlLoop::Global().Join(this); }
 
-void ShmExporter::Stop() {
-  if (running_.exchange(false) && thread_.joinable()) {
-    thread_.join();
-  }
-}
+void ShmExporter::Stop() { ControlLoop::Global().Leave(this); }
 
 namespace {
 

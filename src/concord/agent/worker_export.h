@@ -1,7 +1,7 @@
-// Worker-side glue for the multi-process autotune agent: periodically export
-// this process's profiled-lock counters into a shared-memory segment
-// (ShmSegmentWriter) and register the worker with the host agent over the
-// control-plane socket.
+// Worker-side glue for the multi-process autotune agent: export this
+// process's profiled-lock counters into a shared-memory segment
+// (ShmSegmentWriter) every 10ms from the control loop, and register the
+// worker with the host agent over the control-plane socket.
 //
 // A worker that wants fleet-managed policies does three things:
 //   1. serves its own control socket (RpcServer) so the agent can push
@@ -14,11 +14,9 @@
 #ifndef SRC_CONCORD_AGENT_WORKER_EXPORT_H_
 #define SRC_CONCORD_AGENT_WORKER_EXPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "src/base/status.h"
 #include "src/concord/agent/shm_segment.h"
@@ -30,14 +28,14 @@ struct ShmExporterOptions {
   // Which locks to export: same selector grammar as the Concord facade
   // ("*", "class:<c>", exact name).
   std::string selector = "*";
-  // Background publish cadence.
-  std::uint64_t period_ms = 5;
   std::uint32_t capacity = kShmSegmentDefaultCapacity;
 };
 
 // Snapshots every profiled lock matching the selector and publishes the set
 // into the segment. ExportOnce() is the synchronous unit (tests drive it
-// directly); Start()/Stop() wrap it in a background thread.
+// directly); Start()/Stop() join and leave the control loop
+// (src/concord/control_loop.h), which runs it every 10ms. The destructor
+// leaves the loop.
 class ShmExporter {
  public:
   static StatusOr<std::unique_ptr<ShmExporter>> Create(
@@ -48,7 +46,7 @@ class ShmExporter {
   ShmExporter& operator=(const ShmExporter&) = delete;
 
   Status ExportOnce();
-  Status Start();
+  void Start();
   void Stop();
 
   const std::string& shm_path() const { return writer_->path(); }
@@ -59,8 +57,6 @@ class ShmExporter {
 
   ShmExporterOptions options_;
   std::unique_ptr<ShmSegmentWriter> writer_;
-  std::atomic<bool> running_{false};
-  std::thread thread_;
 };
 
 // Registers this worker with the agent listening on `agent_socket`.

@@ -1,7 +1,5 @@
 #include "src/concord/autotune/controller.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "src/base/fault.h"
@@ -9,52 +7,24 @@
 #include "src/base/time.h"
 #include "src/concord/concord.h"
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 
 namespace concord {
-
-const char* AutotuneEventKindName(AutotuneEventKind kind) {
-  switch (kind) {
-    case AutotuneEventKind::kRegimeChange:
-      return "regime-change";
-    case AutotuneEventKind::kCanaryStart:
-      return "canary-start";
-    case AutotuneEventKind::kPromote:
-      return "promote";
-    case AutotuneEventKind::kRollback:
-      return "rollback";
-    case AutotuneEventKind::kCanaryAbort:
-      return "canary-abort";
-    case AutotuneEventKind::kQuarantineExit:
-      return "quarantine-exit";
-    case AutotuneEventKind::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
-bool CanaryPromotes(const CanaryScore& score, double margin) {
-  const double base_p99 = static_cast<double>(score.baseline_p99_ns);
-  const double base_p50 = static_cast<double>(score.baseline_p50_ns);
-  const bool p99_improves =
-      static_cast<double>(score.canary_p99_ns) < base_p99 * (1.0 - margin);
-  const bool p99_holds =
-      static_cast<double>(score.canary_p99_ns) <= base_p99;
-  const bool p50_improves =
-      static_cast<double>(score.canary_p50_ns) < base_p50 * (1.0 - margin);
-  return p99_improves || (p99_holds && p50_improves);
-}
-
-std::string CanaryScoreDetail(const CanaryScore& score) {
-  return "p50 " + std::to_string(score.baseline_p50_ns) + "->" +
-         std::to_string(score.canary_p50_ns) + "ns, p99 " +
-         std::to_string(score.baseline_p99_ns) + "->" +
-         std::to_string(score.canary_p99_ns) + "ns";
-}
 
 AutotuneController& AutotuneController::Global() {
   static AutotuneController* instance = new AutotuneController();
   return *instance;
 }
+
+AutotuneController::AutotuneController()
+    : engine_({[this](const CanaryEngine::Lock& lock, ContentionRegime regime,
+                      const std::vector<std::string>& skip) {
+                 return registry_.CandidateFor(regime, lock.is_rw, skip).name;
+               },
+               [this](const CanaryEngine::Lock& lock, const std::string& name,
+                      std::uint64_t, std::vector<AutotuneEvent>&) {
+                 return ApplyCandidateLocked(lock.lock_id, name);
+               }}) {}
 
 Status AutotuneController::Configure(const AutotuneConfig& config) {
   if (running()) {
@@ -62,6 +32,7 @@ Status AutotuneController::Configure(const AutotuneConfig& config) {
   }
   std::lock_guard<std::mutex> guard(mu_);
   config_ = config;
+  engine_.set_config(config.canary);
   if (!seeded_) {
     if (config_.seed_builtins) {
       registry_.SeedBuiltins();
@@ -74,18 +45,9 @@ Status AutotuneController::Configure(const AutotuneConfig& config) {
   return Status::Ok();
 }
 
-void AutotuneController::SetClassifier(
-    std::unique_ptr<RegimeClassifier> classifier) {
+AutotuneConfig AutotuneController::config() const {
   std::lock_guard<std::mutex> guard(mu_);
-  classifier_ = std::move(classifier);
-}
-
-ContentionRegime AutotuneController::ClassifyLocked(
-    const RegimeSignals& signals) const {
-  if (classifier_ != nullptr) {
-    return classifier_->Classify(signals);
-  }
-  return DefaultRegimeClassifier(config_.classifier).Classify(signals);
+  return config_;
 }
 
 Status AutotuneController::Enroll(std::uint64_t lock_id) {
@@ -113,7 +75,7 @@ Status AutotuneController::Enroll(std::uint64_t lock_id) {
   state->lock_id = lock_id;
   state->name = info->name;
   state->is_rw = info->is_rw;
-  state->hysteresis = RegimeHysteresis(config_.hysteresis_windows);
+  state->hysteresis = RegimeHysteresis(config_.canary.hysteresis_windows);
   // A manually attached policy becomes the incumbent so a rollback restores
   // it rather than silently detaching the operator's choice.
   if (info->has_policy && !info->policy_name.empty() &&
@@ -163,58 +125,13 @@ std::vector<std::uint64_t> AutotuneController::Enrolled() const {
   return ids;
 }
 
-Status AutotuneController::SetSignalProbe(
-    std::uint64_t lock_id, std::function<double()> reader_fraction) {
-  std::lock_guard<std::mutex> guard(mu_);
-  for (auto& state : locks_) {
-    if (state->lock_id == lock_id) {
-      state->reader_fraction = std::move(reader_fraction);
-      return Status::Ok();
-    }
-  }
-  return NotFoundError("autotune: lock not enrolled");
-}
-
-void AutotuneController::EmitLocked(AutotuneEvent event,
-                                    std::vector<AutotuneEvent>& events) {
-  events_.push_back(event);
-  while (events_.size() > kMaxEvents) {
-    events_.pop_front();
-  }
-  events.push_back(std::move(event));
-}
-
-void AutotuneController::AddSkipLocked(LockState& state,
-                                       const std::string& name) {
-  if (name == kPlainCandidateName) {
-    return;  // plain is always available
-  }
-  for (SkipEntry& entry : state.skip) {
-    if (entry.name == name) {
-      entry.windows_left = config_.failed_candidate_backoff_windows;
-      return;
-    }
-  }
-  state.skip.push_back({name, config_.failed_candidate_backoff_windows});
-}
-
-bool AutotuneController::IsSkippedLocked(const LockState& state,
-                                         const std::string& name) const {
-  for (const SkipEntry& entry : state.skip) {
-    if (entry.name == name && entry.windows_left > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Status AutotuneController::ApplyCandidateLocked(LockState& state,
+Status AutotuneController::ApplyCandidateLocked(std::uint64_t lock_id,
                                                 const std::string& name) {
   auto& concord = Concord::Global();
   if (name == kPlainCandidateName) {
-    const Status status = concord.Detach(state.lock_id);
+    const Status status = concord.Detach(lock_id);
     // "no policy attached" counts as success: the goal state is plain.
-    if (!status.ok() && !concord.AttachedPolicyName(state.lock_id).empty()) {
+    if (!status.ok() && !concord.AttachedPolicyName(lock_id).empty()) {
       return status;
     }
     return Status::Ok();
@@ -223,63 +140,7 @@ Status AutotuneController::ApplyCandidateLocked(LockState& state,
   CONCORD_RETURN_IF_ERROR(candidate.status());
   auto spec = candidate->make();
   CONCORD_RETURN_IF_ERROR(spec.status());
-  return concord.Attach(state.lock_id, std::move(*spec));
-}
-
-void AutotuneController::StartCanaryLocked(
-    LockState& state, const PolicyCandidate& candidate, std::uint64_t now_ns,
-    std::vector<AutotuneEvent>& events) {
-  const Status status = ApplyCandidateLocked(state, candidate.name);
-  if (!status.ok()) {
-    AddSkipLocked(state, candidate.name);
-    EmitLocked({now_ns, state.lock_id, state.name, AutotuneEventKind::kError,
-                state.hysteresis.stable(), candidate.name,
-                "canary attach failed: " + status.message()},
-               events);
-    return;
-  }
-  state.mode = Mode::kCanary;
-  state.canary_candidate = candidate.name;
-  state.canary_wait.Reset();
-  state.canary_scored = 0;
-  state.canary_total = 0;
-  EmitLocked({now_ns, state.lock_id, state.name,
-              AutotuneEventKind::kCanaryStart, state.hysteresis.stable(),
-              candidate.name, ""},
-             events);
-}
-
-void AutotuneController::FinishCanaryLocked(
-    LockState& state, bool promote, AutotuneEventKind kind,
-    const std::string& detail, std::uint64_t now_ns,
-    std::vector<AutotuneEvent>& events) {
-  const std::string candidate = state.canary_candidate;
-  state.mode = Mode::kObserving;
-  state.canary_candidate.clear();
-  state.canary_wait.Reset();
-  state.canary_scored = 0;
-  state.canary_total = 0;
-  state.cooldown = config_.cooldown_windows;
-
-  if (promote) {
-    state.incumbent = candidate;
-    EmitLocked({now_ns, state.lock_id, state.name, kind,
-                state.hysteresis.stable(), candidate, detail},
-               events);
-    return;
-  }
-
-  AddSkipLocked(state, candidate);
-  const Status status = ApplyCandidateLocked(state, state.incumbent);
-  if (!status.ok()) {
-    // Restoring the incumbent failed; fall back to plain, which cannot fail
-    // meaningfully (detach of nothing is a no-op).
-    (void)ApplyCandidateLocked(state, kPlainCandidateName);
-    state.incumbent = kPlainCandidateName;
-  }
-  EmitLocked({now_ns, state.lock_id, state.name, kind,
-              state.hysteresis.stable(), candidate, detail},
-             events);
+  return concord.Attach(lock_id, std::move(*spec));
 }
 
 void AutotuneController::TickLockLocked(LockState& state,
@@ -304,30 +165,29 @@ void AutotuneController::TickLockLocked(LockState& state,
   // Containment outranks everything: a quarantined lock gets no decisions,
   // and a canary is rolled back the moment the policy looks suspect.
   const PolicyHealth health = ContainmentRegistry::Global().HealthOf(state.lock_id);
-  if (state.mode == Mode::kCanary &&
+  if (state.mode == CanaryEngine::Mode::kCanary &&
       (health == PolicyHealth::kSuspect ||
        health == PolicyHealth::kQuarantined ||
        health == PolicyHealth::kBlacklisted)) {
-    FinishCanaryLocked(state, /*promote=*/false, AutotuneEventKind::kRollback,
-                       "containment health degraded during canary", now_ns,
-                       events);
+    engine_.FinishCanary(state, /*promote=*/false, AutotuneEventKind::kRollback,
+                         "containment health degraded during canary", now_ns,
+                         events);
     return;
   }
-  if (state.mode == Mode::kObserving &&
+  if (state.mode == CanaryEngine::Mode::kObserving &&
       state.incumbent != kPlainCandidateName &&
       (health == PolicyHealth::kQuarantined ||
        health == PolicyHealth::kBlacklisted)) {
     const std::string quarantined = state.incumbent;
-    AddSkipLocked(state, quarantined);
+    engine_.AddSkip(state, quarantined);
     state.incumbent = kPlainCandidateName;
-    state.cooldown = config_.cooldown_windows;
+    state.cooldown = config_.canary.cooldown_windows;
     // Containment already detached the hooks; Detach clears the parked spec
     // so probation cannot resurrect a policy the tuner has given up on.
     (void)concord.Detach(state.lock_id);
-    EmitLocked({now_ns, state.lock_id, state.name,
-                AutotuneEventKind::kQuarantineExit, state.hysteresis.stable(),
-                quarantined, "containment quarantined the promoted policy"},
-               events);
+    engine_.Emit(state, AutotuneEventKind::kQuarantineExit, quarantined,
+                 "containment quarantined the promoted policy", now_ns,
+                 events);
     return;
   }
 
@@ -337,104 +197,7 @@ void AutotuneController::TickLockLocked(LockState& state,
   if (CONCORD_FAULT_POINT("autotune.decide")) {
     return;
   }
-
-  const bool window_qualifies =
-      window.acquisitions >= config_.min_window_acquisitions;
-
-  // Classify (observation windows only — canary windows measure, not steer).
-  if (state.mode == Mode::kObserving && window_qualifies) {
-    RegimeSignals signals = RegimeSignals::FromWindow(window, state.is_rw);
-    if (state.reader_fraction) {
-      signals.reader_fraction = state.reader_fraction();
-    }
-    const ContentionRegime before = state.hysteresis.stable();
-    const ContentionRegime stable =
-        state.hysteresis.Observe(ClassifyLocked(signals));
-    if (stable != before) {
-      EmitLocked({now_ns, state.lock_id, state.name,
-                  AutotuneEventKind::kRegimeChange, stable, "",
-                  std::string("from ") + ContentionRegimeName(before)},
-                 events);
-    }
-    state.baseline_p50_ns = window.wait_ns.Percentile(50);
-    state.baseline_p99_ns = window.wait_ns.Percentile(99);
-    state.have_baseline = true;
-  }
-
-  // Decay per-window counters.
-  for (SkipEntry& entry : state.skip) {
-    if (entry.windows_left > 0) {
-      --entry.windows_left;
-    }
-  }
-  if (state.cooldown > 0) {
-    --state.cooldown;
-    return;
-  }
-
-  if (state.mode == Mode::kCanary) {
-    ++state.canary_total;
-    if (window_qualifies) {
-      state.canary_wait.MergeFrom(window.wait_ns);
-      ++state.canary_scored;
-    }
-    if (state.canary_scored < config_.canary_windows) {
-      if (state.canary_total >= config_.canary_windows * kCanaryPatience) {
-        FinishCanaryLocked(state, /*promote=*/false,
-                           AutotuneEventKind::kCanaryAbort,
-                           "canary starved of samples", now_ns, events);
-      }
-      return;
-    }
-    // Verdict.
-    const CanaryScore score = {state.baseline_p50_ns, state.baseline_p99_ns,
-                               state.canary_wait.Percentile(50),
-                               state.canary_wait.Percentile(99)};
-    const bool promote = CanaryPromotes(score, config_.promote_margin);
-    const std::string detail = CanaryScoreDetail(score);
-    FinishCanaryLocked(state, promote,
-                       promote ? AutotuneEventKind::kPromote
-                               : AutotuneEventKind::kRollback,
-                       detail, now_ns, events);
-    return;
-  }
-
-  // Observing, no cooldown: act if the stable regime wants a different
-  // policy than the incumbent.
-  const ContentionRegime stable = state.hysteresis.stable();
-  const std::vector<std::string> skip = [&] {
-    std::vector<std::string> names;
-    for (const SkipEntry& entry : state.skip) {
-      if (entry.windows_left > 0) {
-        names.push_back(entry.name);
-      }
-    }
-    return names;
-  }();
-  const PolicyCandidate target =
-      registry_.CandidateFor(stable, state.is_rw, skip);
-  if (target.name == state.incumbent) {
-    return;
-  }
-  if (target.IsPlain()) {
-    // Reverting to plain needs no canary: detaching is always safe and an
-    // uncontended lock produces no samples to score anyway.
-    const Status status = ApplyCandidateLocked(state, kPlainCandidateName);
-    if (status.ok()) {
-      const std::string previous = state.incumbent;
-      state.incumbent = kPlainCandidateName;
-      state.cooldown = config_.cooldown_windows;
-      EmitLocked({now_ns, state.lock_id, state.name,
-                  AutotuneEventKind::kPromote, stable, kPlainCandidateName,
-                  "reverted from " + previous},
-                 events);
-    }
-    return;
-  }
-  if (!state.have_baseline || !window_qualifies) {
-    return;  // no baseline to score a canary against yet
-  }
-  StartCanaryLocked(state, target, now_ns, events);
+  engine_.TickLock(state, window, now_ns, events);
 }
 
 std::vector<AutotuneEvent> AutotuneController::Tick() {
@@ -447,44 +210,13 @@ std::vector<AutotuneEvent> AutotuneController::Tick() {
   return events;
 }
 
-Status AutotuneController::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) {
-    return FailedPreconditionError("autotune: already running");
-  }
-  {
-    std::lock_guard<std::mutex> guard(stop_mu_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { ThreadMain(); });
-  return Status::Ok();
+void AutotuneController::Start() {
+  running_.store(true, std::memory_order_release);
+  ControlLoop::Global().Start();
 }
 
 void AutotuneController::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> guard(stop_mu_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-void AutotuneController::ThreadMain() {
-  while (running_.load(std::memory_order_acquire)) {
-    (void)Tick();
-    std::unique_lock<std::mutex> lock(stop_mu_);
-    const std::uint64_t window_ns = [this] {
-      std::lock_guard<std::mutex> guard(mu_);
-      return config_.window_ns;
-    }();
-    stop_cv_.wait_for(lock, std::chrono::nanoseconds(window_ns),
-                      [this] { return stop_requested_; });
-  }
+  running_.store(false, std::memory_order_release);
 }
 
 std::string AutotuneController::StatusJson() const {
@@ -504,11 +236,11 @@ std::string AutotuneController::StatusJson() const {
     writer.NumberField("lock_id", state->lock_id);
     writer.Field("name", state->name);
     writer.Field("regime", ContentionRegimeName(state->hysteresis.stable()));
-    writer.Field("mode",
-                 state->mode == Mode::kCanary ? "canary" : "observing");
+    const bool canary = state->mode == CanaryEngine::Mode::kCanary;
+    writer.Field("mode", canary ? "canary" : "observing");
     writer.Field("incumbent", state->incumbent);
     writer.NumberField("cooldown_windows", state->cooldown);
-    if (state->mode == Mode::kCanary) {
+    if (canary) {
       writer.Key("canary").BeginObject();
       writer.Field("candidate", state->canary_candidate);
       writer.NumberField("scored_windows", state->canary_scored);
@@ -521,7 +253,7 @@ std::string AutotuneController::StatusJson() const {
   }
   writer.EndArray();
   writer.Key("events").BeginArray();
-  for (const AutotuneEvent& event : events_) {
+  for (const AutotuneEvent& event : engine_.events()) {
     writer.BeginObject();
     writer.NumberField("ts_ns", event.ts_ns);
     writer.NumberField("lock_id", event.lock_id);
@@ -540,20 +272,17 @@ std::string AutotuneController::StatusJson() const {
 std::vector<AutotuneEvent> AutotuneController::RecentEvents(
     std::size_t max) const {
   std::lock_guard<std::mutex> guard(mu_);
-  std::vector<AutotuneEvent> events;
-  const std::size_t count = std::min(max, events_.size());
-  events.insert(events.end(), events_.end() - count, events_.end());
-  return events;
+  return engine_.RecentEvents(max);
 }
 
 void AutotuneController::ResetForTest() {
   Stop();
   std::lock_guard<std::mutex> guard(mu_);
   locks_.clear();
-  events_.clear();
+  engine_.ClearEvents();
   registry_.Clear();
-  classifier_.reset();
   config_ = AutotuneConfig{};
+  engine_.set_config(config_.canary);
   seeded_ = false;
 }
 

@@ -1,23 +1,20 @@
-// Autotune controller — the decision loop of the adaptive policy control
+// Autotune controller — the in-process plane of the adaptive policy control
 // plane (docs/AUTOTUNE.md).
 //
-// One background thread (or an explicit Tick() from tests) walks every
-// enrolled lock once per window:
+// Once per window the control loop (src/concord/control_loop.h) ticks the
+// controller, which walks every enrolled lock:
 //
-//   sample   take a profiler Snapshot(), diff it against the previous one
+//   sample   take a profiler Snapshot() and diff it against the previous one
 //            (src/concord/profiler.h) to get this window's delta
-//   classify reduce the delta to RegimeSignals and run the pluggable
-//            classifier; debounce the verdict with RegimeHysteresis
-//   act      when the stable regime disagrees with the attached policy, pick
-//            a candidate from the registry and start a *canary*: attach it,
-//            score p50/p99 wait over the next canary_windows windows against
-//            the pre-canary baseline, and either promote (keep it) or roll
-//            back to the incumbent
+//   contain  roll a canary back, or drop a promoted policy, when containment
+//            has marked the lock's policy unhealthy
+//   decide   hand the window to the canary engine (canary.h), which
+//            classifies it and attaches candidates through Concord::Attach
+//            and Concord::Detach
 //
-// Rollback is also forced — mid-canary — by any containment transition of
-// the lock to SUSPECT or QUARANTINED, and a promoted policy that later gets
-// QUARANTINED is detached and its candidate back-offed. The controller never
-// fights the containment layer: containment always wins.
+// Containment always wins: a canary is rolled back the moment its lock turns
+// SUSPECT or QUARANTINED, and a promoted policy that gets QUARANTINED is
+// detached and its candidate back-offed.
 //
 // Lock ordering: controller mu_ -> Concord mu_ (same direction as
 // containment -> Concord; nothing calls back into the controller from
@@ -32,48 +29,24 @@
 #define SRC_CONCORD_AUTOTUNE_CONTROLLER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/concord/autotune/canary.h"
 #include "src/concord/autotune/candidates.h"
-#include "src/concord/autotune/regime.h"
 #include "src/concord/profiler.h"
 
 namespace concord {
 
 struct AutotuneConfig {
-  // Sampling window; also the background thread's tick period.
+  // Sampling window; the control loop ticks the controller once per window.
   std::uint64_t window_ns = 100'000'000;  // 100ms
 
-  // Consecutive agreeing windows before the stable regime flips.
-  std::uint32_t hysteresis_windows = 2;
-
-  // Scoring windows a canary must accumulate before the promote/rollback
-  // verdict. Windows with fewer than min_window_acquisitions samples don't
-  // count; a canary that can't collect its windows within
-  // canary_windows * kCanaryPatience total windows is aborted (rolled back).
-  std::uint32_t canary_windows = 3;
-  std::uint64_t min_window_acquisitions = 64;
-
-  // Promote iff canary p99 improves by this fraction, or p99 holds and p50
-  // improves by it.
-  double promote_margin = 0.05;
-
-  // Windows after a promote/rollback during which no new canary starts.
-  std::uint32_t cooldown_windows = 5;
-
-  // Windows a rolled-back candidate stays on the lock's skip list.
-  std::uint32_t failed_candidate_backoff_windows = 20;
-
-  ClassifierConfig classifier;
+  CanaryConfig canary;
 
   // Seed the candidate registry with the built-in policies on first Enable.
   bool seed_builtins = true;
@@ -81,60 +54,16 @@ struct AutotuneConfig {
   std::string policy_dir;
 };
 
-enum class AutotuneEventKind : std::uint8_t {
-  kRegimeChange,   // stable regime flipped
-  kCanaryStart,    // candidate attached for scoring
-  kPromote,        // canary won; candidate is now the incumbent
-  kRollback,       // canary lost (or containment fired); incumbent restored
-  kCanaryAbort,    // canary never collected enough samples; rolled back
-  kQuarantineExit, // promoted policy quarantined by containment; detached
-  kError,          // attach/detach failed; details in `detail`
-};
-
-const char* AutotuneEventKindName(AutotuneEventKind kind);
-
-// The promote/rollback verdict, shared by the in-process controller and the
-// multi-process fleet agent (src/concord/agent/fleet.h) so both control
-// planes promote on exactly the same evidence: promote iff the canary's p99
-// wait improves on the baseline by `margin`, or p99 holds and p50 improves
-// by `margin`.
-struct CanaryScore {
-  std::uint64_t baseline_p50_ns = 0;
-  std::uint64_t baseline_p99_ns = 0;
-  std::uint64_t canary_p50_ns = 0;
-  std::uint64_t canary_p99_ns = 0;
-};
-
-bool CanaryPromotes(const CanaryScore& score, double margin);
-
-// "p50 A->Bns, p99 C->Dns" — the detail string attached to promote/rollback
-// events on both control planes.
-std::string CanaryScoreDetail(const CanaryScore& score);
-
-struct AutotuneEvent {
-  std::uint64_t ts_ns = 0;
-  std::uint64_t lock_id = 0;
-  std::string lock_name;
-  AutotuneEventKind kind = AutotuneEventKind::kRegimeChange;
-  ContentionRegime regime = ContentionRegime::kUncontended;
-  std::string candidate;  // policy involved ("" when n/a)
-  std::string detail;
-};
-
 class AutotuneController {
  public:
   static AutotuneController& Global();
 
-  // Applies `config` and (once) seeds the candidate registry. Fails if the
-  // background thread is running.
+  // Applies `config` and (once) seeds the candidate registry. Fails while
+  // the controller is on the control loop.
   Status Configure(const AutotuneConfig& config);
-  const AutotuneConfig& config() const { return config_; }
+  AutotuneConfig config() const;
 
   PolicyCandidateRegistry& registry() { return registry_; }
-
-  // Replaces the classifier (default: DefaultRegimeClassifier with
-  // config().classifier). Takes effect from the next tick.
-  void SetClassifier(std::unique_ptr<RegimeClassifier> classifier);
 
   // --- enrollment -----------------------------------------------------------
 
@@ -148,21 +77,16 @@ class AutotuneController {
   Status Unenroll(std::uint64_t lock_id, bool detach_policy = false);
   std::vector<std::uint64_t> Enrolled() const;
 
-  // rw locks only: supplies the reader share for this lock's RegimeSignals
-  // (the mutex profiler cannot split read/write acquisitions). Fraction in
-  // [0,1]; called once per window from the controller thread.
-  Status SetSignalProbe(std::uint64_t lock_id,
-                        std::function<double()> reader_fraction);
-
   // --- the loop -------------------------------------------------------------
 
   // One decision pass over every enrolled lock; returns the events it
   // emitted. Deterministic given a FakeClock and synthetic profiler feeds —
-  // tests call this directly instead of Start().
+  // tests call this directly under a ScopedManualControlLoop.
   std::vector<AutotuneEvent> Tick();
 
-  // Background thread running Tick() every config().window_ns.
-  Status Start();
+  // Joins / leaves the control loop, which then ticks the controller every
+  // config().window_ns.
+  void Start();
   void Stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -175,84 +99,29 @@ class AutotuneController {
   // Recent events (bounded ring, newest last).
   std::vector<AutotuneEvent> RecentEvents(std::size_t max = 64) const;
 
-  // Stops the thread, drops enrollment/state/events, clears the registry.
+  // Leaves the loop, drops enrollment/state/events, clears the registry.
   void ResetForTest();
 
  private:
-  // A canary that cannot fill canary_windows scored windows within
-  // canary_windows * kCanaryPatience total windows is aborted.
-  static constexpr std::uint32_t kCanaryPatience = 8;
-  static constexpr std::size_t kMaxEvents = 256;
-
-  enum class Mode : std::uint8_t { kObserving, kCanary };
-
-  struct SkipEntry {
-    std::string name;
-    std::uint32_t windows_left = 0;
-  };
-
-  struct LockState {
-    std::uint64_t lock_id = 0;
-    std::string name;
-    bool is_rw = false;
-
-    RegimeHysteresis hysteresis;
+  struct LockState : CanaryEngine::Lock {
     bool have_snapshot = false;
     LockProfileSnapshot last_snapshot;
-
-    // What the controller believes is attached ("plain" = no policy).
-    std::string incumbent = kPlainCandidateName;
-
-    Mode mode = Mode::kObserving;
-    std::uint32_t cooldown = 0;
-
-    // Baseline from the most recent qualifying observation window.
-    bool have_baseline = false;
-    std::uint64_t baseline_p50_ns = 0;
-    std::uint64_t baseline_p99_ns = 0;
-
-    // Canary bookkeeping (mode == kCanary).
-    std::string canary_candidate;
-    Log2Histogram canary_wait;
-    std::uint32_t canary_scored = 0;
-    std::uint32_t canary_total = 0;
-
-    std::vector<SkipEntry> skip;
-    std::function<double()> reader_fraction;
   };
 
-  AutotuneController() = default;
+  AutotuneController();
 
   void TickLockLocked(LockState& state, std::uint64_t now_ns,
                       std::vector<AutotuneEvent>& events);
-  void StartCanaryLocked(LockState& state, const PolicyCandidate& candidate,
-                         std::uint64_t now_ns,
-                         std::vector<AutotuneEvent>& events);
-  void FinishCanaryLocked(LockState& state, bool promote,
-                          AutotuneEventKind kind, const std::string& detail,
-                          std::uint64_t now_ns,
-                          std::vector<AutotuneEvent>& events);
-  // Attaches candidate `name` ("plain" = detach). Returns ok on success.
-  Status ApplyCandidateLocked(LockState& state, const std::string& name);
-  void AddSkipLocked(LockState& state, const std::string& name);
-  bool IsSkippedLocked(const LockState& state, const std::string& name) const;
-  void EmitLocked(AutotuneEvent event, std::vector<AutotuneEvent>& events);
-  ContentionRegime ClassifyLocked(const RegimeSignals& signals) const;
-  void ThreadMain();
+  // Attaches candidate `name` ("plain" = detach).
+  Status ApplyCandidateLocked(std::uint64_t lock_id, const std::string& name);
 
   mutable std::mutex mu_;
   AutotuneConfig config_;
   bool seeded_ = false;
   PolicyCandidateRegistry registry_;
-  std::unique_ptr<RegimeClassifier> classifier_;
+  CanaryEngine engine_;
   std::vector<std::unique_ptr<LockState>> locks_;
-  std::deque<AutotuneEvent> events_;
-
   std::atomic<bool> running_{false};
-  std::thread thread_;
-  std::condition_variable stop_cv_;
-  std::mutex stop_mu_;
-  bool stop_requested_ = false;
 };
 
 }  // namespace concord

@@ -4,10 +4,10 @@
 // The paper's thesis is that the right lock policy depends on the context a
 // deployment actually sees; this module names the contexts. Each profiling
 // window of a lock is reduced to a RegimeSignals block (rates, wait
-// percentiles, NUMA spread) and classified into one of five regimes. The
-// classifier is pluggable — the default is a threshold classifier whose
-// knobs live in ClassifierConfig — and its raw per-window verdicts are
-// debounced by RegimeHysteresis so one noisy window cannot flip a policy.
+// percentiles, NUMA spread) and classified into one of five regimes by a
+// threshold classifier whose knobs live in ClassifierConfig; its raw
+// per-window verdicts are debounced by RegimeHysteresis so one noisy window
+// cannot flip a policy.
 
 #ifndef SRC_CONCORD_AUTOTUNE_REGIME_H_
 #define SRC_CONCORD_AUTOTUNE_REGIME_H_
@@ -41,7 +41,7 @@ struct RegimeSignals {
   std::uint64_t hold_p50_ns = 0;
   std::uint32_t active_sockets = 0;  // sockets with >=10% of acquisitions
   double cross_socket_rate = 0.0;    // cross-socket handoffs / contentions
-  double reader_fraction = 0.0;      // rw locks: read share (probe-supplied)
+  double reader_fraction = 0.0;      // rw locks: read share; no window sets it
   bool is_rw = false;
 
   static RegimeSignals FromWindow(const LockProfileSnapshot& window,
@@ -67,23 +67,15 @@ struct ClassifierConfig {
   double reader_heavy_min_fraction = 0.75;
 };
 
-class RegimeClassifier {
- public:
-  virtual ~RegimeClassifier() = default;
-
-  // Raw classification of one window; no memory between calls.
-  virtual ContentionRegime Classify(const RegimeSignals& signals) const = 0;
-};
-
-// Threshold classifier. Precedence: pathological > reader-heavy >
-// NUMA-skewed > uncontended > moderate — the more specific (and more
-// actionable) regimes win.
-class DefaultRegimeClassifier : public RegimeClassifier {
+// Threshold classifier, memoryless between calls. Precedence: pathological >
+// reader-heavy > NUMA-skewed > uncontended > moderate — the more specific
+// (and more actionable) regimes win.
+class DefaultRegimeClassifier {
  public:
   explicit DefaultRegimeClassifier(ClassifierConfig config = {})
       : config_(config) {}
 
-  ContentionRegime Classify(const RegimeSignals& signals) const override;
+  ContentionRegime Classify(const RegimeSignals& signals) const;
 
   const ClassifierConfig& config() const { return config_; }
 

@@ -9,6 +9,7 @@
 #include "src/bpf/jit/jit.h"
 #include "src/concord/autotune/controller.h"
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/trace_export.h"
 #include "src/rcu/rcu.h"
 
@@ -297,6 +298,14 @@ void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
   }
 }
 
+// A hook budget is only enforced once containment polls its trip flag, so
+// the first budgeted attach starts the control loop.
+void StartContainmentForBudget(std::uint64_t budget_ns) {
+  if (budget_ns != 0) {
+    ControlLoop::Global().Start();
+  }
+}
+
 }  // namespace
 
 Concord& Concord::Global() {
@@ -523,6 +532,7 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
 
 Status Concord::Attach(std::uint64_t lock_id, PolicySpec spec) {
   const std::string policy_name = spec.name;
+  const std::uint64_t budget_ns = spec.hook_budget_ns;
   std::uint32_t jit_failures = 0;
   Status status;
   {
@@ -553,6 +563,7 @@ Status Concord::Attach(std::uint64_t lock_id, PolicySpec spec) {
       ContainmentRegistry::Global().NoteJitFallback(lock_id, policy_name,
                                                     jit_failures);
     }
+    StartContainmentForBudget(budget_ns);
   }
   return status;
 }
@@ -588,6 +599,7 @@ Status Concord::AttachNative(std::uint64_t lock_id, const HookTable& hooks,
   }
   if (status.ok()) {
     ContainmentRegistry::Global().OnManualAttach(lock_id, name);
+    StartContainmentForBudget(hooks.hook_budget_ns);
   }
   return status;
 }
@@ -893,7 +905,8 @@ Status Concord::EnableAutotune(const std::string& selector,
   auto& controller = AutotuneController::Global();
   CONCORD_RETURN_IF_ERROR(controller.Configure(config));
   CONCORD_RETURN_IF_ERROR(controller.EnrollSelector(selector));
-  return controller.Start();
+  controller.Start();
+  return Status::Ok();
 }
 
 Status Concord::DisableAutotune() {
@@ -906,8 +919,8 @@ std::string Concord::AutotuneStatusJson() const {
 }
 
 void Concord::ResetForTest() {
-  // The controller thread walks registered locks; stop (and forget) it
-  // before tearing the registry down under it.
+  // The controller walks registered locks; take it off the control loop
+  // (and forget it) before tearing the registry down under it.
   AutotuneController::Global().ResetForTest();
   std::vector<std::uint64_t> ids;
   {

@@ -82,7 +82,9 @@ class Concord {
   // --- policy patching --------------------------------------------------------
 
   // Verifies `spec` and hot-swaps it onto the lock. Replaces any previously
-  // attached policy atomically (readers see old or new, never a mix).
+  // attached policy atomically (readers see old or new, never a mix). A spec
+  // with a hook budget starts the control loop, whose containment pass
+  // enforces the budget.
   Status Attach(std::uint64_t lock_id, PolicySpec spec);
 
   // Attaches to every lock matched by `selector`; fails fast on first error.
@@ -174,16 +176,16 @@ class Concord {
   // --- autotune (src/concord/autotune/controller.h) ---------------------------
 
   // Enrolls every lock matched by `selector` into the adaptive policy
-  // controller — enabling profiling on each — and starts its background
-  // decision thread. Honors the CONCORD_AUTOTUNE kill switch: when that
-  // environment variable is "0", "off" or "false", this fails and nothing
-  // starts.
+  // controller — enabling profiling on each — and puts the controller on the
+  // process's control loop (src/concord/control_loop.h). Honors the
+  // CONCORD_AUTOTUNE kill switch: when that environment variable is "0",
+  // "off" or "false", this fails and nothing starts.
   Status EnableAutotune(const std::string& selector = "*");
   Status EnableAutotune(const std::string& selector,
                         const struct AutotuneConfig& config);
 
-  // Stops the controller thread. Enrollment and any controller-attached
-  // policies stay as they are.
+  // Takes the controller off the control loop. Enrollment and any
+  // controller-attached policies stay as they are.
   Status DisableAutotune();
 
   // AutotuneController::StatusJson() passthrough.

@@ -1,7 +1,5 @@
 #include "src/concord/containment.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cstdio>
 
@@ -311,33 +309,6 @@ std::vector<ContainmentEvent> ContainmentRegistry::Poll() {
   return fresh;
 }
 
-void ContainmentRegistry::StartWorker(std::uint64_t poll_interval_ms) {
-  bool expected = false;
-  if (!worker_running_.compare_exchange_strong(expected, true)) {
-    return;
-  }
-  worker_ = std::thread([this, poll_interval_ms] { WorkerLoop(poll_interval_ms); });
-}
-
-void ContainmentRegistry::StopWorker() {
-  if (!worker_running_.exchange(false)) {
-    return;
-  }
-  if (worker_.joinable()) {
-    worker_.join();
-  }
-}
-
-void ContainmentRegistry::WorkerLoop(std::uint64_t poll_interval_ms) {
-  while (worker_running_.load(std::memory_order_relaxed)) {
-    Poll();
-    timespec ts;
-    ts.tv_sec = static_cast<time_t>(poll_interval_ms / 1000);
-    ts.tv_nsec = static_cast<long>((poll_interval_ms % 1000) * 1'000'000);
-    nanosleep(&ts, nullptr);
-  }
-}
-
 std::optional<PolicyStatus> ContainmentRegistry::StatusOf(
     std::uint64_t lock_id) const {
   std::lock_guard<std::mutex> guard(mu_);
@@ -387,7 +358,6 @@ std::string ContainmentRegistry::Report() const {
 }
 
 void ContainmentRegistry::ResetForTest() {
-  StopWorker();
   std::lock_guard<std::mutex> guard(mu_);
   config_ = ContainmentConfig{};
   states_.clear();

@@ -24,6 +24,10 @@
 //   - JIT compile failures at attach, recorded as informational events (the
 //     program interprets; no state change).
 //
+// Poll() runs the machine; the process's control loop
+// (src/concord/control_loop.h) calls it every 10ms from the first budgeted
+// attach or control-plane feature on.
+//
 // Lock ordering: the registry's mutex may be held while calling into
 // Concord (which takes its own mutex); Concord never calls back into this
 // registry while holding its mutex. All timestamps come from ClockNowNs()
@@ -32,13 +36,11 @@
 #ifndef SRC_CONCORD_CONTAINMENT_H_
 #define SRC_CONCORD_CONTAINMENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/status.h"
@@ -160,10 +162,6 @@ class ContainmentRegistry {
   // FakeClock; the chaos soak calls it directly.
   std::vector<ContainmentEvent> Poll();
 
-  // Background poller running Poll() every `poll_interval_ms`.
-  void StartWorker(std::uint64_t poll_interval_ms = 10);
-  void StopWorker();
-
   // --- introspection ---------------------------------------------------------
 
   std::optional<PolicyStatus> StatusOf(std::uint64_t lock_id) const;
@@ -200,14 +198,10 @@ class ContainmentRegistry {
                     const std::string& detail,
                     std::vector<ContainmentEvent>* fresh);
 
-  void WorkerLoop(std::uint64_t poll_interval_ms);
-
   mutable std::mutex mu_;
   ContainmentConfig config_;
   std::map<std::uint64_t, State> states_;
   std::vector<ContainmentEvent> events_;
-  std::thread worker_;
-  std::atomic<bool> worker_running_{false};
 };
 
 }  // namespace concord

@@ -1,8 +1,7 @@
 #include "src/concord/safety.h"
 
-#include <time.h>
-
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 
 namespace concord {
 
@@ -37,36 +36,12 @@ void FairnessWatchdog::Unwatch(std::uint64_t lock_id) {
   }
 }
 
-void FairnessWatchdog::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) {
-    return;
-  }
-  poller_ = std::thread([this] { PollLoop(); });
-}
+void FairnessWatchdog::Start() { ControlLoop::Global().Join(this); }
 
-void FairnessWatchdog::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  if (poller_.joinable()) {
-    poller_.join();
-  }
-}
-
-void FairnessWatchdog::PollLoop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    CheckOnce();
-    timespec ts;
-    ts.tv_sec = static_cast<time_t>(config_.poll_interval_ms / 1000);
-    ts.tv_nsec = static_cast<long>((config_.poll_interval_ms % 1000) * 1'000'000);
-    nanosleep(&ts, nullptr);
-  }
-}
+void FairnessWatchdog::Stop() { ControlLoop::Global().Leave(this); }
 
 std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
   std::vector<Violation> fresh;
-  std::vector<Violation> to_report;
   {
     std::lock_guard<std::mutex> guard(mu_);
     for (WatchState& state : watched_) {
@@ -85,7 +60,6 @@ std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
         violation.detached = config_.auto_detach;
         fresh.push_back(violation);
         state.last_flagged_max_ns = max_wait;
-        to_report.push_back(violation);
         continue;
       }
       if (config_.p99_over_p50_limit > 0 && wait_ns.TotalCount() >= 100) {
@@ -102,7 +76,6 @@ std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
           violation.detached = config_.auto_detach;
           fresh.push_back(violation);
           state.last_flagged_max_ns = p99;
-          to_report.push_back(violation);
         }
       }
     }
@@ -110,18 +83,14 @@ std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
       violations_.push_back(violation);
     }
   }
-  // Act outside mu_ (Concord and containment have their own locks; avoid
-  // ordering surprises). With containment, a violation becomes a recorded
-  // fault event; auto_detach maps to an immediate quarantine — the policy is
-  // parked for probation re-attach instead of silently dropped forever.
-  for (const Violation& violation : to_report) {
-    if (config_.use_containment) {
-      ContainmentRegistry::Global().OnFairnessViolation(
-          violation.lock_id, violation.observed_ns,
-          /*quarantine_now=*/config_.auto_detach);
-    } else if (config_.auto_detach) {
-      Concord::Global().Detach(violation.lock_id);
-    }
+  // Act outside mu_ (containment and Concord have their own locks; avoid
+  // ordering surprises). A violation becomes a recorded containment fault;
+  // auto_detach maps to an immediate quarantine — the policy is parked for
+  // probation re-attach instead of silently dropped forever.
+  for (const Violation& violation : fresh) {
+    ContainmentRegistry::Global().OnFairnessViolation(
+        violation.lock_id, violation.observed_ns,
+        /*quarantine_now=*/config_.auto_detach);
   }
   return fresh;
 }

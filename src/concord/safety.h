@@ -5,17 +5,15 @@
 // with exactly this hazard. The lock already enforces the static shuffle-
 // round bound and the queue-integrity recount; this module adds the last
 // line of defence the paper's discussion calls for: a watchdog that observes
-// a profiled lock at runtime and — if a policy starves waiters past a
-// configured bound — detaches it, reverting the lock to stock FIFO.
+// a profiled lock at runtime and reports a policy that starves waiters past a
+// configured bound to containment (src/concord/containment.h), which takes
+// it off the lock and later re-attaches it on probation.
 
 #ifndef SRC_CONCORD_SAFETY_H_
 #define SRC_CONCORD_SAFETY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "src/concord/concord.h"
@@ -31,16 +29,10 @@ struct WatchdogConfig {
   // (skew-based detection; 0 disables).
   double p99_over_p50_limit = 0.0;
 
-  // Detach the offending lock's policy automatically on violation.
+  // Quarantine the offending lock's policy on violation (it is re-attached
+  // on probation after a backoff). When false, a violation is a containment
+  // fault that marks the policy SUSPECT first.
   bool auto_detach = true;
-
-  // Route violations through the containment registry
-  // (src/concord/containment.h): the violation becomes a recorded containment
-  // event and, with auto_detach, a quarantine with probation re-attach —
-  // instead of the legacy silent one-shot detach (use_containment = false).
-  bool use_containment = true;
-
-  std::uint64_t poll_interval_ms = 10;
 };
 
 class FairnessWatchdog {
@@ -67,11 +59,12 @@ class FairnessWatchdog {
   Status Watch(std::uint64_t lock_id);
   void Unwatch(std::uint64_t lock_id);
 
-  // Runs the background poller until Stop()/destruction.
+  // Joins / leaves the control loop (src/concord/control_loop.h), which runs
+  // CheckOnce() every 10ms. The destructor leaves it.
   void Start();
   void Stop();
 
-  // One synchronous detection pass (what the poller runs); exposed for
+  // One synchronous detection pass (what the loop runs); exposed for
   // deterministic tests and for callers that poll on their own schedule.
   std::vector<Violation> CheckOnce();
 
@@ -83,14 +76,10 @@ class FairnessWatchdog {
     std::uint64_t last_flagged_max_ns = 0;
   };
 
-  void PollLoop();
-
   const WatchdogConfig config_;
   mutable std::mutex mu_;
   std::vector<WatchState> watched_;
   std::vector<Violation> violations_;
-  std::thread poller_;
-  std::atomic<bool> running_{false};
 };
 
 }  // namespace concord

@@ -75,29 +75,4 @@ void Rcu::Synchronize() {
   }
 }
 
-void Rcu::CallRcu(std::function<void()> callback) {
-  std::lock_guard<std::mutex> guard(deferred_mu_);
-  deferred_.push_back(std::move(callback));
-}
-
-void Rcu::FlushDeferred() {
-  std::vector<std::function<void()>> to_run;
-  {
-    std::lock_guard<std::mutex> guard(deferred_mu_);
-    to_run.swap(deferred_);
-  }
-  if (to_run.empty()) {
-    return;
-  }
-  Synchronize();
-  for (auto& callback : to_run) {
-    callback();
-  }
-}
-
-std::size_t Rcu::pending_callbacks() const {
-  std::lock_guard<std::mutex> guard(const_cast<std::mutex&>(deferred_mu_));
-  return deferred_.size();
-}
-
 }  // namespace concord

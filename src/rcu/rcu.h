@@ -36,9 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <vector>
 
 #include "src/base/cacheline.h"
 
@@ -63,17 +61,6 @@ class Rcu {
   // call has finished. Must NOT be called from within a read-side section.
   void Synchronize();
 
-  // Defers `callback` until after a grace period. Callbacks run inside the
-  // next Synchronize()/FlushDeferred() on the *calling* thread of that
-  // function — there is no background reclaimer thread, so a process that
-  // only ever enqueues must eventually call FlushDeferred().
-  void CallRcu(std::function<void()> callback);
-
-  // Runs Synchronize() if there are pending callbacks, then executes them.
-  void FlushDeferred();
-
-  std::size_t pending_callbacks() const;
-
  private:
   Rcu() = default;
 
@@ -92,8 +79,6 @@ class Rcu {
   ReaderSlot slots_[kMaxThreads];
 
   std::mutex writer_mu_;
-  std::mutex deferred_mu_;
-  std::vector<std::function<void()>> deferred_;
 };
 
 // RAII read-side critical section.
@@ -107,8 +92,7 @@ class RcuReadGuard {
 };
 
 // An RCU-protected pointer. Readers call Read() under an RcuReadGuard;
-// writers call Swap()/Store() and dispose of the old value after a grace
-// period (Swap leaves that to the caller, UpdateAndReclaim does it for you).
+// writers call Swap() and dispose of the old value after a grace period.
 template <typename T>
 class RcuPointer {
  public:
@@ -120,16 +104,6 @@ class RcuPointer {
 
   T* Swap(T* replacement) {
     return ptr_.exchange(replacement, std::memory_order_acq_rel);
-  }
-
-  // Publishes `replacement` and deletes the previous value after a grace
-  // period (synchronously — blocks for the grace period).
-  void UpdateAndReclaim(T* replacement) {
-    T* old = Swap(replacement);
-    if (old != nullptr) {
-      Rcu::Global().Synchronize();
-      delete old;
-    }
   }
 
  private:

@@ -17,6 +17,7 @@
 #include "src/concord/autotune/regime.h"
 #include "src/concord/concord.h"
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/policies.h"
 #include "src/sync/shfllock.h"
 
@@ -253,11 +254,11 @@ class AutotuneControllerTest : public ::testing::Test {
     Concord& concord = Concord::Global();
     lock_id_ = concord.RegisterShflLock(lock_, "tuned", "test");
     AutotuneConfig config;
-    config.hysteresis_windows = 1;
-    config.canary_windows = 2;
-    config.cooldown_windows = 0;
-    config.min_window_acquisitions = 10;
-    config.promote_margin = 0.05;
+    config.canary.hysteresis_windows = 1;
+    config.canary.canary_windows = 2;
+    config.canary.cooldown_windows = 0;
+    config.canary.min_window_acquisitions = 10;
+    config.canary.promote_margin = 0.05;
     ASSERT_TRUE(AutotuneController::Global().Configure(config).ok());
     ASSERT_TRUE(AutotuneController::Global().Enroll(lock_id_).ok());
   }
@@ -316,6 +317,7 @@ class AutotuneControllerTest : public ::testing::Test {
     return false;
   }
 
+  ScopedManualControlLoop manual_loop_;
   ScopedFakeClock clock_;
   ShflLock lock_;
   std::uint64_t lock_id_ = 0;
@@ -458,7 +460,8 @@ TEST_F(AutotuneControllerTest, UnenrollStopsManagement) {
 
 TEST_F(AutotuneControllerTest, EnableAutotuneFacadeStartsAndStops) {
   Concord& concord = Concord::Global();
-  // SetUp already configured + enrolled; the facade only needs to start.
+  // SetUp already configured + enrolled; the facade only needs to put the
+  // controller on the control loop.
   ASSERT_TRUE(concord.EnableAutotune("tuned").ok());
   EXPECT_TRUE(AutotuneController::Global().running());
   EXPECT_NE(concord.AutotuneStatusJson().find("\"running\":true"),

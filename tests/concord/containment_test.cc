@@ -4,11 +4,13 @@
 #include <time.h>
 
 #include <atomic>
+#include <optional>
 
 #include "src/base/fault.h"
 #include "src/base/time.h"
 #include "src/bpf/jit/jit.h"
 #include "src/concord/concord.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/policies.h"
 #include "src/sync/shfllock.h"
 
@@ -51,6 +53,8 @@ class ContainmentTest : public ::testing::Test {
     return false;
   }
 
+  // These tests Poll() by hand; the one that drives the real loop resets it.
+  std::optional<ScopedManualControlLoop> manual_loop_{std::in_place};
   ShflLock lock_;
 };
 
@@ -389,14 +393,14 @@ TEST_F(ContainmentTest, WorkerReattachesAfterRealBackoff) {
   registry.ReportFault(id, ContainmentFault::kFairnessViolation, "x");
   ASSERT_EQ(registry.HealthOf(id), PolicyHealth::kQuarantined);
 
-  registry.StartWorker(1);
+  manual_loop_.reset();
+  ControlLoop::Global().Start();
   const std::uint64_t deadline = MonotonicNowNs() + 10'000'000'000ull;
   while (registry.HealthOf(id) == PolicyHealth::kQuarantined &&
          MonotonicNowNs() < deadline) {
     timespec ts{0, 1'000'000};
     nanosleep(&ts, nullptr);
   }
-  registry.StopWorker();
   const PolicyHealth health = registry.HealthOf(id);
   EXPECT_TRUE(health == PolicyHealth::kProbation ||
               health == PolicyHealth::kActive);

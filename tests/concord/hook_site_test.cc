@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <string>
-#include <type_traits>
 
 #include "src/bpf/assembler.h"
 #include "src/concord/concord.h"
@@ -60,15 +59,8 @@ class HookSiteTest : public ::testing::Test {
   LockT lock_;
 };
 
-struct FamilyNames {
-  template <typename LockT>
-  static std::string GetName(int) {
-    return std::is_same_v<LockT, ShflLock> ? "Shfl" : "Bravo";
-  }
-};
-
 using LockFamilies = ::testing::Types<ShflLock, Bravo>;
-TYPED_TEST_SUITE(HookSiteTest, LockFamilies, FamilyNames);
+TYPED_TEST_SUITE(HookSiteTest, LockFamilies);
 
 void CountTap(void* calls, std::uint64_t) {
   static_cast<std::atomic<std::uint64_t>*>(calls)->fetch_add(

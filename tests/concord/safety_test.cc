@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "src/base/time.h"
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/policies.h"
 #include "src/sync/shfllock.h"
 
@@ -17,6 +19,9 @@ class SafetyTest : public ::testing::Test {
  protected:
   void TearDown() override { Concord::Global().ResetForTest(); }
 
+  // These tests CheckOnce() by hand; the one that drives the real loop
+  // resets it.
+  std::optional<ScopedManualControlLoop> manual_loop_{std::in_place};
   ShflLock lock_;
 };
 
@@ -109,10 +114,10 @@ TEST_F(SafetyTest, BackgroundPollerCatchesViolations) {
   const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "t");
   WatchdogConfig config;
   config.max_wait_ns = 5'000'000;
-  config.poll_interval_ms = 2;
   config.auto_detach = false;
   FairnessWatchdog watchdog(config);
   ASSERT_TRUE(watchdog.Watch(id).ok());
+  manual_loop_.reset();
   watchdog.Start();
 
   std::atomic<bool> acquired{false};
@@ -194,7 +199,6 @@ TEST_F(SafetyTest, ViolationFeedsContainmentQuarantine) {
   WatchdogConfig config;
   config.max_wait_ns = 10'000'000;
   config.auto_detach = true;
-  config.use_containment = true;
   FairnessWatchdog watchdog(config);
   ASSERT_TRUE(watchdog.Watch(id).ok());
 
@@ -230,41 +234,6 @@ TEST_F(SafetyTest, ViolationFeedsContainmentQuarantine) {
   }
   EXPECT_TRUE(saw_quarantine);
   EXPECT_GE(stats->Quarantines(), 1u);
-}
-
-TEST_F(SafetyTest, LegacyDetachPathStillWorks) {
-  Concord& concord = Concord::Global();
-  const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "t");
-  auto policy = MakeNumaGroupingPolicy();
-  ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(concord.Attach(id, std::move(policy->spec)).ok());
-
-  WatchdogConfig config;
-  config.max_wait_ns = 10'000'000;
-  config.auto_detach = true;
-  config.use_containment = false;  // legacy one-shot detach
-  FairnessWatchdog watchdog(config);
-  ASSERT_TRUE(watchdog.Watch(id).ok());
-
-  std::atomic<bool> acquired{false};
-  lock_.Lock();
-  std::thread victim([&] {
-    lock_.Lock();
-    acquired.store(true);
-    lock_.Unlock();
-  });
-  const ShardedLockProfileStats* stats = concord.Stats(id);
-  ASSERT_TRUE(Await([&] { return stats->Contentions() >= 1; }));
-  timespec ts{0, 30'000'000};
-  nanosleep(&ts, nullptr);
-  lock_.Unlock();
-  victim.join();
-  ASSERT_TRUE(acquired.load());
-
-  ASSERT_EQ(watchdog.CheckOnce().size(), 1u);
-  // Legacy path: no parked spec, no containment state.
-  EXPECT_EQ(ContainmentRegistry::Global().HealthOf(id), PolicyHealth::kActive);
-  EXPECT_TRUE(concord.AttachedPolicyName(id).empty());
 }
 
 TEST_F(SafetyTest, UnwatchStopsDetection) {

@@ -23,6 +23,7 @@
 #include "src/concord/agent/shm_segment.h"
 #include "src/concord/agent/worker_export.h"
 #include "src/concord/concord.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/rpc/server.h"
 #include "src/sync/shfllock.h"
 
@@ -62,10 +63,10 @@ class AgentChaosTest : public ::testing::Test {
     std::remove(shm_path_.c_str());
 
     FleetAgentConfig config;
-    config.hysteresis_windows = 1;
-    config.canary_windows = 2;
-    config.min_window_acquisitions = 10;
-    config.cooldown_windows = 0;
+    config.canary.hysteresis_windows = 1;
+    config.canary.canary_windows = 2;
+    config.canary.min_window_acquisitions = 10;
+    config.canary.cooldown_windows = 0;
     config.evict_after_stale_ticks = 3;
     ASSERT_TRUE(FleetAgent::Global().Configure(config).ok());
   }
@@ -120,9 +121,9 @@ class AgentChaosTest : public ::testing::Test {
     ASSERT_TRUE(exporter_->ExportOnce().ok());
   }
 
-  static bool HasEvent(const std::vector<FleetEvent>& events,
-                       FleetEventKind kind, std::string* detail = nullptr) {
-    for (const FleetEvent& event : events) {
+  static bool HasEvent(const std::vector<AutotuneEvent>& events,
+                       AutotuneEventKind kind, std::string* detail = nullptr) {
+    for (const AutotuneEvent& event : events) {
       if (event.kind == kind) {
         if (detail != nullptr) {
           *detail = event.detail;
@@ -133,6 +134,7 @@ class AgentChaosTest : public ::testing::Test {
     return false;
   }
 
+  ScopedManualControlLoop manual_loop_;
   ScopedFakeClock clock_;
   std::string shm_path_;
   std::string socket_path_;
@@ -154,7 +156,7 @@ TEST_F(AgentChaosTest, DeadPidIsEvictedImmediately) {
 
   std::string detail;
   const auto events = FleetAgent::Global().Tick();
-  EXPECT_TRUE(HasEvent(events, FleetEventKind::kWorkerEvict, &detail));
+  EXPECT_TRUE(HasEvent(events, AutotuneEventKind::kWorkerEvict, &detail));
   EXPECT_EQ(detail, "process exited");
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 0u);
 }
@@ -177,7 +179,7 @@ TEST_F(AgentChaosTest, StaleSegmentIsEvictedAfterThreshold) {
   EXPECT_TRUE(FleetAgent::Global().Tick().empty());
   std::string detail;
   const auto events = FleetAgent::Global().Tick();
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kWorkerEvict, &detail));
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kWorkerEvict, &detail));
   EXPECT_NE(detail.find("stale segment"), std::string::npos);
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 0u);
 
@@ -205,7 +207,7 @@ TEST_F(AgentChaosTest, CorruptVersionIsEvictedImmediately) {
                                   shm_path_, "/nope")
                   .ok());
   const auto events = FleetAgent::Global().Tick();
-  EXPECT_TRUE(HasEvent(events, FleetEventKind::kWorkerEvict));
+  EXPECT_TRUE(HasEvent(events, AutotuneEventKind::kWorkerEvict));
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 0u);
 }
 
@@ -227,7 +229,7 @@ TEST_F(AgentChaosTest, TruncatedSegmentIsEvictedImmediately) {
                      static_cast<off_t>(ShmSegmentBytes(8) / 4)),
             0);
   const auto events = FleetAgent::Global().Tick();
-  EXPECT_TRUE(HasEvent(events, FleetEventKind::kWorkerEvict));
+  EXPECT_TRUE(HasEvent(events, AutotuneEventKind::kWorkerEvict));
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 0u);
 }
 
@@ -247,8 +249,8 @@ TEST_F(AgentChaosTest, FleetCanaryPromotesOnImprovedWaits) {
   FleetAgent::Global().Tick();  // baseline segment read
   FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
   auto events = FleetAgent::Global().Tick();
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kRegimeChange));
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kCanaryStart));
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kRegimeChange));
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kCanaryStart));
   EXPECT_EQ(Concord::Global().AttachedPolicyName(lock_id_), "test_backoff");
 
   // Two qualifying canary windows with 8x better waits: promote.
@@ -257,7 +259,7 @@ TEST_F(AgentChaosTest, FleetCanaryPromotesOnImprovedWaits) {
     events = FleetAgent::Global().Tick();
   }
   std::string detail;
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kPromote, &detail))
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kPromote, &detail))
       << FleetAgent::Global().StatusJson();
   EXPECT_NE(detail.find("p99"), std::string::npos);
   EXPECT_EQ(Concord::Global().AttachedPolicyName(lock_id_), "test_backoff");
@@ -276,7 +278,7 @@ TEST_F(AgentChaosTest, FleetCanaryRollsBackOnRegression) {
   FleetAgent::Global().Tick();  // baseline segment read
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
   auto events = FleetAgent::Global().Tick();
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kCanaryStart));
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kCanaryStart));
   ASSERT_EQ(Concord::Global().AttachedPolicyName(lock_id_), "test_backoff");
 
   // 16x worse under the canary: roll back.
@@ -284,7 +286,7 @@ TEST_F(AgentChaosTest, FleetCanaryRollsBackOnRegression) {
     FeedPathologicalWindow(/*wait_each_ns=*/16'000'000);
     events = FleetAgent::Global().Tick();
   }
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kRollback))
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kRollback))
       << FleetAgent::Global().StatusJson();
   // The rollback pushed a detach: the worker is back to plain.
   EXPECT_TRUE(Concord::Global().AttachedPolicyName(lock_id_).empty());
@@ -293,7 +295,7 @@ TEST_F(AgentChaosTest, FleetCanaryRollsBackOnRegression) {
   // window must NOT restart the same canary.
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
   events = FleetAgent::Global().Tick();
-  EXPECT_FALSE(HasEvent(events, FleetEventKind::kCanaryStart));
+  EXPECT_FALSE(HasEvent(events, AutotuneEventKind::kCanaryStart));
 }
 
 #if CONCORD_FAULT_INJECTION
@@ -341,7 +343,7 @@ TEST_F(AgentChaosTest, PersistentShmMapFaultEvicts) {
   EXPECT_TRUE(FleetAgent::Global().Tick().empty());
   std::string detail;
   const auto events = FleetAgent::Global().Tick();
-  ASSERT_TRUE(HasEvent(events, FleetEventKind::kWorkerEvict, &detail));
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kWorkerEvict, &detail));
   EXPECT_NE(detail.find("agent.shm_map"), std::string::npos);
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 0u);
   EXPECT_TRUE(FleetAgent::Global().Tick().empty());
@@ -371,7 +373,7 @@ TEST_F(AgentChaosTest, MergeFaultLosesDecisionsNeverConsistency) {
   FaultRegistry::Global().Disarm("agent.merge");
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
   const auto events = FleetAgent::Global().Tick();
-  EXPECT_TRUE(HasEvent(events, FleetEventKind::kCanaryStart));
+  EXPECT_TRUE(HasEvent(events, AutotuneEventKind::kCanaryStart));
   EXPECT_EQ(Concord::Global().AttachedPolicyName(lock_id_), "test_backoff");
 }
 

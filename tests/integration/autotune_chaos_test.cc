@@ -14,6 +14,7 @@
 #include "src/concord/autotune/controller.h"
 #include "src/concord/concord.h"
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 #include "src/sync/shfllock.h"
 
 namespace concord {
@@ -26,10 +27,10 @@ class AutotuneChaosTest : public ::testing::Test {
   void SetUp() override {
     lock_id_ = Concord::Global().RegisterShflLock(lock_, "chaos_tuned", "chaos");
     AutotuneConfig config;
-    config.hysteresis_windows = 1;
-    config.canary_windows = 2;
-    config.cooldown_windows = 0;
-    config.min_window_acquisitions = 10;
+    config.canary.hysteresis_windows = 1;
+    config.canary.canary_windows = 2;
+    config.canary.cooldown_windows = 0;
+    config.canary.min_window_acquisitions = 10;
     ASSERT_TRUE(AutotuneController::Global().Configure(config).ok());
     ASSERT_TRUE(AutotuneController::Global().Enroll(lock_id_).ok());
   }
@@ -65,6 +66,7 @@ class AutotuneChaosTest : public ::testing::Test {
     return false;
   }
 
+  ScopedManualControlLoop manual_loop_;
   ScopedFakeClock clock_;
   ShflLock lock_;
   std::uint64_t lock_id_ = 0;

@@ -16,6 +16,7 @@
 #include "src/base/time.h"
 #include "src/concord/concord.h"
 #include "src/concord/containment.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/policies.h"
 #include "src/concord/safety.h"
 #include "src/rcu/rcu.h"
@@ -33,6 +34,8 @@ class ChaosTest : public ::testing::Test {
 #endif
   }
 
+  // Containment is polled by hand here, budgeted attaches included.
+  ScopedManualControlLoop manual_loop_;
   ShflLock lock_;
 };
 
@@ -213,7 +216,6 @@ TEST_F(ChaosTest, StarvingCmpNodeQuarantinedByWatchdogWithBackoff) {
   WatchdogConfig wconfig;
   wconfig.max_wait_ns = 10'000'000;  // 10ms is starvation-grade here
   wconfig.auto_detach = true;
-  wconfig.use_containment = true;
   FairnessWatchdog watchdog(wconfig);
   ASSERT_TRUE(watchdog.Watch(id).ok());
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/concord/agent/fleet.h"
+#include "src/concord/control_loop.h"
 #include "src/concord/rpc/server.h"
 #include "tests/integration/multiproc_util.h"
 
@@ -78,17 +79,17 @@ class MultiprocTest : public ::testing::Test {
     std::remove(degrade_path_.c_str());
 
     FleetAgentConfig config;
-    config.hysteresis_windows = 1;
-    config.canary_windows = 2;
-    config.min_window_acquisitions = 10;
-    config.cooldown_windows = 0;
-    // Workers publish every 5ms and we tick every ~100ms, so any healthy
+    config.canary.hysteresis_windows = 1;
+    config.canary.canary_windows = 2;
+    config.canary.min_window_acquisitions = 10;
+    config.canary.cooldown_windows = 0;
+    // Workers publish every 10ms and we tick every ~100ms, so any healthy
     // worker shows progress each tick; 10 tolerates heavy CI scheduling
     // noise without masking a genuinely dead exporter.
     config.evict_after_stale_ticks = 10;
     // Long enough that "the canary does not restart after rollback" cannot
     // expire mid-assertion.
-    config.failed_candidate_backoff_windows = 1'000;
+    config.canary.failed_candidate_backoff_windows = 1'000;
     ASSERT_TRUE(FleetAgent::Global().Configure(config).ok());
     ASSERT_TRUE(FleetAgent::Global()
                     .AddCandidate({kCandidateName,
@@ -164,14 +165,14 @@ class MultiprocTest : public ::testing::Test {
 
   // Drives the agent loop manually until an event of `kind` shows up.
   // Every event from every tick is appended to *all for later assertions.
-  bool TickUntil(FleetEventKind kind, std::chrono::milliseconds timeout,
-                 std::vector<FleetEvent>* all) {
+  bool TickUntil(AutotuneEventKind kind, std::chrono::milliseconds timeout,
+                 std::vector<AutotuneEvent>* all) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       const auto events = FleetAgent::Global().Tick();
       all->insert(all->end(), events.begin(), events.end());
-      for (const FleetEvent& event : events) {
+      for (const AutotuneEvent& event : events) {
         if (event.kind == kind) {
           return true;
         }
@@ -180,9 +181,9 @@ class MultiprocTest : public ::testing::Test {
     return false;
   }
 
-  static bool HasKind(const std::vector<FleetEvent>& events,
-                      FleetEventKind kind) {
-    for (const FleetEvent& event : events) {
+  static bool HasKind(const std::vector<AutotuneEvent>& events,
+                      AutotuneEventKind kind) {
+    for (const AutotuneEvent& event : events) {
       if (event.kind == kind) {
         return true;
       }
@@ -202,6 +203,7 @@ class MultiprocTest : public ::testing::Test {
     return *policy;
   }
 
+  ScopedManualControlLoop manual_loop_;
   std::string stem_;
   std::string socket_stem_;
   std::string agent_socket_;
@@ -223,13 +225,13 @@ TEST_F(MultiprocTest, FleetConvergesAcrossThreeWorkers) {
                       std::chrono::seconds(10)))
       << FleetAgent::Global().StatusJson();
 
-  std::vector<FleetEvent> all;
+  std::vector<AutotuneEvent> all;
   ASSERT_TRUE(
-      TickUntil(FleetEventKind::kPromote, std::chrono::seconds(30), &all))
+      TickUntil(AutotuneEventKind::kPromote, std::chrono::seconds(30), &all))
       << FleetAgent::Global().StatusJson();
-  EXPECT_TRUE(HasKind(all, FleetEventKind::kRegimeChange));
-  EXPECT_TRUE(HasKind(all, FleetEventKind::kCanaryStart));
-  EXPECT_FALSE(HasKind(all, FleetEventKind::kRollback));
+  EXPECT_TRUE(HasKind(all, AutotuneEventKind::kRegimeChange));
+  EXPECT_TRUE(HasKind(all, AutotuneEventKind::kCanaryStart));
+  EXPECT_FALSE(HasKind(all, AutotuneEventKind::kRollback));
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 3u);
 
   // Convergence means every worker — asked directly over its own socket —
@@ -250,9 +252,9 @@ TEST_F(MultiprocTest, KilledWorkerMidCanaryIsEvictedWhileSurvivorsPromote) {
                       std::chrono::seconds(10)))
       << FleetAgent::Global().StatusJson();
 
-  std::vector<FleetEvent> all;
+  std::vector<AutotuneEvent> all;
   ASSERT_TRUE(
-      TickUntil(FleetEventKind::kCanaryStart, std::chrono::seconds(20), &all))
+      TickUntil(AutotuneEventKind::kCanaryStart, std::chrono::seconds(20), &all))
       << FleetAgent::Global().StatusJson();
 
   // Mid-canary: SIGKILL worker 2 and reap it so the pid truly disappears.
@@ -260,14 +262,14 @@ TEST_F(MultiprocTest, KilledWorkerMidCanaryIsEvictedWhileSurvivorsPromote) {
   StopWorker(2, SIGKILL);
 
   ASSERT_TRUE(
-      TickUntil(FleetEventKind::kPromote, std::chrono::seconds(30), &all))
+      TickUntil(AutotuneEventKind::kPromote, std::chrono::seconds(30), &all))
       << FleetAgent::Global().StatusJson();
-  EXPECT_FALSE(HasKind(all, FleetEventKind::kRollback));
+  EXPECT_FALSE(HasKind(all, AutotuneEventKind::kRollback));
 
   // The kill produced exactly one eviction — the killed pid, seen dead.
   bool evicted = false;
-  for (const FleetEvent& event : all) {
-    if (event.kind == FleetEventKind::kWorkerEvict) {
+  for (const AutotuneEvent& event : all) {
+    if (event.kind == AutotuneEventKind::kWorkerEvict) {
       EXPECT_EQ(event.worker_pid, static_cast<std::uint64_t>(killed));
       EXPECT_EQ(event.detail, "process exited");
       evicted = true;
@@ -294,13 +296,13 @@ TEST_F(MultiprocTest, FleetRollsBackOnInjectedRegression) {
                       std::chrono::seconds(10)))
       << FleetAgent::Global().StatusJson();
 
-  std::vector<FleetEvent> all;
+  std::vector<AutotuneEvent> all;
   ASSERT_TRUE(
-      TickUntil(FleetEventKind::kRollback, std::chrono::seconds(30), &all))
+      TickUntil(AutotuneEventKind::kRollback, std::chrono::seconds(30), &all))
       << FleetAgent::Global().StatusJson();
-  EXPECT_TRUE(HasKind(all, FleetEventKind::kCanaryStart));
-  EXPECT_FALSE(HasKind(all, FleetEventKind::kPromote));
-  EXPECT_FALSE(HasKind(all, FleetEventKind::kWorkerEvict));
+  EXPECT_TRUE(HasKind(all, AutotuneEventKind::kCanaryStart));
+  EXPECT_FALSE(HasKind(all, AutotuneEventKind::kPromote));
+  EXPECT_FALSE(HasKind(all, AutotuneEventKind::kWorkerEvict));
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 3u);
 
   // The rollback detached the canary from every worker.
@@ -310,8 +312,8 @@ TEST_F(MultiprocTest, FleetRollsBackOnInjectedRegression) {
 
   // The failed candidate is backed off: the still-pathological fleet signal
   // must not immediately restart the same canary.
-  std::vector<FleetEvent> after;
-  EXPECT_FALSE(TickUntil(FleetEventKind::kCanaryStart,
+  std::vector<AutotuneEvent> after;
+  EXPECT_FALSE(TickUntil(AutotuneEventKind::kCanaryStart,
                          std::chrono::seconds(1), &after))
       << FleetAgent::Global().StatusJson();
 }

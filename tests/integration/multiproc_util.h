@@ -124,10 +124,11 @@ inline int RunWorkerMain() {
   ShmExporterOptions exporter_options;
   exporter_options.shm_path = shm;
   auto exporter = ShmExporter::Create(exporter_options);
-  if (!exporter.ok() || !(*exporter)->Start().ok()) {
+  if (!exporter.ok()) {
     server.Stop();
     return 2;
   }
+  (*exporter)->Start();
 
   const Status registered = RegisterWithAgent(
       agent, static_cast<std::uint64_t>(getpid()), shm, socket);

@@ -91,17 +91,6 @@ TEST(RcuTest, SynchronizeDoesNotWaitForNewReaders) {
   SUCCEED();  // termination is the assertion
 }
 
-TEST(RcuTest, CallRcuDeferredUntilFlush) {
-  Rcu& rcu = Rcu::Global();
-  std::atomic<int> ran{0};
-  rcu.CallRcu([&ran] { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_GE(rcu.pending_callbacks(), 1u);
-  rcu.FlushDeferred();
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(rcu.pending_callbacks(), 0u);
-}
-
 TEST(RcuTest, RcuPointerSwapPublishes) {
   RcuPointer<int> ptr(new int(1));
   int* old = nullptr;

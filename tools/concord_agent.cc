@@ -11,7 +11,7 @@
 //   concord_agent --socket PATH [--window-ms N] [--policy-dir DIR] [--ms N]
 //
 //   --socket PATH      unix socket to serve (required)
-//   --window-ms N      tick period / merged sampling window (default 100)
+//   --window-ms N      merged sampling window (default 100)
 //   --policy-dir DIR   seed fleet candidates from every .casm in DIR
 //   --ms N             run for N ms then exit (default: until SIGINT/SIGTERM)
 //
@@ -104,13 +104,7 @@ int Run(const Options& opts) {
     return 1;
   }
 
-  const Status started = agent.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "concord_agent: start: %s\n",
-                 started.ToString().c_str());
-    server.Stop();
-    return 1;
-  }
+  agent.Start();
 
   signal(SIGINT, HandleSignal);
   signal(SIGTERM, HandleSignal);

@@ -247,12 +247,7 @@ int Run(const Options& opts) {
       return 1;
     }
     exporter = std::move(*created);
-    const Status started = exporter->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "concord_prof: shm exporter: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
+    exporter->Start();
   }
   if (!opts.agent.empty()) {
     const Status registered = RegisterWithAgent(
@@ -271,7 +266,7 @@ int Run(const Options& opts) {
     if (config.window_ns < 1'000'000ull) {
       config.window_ns = 1'000'000ull;
     }
-    config.min_window_acquisitions = 16;
+    config.canary.min_window_acquisitions = 16;
     const Status enabled = concord.EnableAutotune("class:demo", config);
     if (!enabled.ok()) {
       std::fprintf(stderr, "EnableAutotune: %s\n", enabled.ToString().c_str());
