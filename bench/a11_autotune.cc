@@ -21,11 +21,13 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
+#include "src/base/json.h"
 #include "src/base/time.h"
 #include "src/concord/autotune/controller.h"
 #include "src/concord/concord.h"
@@ -98,21 +100,34 @@ double MeasureRate(const Workload& load, int ms) {
 }
 
 // Waits until the controller's event log shows `kind` for `candidate` (empty
-// = any). Returns elapsed ns, or 0 on timeout.
-std::uint64_t AwaitEvent(AutotuneEventKind kind, const std::string& candidate) {
-  const std::uint64_t start = MonotonicNowNs();
-  while (MonotonicNowNs() - start < kPhaseTimeoutNs) {
+// = any), stamped at or after `start_ns` (the phase's start; events of an
+// earlier phase never match). Returns the event, or nothing on timeout.
+std::optional<AutotuneEvent> AwaitEvent(AutotuneEventKind kind,
+                                        const std::string& candidate,
+                                        std::uint64_t start_ns) {
+  while (MonotonicNowNs() - start_ns < kPhaseTimeoutNs) {
     for (const AutotuneEvent& event :
          AutotuneController::Global().RecentEvents(256)) {
       if (event.kind == kind &&
           (candidate.empty() || event.candidate == candidate) &&
-          event.ts_ns != 0) {
-        return MonotonicNowNs() - start;
+          event.ts_ns >= start_ns) {
+        return event;
       }
     }
     bench::SleepMs(10);
   }
-  return 0;
+  return std::nullopt;
+}
+
+// The controller's incumbent for the one enrolled lock.
+std::string Incumbent() {
+  auto status = ParseJson(AutotuneController::Global().StatusJson());
+  const JsonValue* locks = status.ok() ? status->Find("locks") : nullptr;
+  if (locks == nullptr || locks->array.empty()) {
+    return "?";
+  }
+  const JsonValue* incumbent = locks->array[0].Find("incumbent");
+  return incumbent != nullptr ? incumbent->string_value : "?";
 }
 
 int Run() {
@@ -144,10 +159,12 @@ int Run() {
   bench::SleepMs(100);  // let contention establish before sampling starts
   const double skewed_before = MeasureRate(load, 400);
 
+  const std::uint64_t phase1_ns = MonotonicNowNs();
   CONCORD_CHECK(concord.EnableAutotune("a11_hot", config).ok());
-  const std::uint64_t promote_ns =
-      AwaitEvent(AutotuneEventKind::kPromote, "numa_grouping");
-  const bool converged = promote_ns != 0;
+  const auto promoted =
+      AwaitEvent(AutotuneEventKind::kPromote, "numa_grouping", phase1_ns);
+  const bool converged = promoted.has_value();
+  const std::uint64_t promote_ns = converged ? promoted->ts_ns - phase1_ns : 0;
   double skewed_after = 0.0;
   if (converged) {
     bench::SleepMs(100);
@@ -179,16 +196,21 @@ int Run() {
                       {{"phase", "skewed"}, {"policy", "numa_grouping"}});
 
   // --- 2. reversion when the skew disappears ---------------------------------
+  const std::string incumbent = Incumbent();
+  const std::uint64_t phase2_ns = MonotonicNowNs();
   load.Start(+[](int) { return std::uint32_t{0}; });
-  const std::uint64_t revert_ns =
-      AwaitEvent(AutotuneEventKind::kPromote, kPlainCandidateName);
-  const bool reverted = revert_ns != 0;
+  const auto reversion =
+      AwaitEvent(AutotuneEventKind::kPromote, kPlainCandidateName, phase2_ns);
+  const bool reverted = reversion.has_value();
+  const std::uint64_t revert_ns = reverted ? reversion->ts_ns - phase2_ns : 0;
   load.Stop();
 
   std::printf("\n=== A11.2: reversion to plain when skew is removed ===\n");
+  std::printf("%24s %s\n", "incumbent at start", incumbent.c_str());
   if (reverted) {
-    std::printf("%24s after %.0f ms\n", "reverted to plain",
-                static_cast<double>(revert_ns) / 1e6);
+    std::printf("%24s after %.0f ms (%s)\n", "reverted to plain",
+                static_cast<double>(revert_ns) / 1e6,
+                reversion->detail.c_str());
   } else {
     std::printf("%24s\n", "NOT REVERTED");
   }

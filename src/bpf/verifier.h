@@ -69,8 +69,8 @@ class Verifier {
   };
 
   // Facts the exploration proved about the program, for consumers beyond
-  // admission itself (the lock-policy lint layer, `concord_check`,
-  // `concord_asm --verify`). Only filled in when verification succeeds.
+  // admission itself (the lock-policy lint layer, certification, and the
+  // `concord_check` report). Only filled in when verification succeeds.
   struct LoopReport {
     std::size_t back_edge_pc = 0;
     std::size_t header_pc = 0;

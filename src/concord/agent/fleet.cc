@@ -4,22 +4,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "src/base/fault.h"
 #include "src/base/json.h"
 #include "src/base/time.h"
-#include "src/bpf/analysis/certify.h"
-#include "src/bpf/assembler.h"
-#include "src/bpf/maps.h"
 #include "src/concord/autotune/candidates.h"
 #include "src/concord/control_loop.h"
 #include "src/concord/hooks.h"
-#include "src/concord/policy.h"
-#include "src/concord/policy_lint.h"
 #include "src/concord/policy_source.h"
 #include "src/concord/rpc/client.h"
 
@@ -55,43 +47,6 @@ void MergeWindow(const LockProfileSnapshot& delta,
   }
 }
 
-// The same admission pipeline a worker runs inside policy.attach (assemble,
-// verify under the hook's capability mask, lint, certify). A candidate the
-// agent cannot certify locally would only bounce off every worker's gate.
-Status ValidateCandidateSource(const std::string& name,
-                               const std::string& source) {
-  auto hook = ResolveHookDirective(source);
-  if (!hook.ok()) {
-    if (hook.status().code() == StatusCode::kNotFound) {
-      return InvalidArgumentError("fleet candidate '" + name +
-                                  "' has no '; hook: <name>' directive");
-    }
-    return hook.status();
-  }
-  std::uint64_t budget_ns = 0;
-  auto budget = ResolveBudgetDirective(source);
-  if (budget.ok()) {
-    budget_ns = *budget;
-  } else if (budget.status().code() != StatusCode::kNotFound) {
-    return budget.status();
-  }
-  std::shared_ptr<ArrayMap> scratch;
-  std::vector<BpfMap*> caller_maps;
-  if (!SourceDeclaresMaps(source)) {
-    scratch = std::make_shared<ArrayMap>("scratch", 8, 8);
-    caller_maps.push_back(scratch.get());
-  }
-  std::vector<std::shared_ptr<BpfMap>> declared_maps;
-  auto program = AssembleProgram(name, source, &DescriptorFor(*hook),
-                                 std::move(caller_maps), &declared_maps);
-  CONCORD_RETURN_IF_ERROR(program.status());
-  Verifier::Analysis analysis;
-  CONCORD_RETURN_IF_ERROR(
-      CheckPolicyProgram(*hook, *program, nullptr, &analysis));
-  CONCORD_RETURN_IF_ERROR(CertifyProgram(*program, analysis, budget_ns));
-  return Status::Ok();
-}
-
 }  // namespace
 
 FleetAgent& FleetAgent::Global() {
@@ -102,7 +57,7 @@ FleetAgent& FleetAgent::Global() {
 FleetAgent::FleetAgent()
     : engine_({[this](const CanaryEngine::Lock& lock, ContentionRegime regime,
                       const std::vector<std::string>& skip) {
-                 for (const FleetCandidate& candidate : candidates_) {
+                 for (const Candidate& candidate : candidates_) {
                    if (candidate.regime == regime &&
                        candidate.for_rw == lock.is_rw &&
                        std::find(skip.begin(), skip.end(), candidate.name) ==
@@ -145,60 +100,33 @@ Status FleetAgent::AddCandidate(const FleetCandidate& candidate) {
   if (candidate.name.empty() || candidate.name == kPlainCandidateName) {
     return InvalidArgumentError("fleet candidate needs a non-reserved name");
   }
-  if (candidate.source.empty()) {
-    return InvalidArgumentError("fleet candidate '" + candidate.name +
-                                "' has no source");
-  }
-  CONCORD_RETURN_IF_ERROR(
-      ValidateCandidateSource(candidate.name, candidate.source));
+  StatusOr<PolicySpec> loaded = LoadPolicy(candidate.name, candidate.source);
+  CONCORD_RETURN_IF_ERROR(loaded.status());
+  Candidate admitted{candidate, !loaded->ChainFor(HookKind::kRwMode).empty()};
   std::lock_guard<std::mutex> guard(mu_);
-  for (FleetCandidate& existing : candidates_) {
+  for (Candidate& existing : candidates_) {
     if (existing.name == candidate.name) {
-      existing = candidate;
+      existing = std::move(admitted);
       return Status::Ok();
     }
   }
-  candidates_.push_back(candidate);
+  candidates_.push_back(std::move(admitted));
   return Status::Ok();
 }
 
 int FleetAgent::SeedCandidatesFromDir(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return 0;
-  }
-  int registered = 0;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".casm") {
-      continue;
-    }
-    std::ifstream file(entry.path());
-    if (!file) {
-      continue;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    FleetCandidate candidate;
-    candidate.name = entry.path().stem().string();
-    candidate.source = buffer.str();
-    if (!RegimeFromPolicyFilename(candidate.name, &candidate.regime)) {
-      continue;
-    }
-    auto hook = ResolveHookDirective(candidate.source);
-    candidate.for_rw = hook.ok() && *hook == HookKind::kRwMode;
-    if (AddCandidate(candidate).ok()) {
-      ++registered;
-    }
-  }
-  return registered;
+  return ForEachPolicyFile(
+      dir, [this](const std::string& stem, ContentionRegime regime,
+                  const std::string& source) {
+        return AddCandidate({stem, regime, source});
+      });
 }
 
 std::vector<std::string> FleetAgent::CandidateNames() const {
   std::lock_guard<std::mutex> guard(mu_);
   std::vector<std::string> names;
   names.reserve(candidates_.size());
-  for (const FleetCandidate& candidate : candidates_) {
+  for (const Candidate& candidate : candidates_) {
     names.push_back(candidate.name);
   }
   return names;
@@ -377,8 +305,8 @@ Status FleetAgent::PushToWorkerLocked(Worker& worker,
     return Status::Ok();
   }
 
-  const FleetCandidate* candidate = nullptr;
-  for (const FleetCandidate& entry : candidates_) {
+  const Candidate* candidate = nullptr;
+  for (const Candidate& entry : candidates_) {
     if (entry.name == name) {
       candidate = &entry;
       break;
@@ -579,7 +507,7 @@ std::string FleetAgent::StatusJson() const {
   }
   json.EndArray();
   json.Key("candidates").BeginArray();
-  for (const FleetCandidate& candidate : candidates_) {
+  for (const Candidate& candidate : candidates_) {
     json.BeginObject();
     json.Field("name", candidate.name);
     json.Field("regime", ContentionRegimeName(candidate.regime));

@@ -51,12 +51,11 @@ namespace concord {
 // A policy the agent may push to the fleet. Unlike in-process
 // PolicyCandidates (factories for PolicySpecs), fleet candidates are .casm
 // *sources*: they cross the process boundary through policy.attach, where
-// every worker re-runs the full verifier + lint + certifier gate before the
-// policy touches a lock.
+// every worker loads them through the same gate before the policy touches a
+// lock.
 struct FleetCandidate {
   std::string name;
   ContentionRegime regime = ContentionRegime::kModerate;
-  bool for_rw = false;
   std::string source;  // .casm text, pushed inline
 };
 
@@ -79,8 +78,8 @@ struct FleetAgentConfig {
   // than allowed to block the fleet loop.
   std::uint64_t push_timeout_ms = 1'000;
 
-  // Seed candidates from every .casm in this directory ("" = skip); regime
-  // inferred from the filename as in PolicyCandidateRegistry.
+  // Seed candidates from every .casm in this directory ("" = skip), through
+  // ForEachPolicyFile (src/concord/autotune/candidates.h).
   std::string policy_dir;
 };
 
@@ -94,10 +93,10 @@ class FleetAgent {
   Status Configure(const FleetAgentConfig& config);
   FleetAgentConfig config() const;
 
-  // Registers a candidate after running the local admission pipeline
-  // (assemble + verify + lint + certify) on its source — a candidate the
-  // agent itself cannot certify would just bounce off every worker.
-  // Replaces any candidate with the same name.
+  // Registers a candidate once LoadPolicy (src/concord/policy_source.h)
+  // admits its source — a candidate the agent itself cannot admit would
+  // just bounce off every worker. The loaded hook decides whether it is for
+  // rw locks. Replaces any candidate with the same name.
   Status AddCandidate(const FleetCandidate& candidate);
   // Loads every admissible .casm under `dir`; returns how many registered.
   int SeedCandidatesFromDir(const std::string& dir);
@@ -188,9 +187,13 @@ class FleetAgent {
                         std::vector<AutotuneEvent>& events,
                         std::string* evict_reason);
 
+  struct Candidate : FleetCandidate {
+    bool for_rw = false;  // the loaded program's hook is rw_mode
+  };
+
   mutable std::mutex mu_;
   FleetAgentConfig config_;
-  std::vector<FleetCandidate> candidates_;
+  std::vector<Candidate> candidates_;
   std::vector<std::unique_ptr<Worker>> workers_;
   CanaryEngine engine_;
   std::map<std::string, std::unique_ptr<CanaryEngine::Lock>> locks_;

@@ -5,11 +5,8 @@
 #include <sstream>
 
 #include "src/base/check.h"
-#include "src/bpf/analysis/certify.h"
-#include "src/bpf/assembler.h"
 #include "src/concord/hooks.h"
 #include "src/concord/policies.h"
-#include "src/concord/policy_lint.h"
 #include "src/concord/policy_source.h"
 
 namespace concord {
@@ -22,8 +19,6 @@ PolicyCandidate PlainCandidate(ContentionRegime regime) {
   plain.make = nullptr;
   return plain;
 }
-
-}  // namespace
 
 // Conservative: only patterns with an obvious regime mapping load;
 // everything else is skipped rather than guessed wrong.
@@ -41,6 +36,36 @@ bool RegimeFromPolicyFilename(const std::string& stem, ContentionRegime* out) {
     return true;
   }
   return false;
+}
+
+}  // namespace
+
+int ForEachPolicyFile(
+    const std::string& dir,
+    const std::function<Status(const std::string& stem,
+                               ContentionRegime regime,
+                               const std::string& source)>& admit) {
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec);
+  if (ec) {
+    return 0;
+  }
+  int admitted = 0;
+  for (const auto& entry : it) {
+    const std::string stem = entry.path().stem().string();
+    ContentionRegime regime = ContentionRegime::kModerate;
+    if (!entry.is_regular_file() || entry.path().extension() != ".casm" ||
+        !RegimeFromPolicyFilename(stem, &regime)) {
+      continue;
+    }
+    std::ifstream file(entry.path());
+    std::stringstream buffer;
+    buffer << file.rdbuf();
+    if (file && admit(stem, regime, buffer.str()).ok()) {
+      ++admitted;
+    }
+  }
+  return admitted;
 }
 
 Status PolicyCandidateRegistry::Register(PolicyCandidate candidate) {
@@ -94,76 +119,20 @@ void PolicyCandidateRegistry::SeedBuiltins() {
 }
 
 int PolicyCandidateRegistry::SeedFromPolicyDir(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return 0;
-  }
-  int registered = 0;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".casm") {
-      continue;
-    }
-    std::ifstream file(entry.path());
-    if (!file) {
-      continue;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    const std::string source = buffer.str();
-    ContentionRegime regime;
-    const std::string stem = entry.path().stem().string();
-    auto hook_kind = ResolveHookDirective(source);
-    if (!hook_kind.ok() || !RegimeFromPolicyFilename(stem, &regime)) {
-      continue;
-    }
-    const HookKind hook = *hook_kind;
-    // An optional `; budget_ns: <N>` directive becomes the candidate spec's
-    // hook budget; a malformed one disqualifies the file.
-    std::uint64_t budget_ns = 0;
-    auto budget = ResolveBudgetDirective(source);
-    if (budget.ok()) {
-      budget_ns = *budget;
-    } else if (budget.status().code() != StatusCode::kNotFound) {
-      continue;
-    }
-    // Assemble and run the full admission pipeline (verify + lint + certify)
-    // once now, so an uncertifiable file never becomes a candidate the
-    // controller would repeatedly fail to attach. The candidate factory
-    // re-assembles per attach (programs are cheap to build and the spec must
-    // be fresh each time).
-    std::vector<std::shared_ptr<BpfMap>> probe_maps;
-    auto probe =
-        AssembleProgram(stem, source, &DescriptorFor(hook), {}, &probe_maps);
-    if (!probe.ok()) {
-      continue;
-    }
-    Verifier::Analysis analysis;
-    if (!CheckPolicyProgram(hook, *probe, nullptr, &analysis).ok() ||
-        !CertifyProgram(*probe, analysis, budget_ns).ok()) {
-      continue;
-    }
+  return ForEachPolicyFile(dir, [this](const std::string& stem,
+                                       ContentionRegime regime,
+                                       const std::string& source) -> Status {
+    // Admit once now, so an inadmissible file never becomes a candidate the
+    // controller would repeatedly fail to attach.
+    StatusOr<PolicySpec> spec = LoadPolicy(stem, source);
+    CONCORD_RETURN_IF_ERROR(spec.status());
     PolicyCandidate candidate;
     candidate.name = stem;
     candidate.regime = regime;
-    candidate.for_rw = hook == HookKind::kRwMode;
-    candidate.make = [stem, source, hook, budget_ns]() -> StatusOr<PolicySpec> {
-      std::vector<std::shared_ptr<BpfMap>> declared_maps;
-      auto program = AssembleProgram(stem, source, &DescriptorFor(hook), {},
-                                     &declared_maps);
-      CONCORD_RETURN_IF_ERROR(program.status());
-      PolicySpec spec;
-      spec.name = stem;
-      spec.hook_budget_ns = budget_ns;
-      CONCORD_RETURN_IF_ERROR(spec.AddProgram(hook, std::move(*program)));
-      spec.maps = std::move(declared_maps);
-      return spec;
-    };
-    if (Register(std::move(candidate)).ok()) {
-      ++registered;
-    }
-  }
-  return registered;
+    candidate.for_rw = !spec->ChainFor(HookKind::kRwMode).empty();
+    candidate.make = [stem, source] { return LoadPolicy(stem, source); };
+    return Register(std::move(candidate));
+  });
 }
 
 PolicyCandidate PolicyCandidateRegistry::CandidateFor(

@@ -7,8 +7,8 @@
 // attached, rolled back and re-attached without spec-copying hazards. The
 // registry ships built-ins wired to the ready-made policies in
 // src/concord/policies.h and can additionally load .casm files from
-// examples/policies/ (regime inferred from the filename, hook kind from the
-// "; hook:" header line every shipped policy carries).
+// examples/policies/ (regime inferred from the filename, hook and budget
+// from the policy's directives).
 //
 // The implicit "plain" candidate — detach, reverting the lock to stock
 // behaviour — is always available and is the fallback whenever no registered
@@ -44,11 +44,17 @@ struct PolicyCandidate {
 // The canonical name of the detach candidate.
 inline constexpr char kPlainCandidateName[] = "plain";
 
-// Filename -> regime inference for .casm policy directories ("numa" ->
-// numa-skewed, "backoff" -> pathological, "batch" -> moderate). Shared by
-// SeedFromPolicyDir and the fleet agent's candidate seeding
-// (src/concord/agent/fleet.h).
-bool RegimeFromPolicyFilename(const std::string& stem, ContentionRegime* out);
+// The one walk over a .casm policy directory, shared by SeedFromPolicyDir and
+// the fleet agent (src/concord/agent/fleet.h). Calls `admit(stem, regime,
+// source)` for every `.casm` file directly under `dir` whose filename maps
+// to a regime ("numa" -> numa-skewed, "backoff" -> pathological, "batch" ->
+// moderate); other files are skipped rather than guessed wrong. Returns how
+// many calls returned OK.
+int ForEachPolicyFile(
+    const std::string& dir,
+    const std::function<Status(const std::string& stem,
+                               ContentionRegime regime,
+                               const std::string& source)>& admit);
 
 class PolicyCandidateRegistry {
  public:
@@ -65,10 +71,9 @@ class PolicyCandidateRegistry {
   // Uncontended and moderate keep the implicit "plain" candidate.
   void SeedBuiltins();
 
-  // Loads every .casm under `dir`: hook kind from the "; hook: <name>"
-  // header, regime from the filename ("numa" -> numa-skewed, "backoff" ->
-  // pathological, "batch" -> moderate). Files matching neither rule, or that
-  // fail to assemble, are skipped. Returns how many candidates registered.
+  // Registers every file ForEachPolicyFile yields that LoadPolicy
+  // (src/concord/policy_source.h) admits; each attach loads the source
+  // afresh. Returns how many candidates registered.
   int SeedFromPolicyDir(const std::string& dir);
 
   // Preferred candidate for a lock of the given kind in `regime`; falls back
@@ -77,8 +82,8 @@ class PolicyCandidateRegistry {
   PolicyCandidate CandidateFor(ContentionRegime regime, bool is_rw,
                                const std::vector<std::string>& skip = {}) const;
 
-  // Candidate by name ("plain" included); null-make plain candidate when
-  // unknown? No: error for unknown names.
+  // Candidate by name; "plain" yields the plain candidate, and an unknown
+  // name is kNotFound.
   StatusOr<PolicyCandidate> FindByName(const std::string& name) const;
 
   std::vector<std::string> Names() const;

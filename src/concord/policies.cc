@@ -155,9 +155,19 @@ StatusOr<TunablePolicy> MakeVcpuPreemptionPolicy() {
 }
 
 StatusOr<TunablePolicy> MakeAdaptiveParkingPolicy() {
-  const std::string source = std::string(kLoadKnobPrologue) + R"(
-    ldxw r4, [r6+40]    ; spin_iterations
-    jge r4, r3, park
+  // The waiter context is read before the helper call: schedule_waiter must
+  // not keep its pointer across one (policy_lint.h), so only the scalar
+  // spin count lives in r6.
+  const char* source = R"(
+    ldxw r6, [r1+40]    ; spin_iterations
+    stw [r10-4], 0      ; key = 0
+    mov r1, 0           ; map index 0
+    mov r2, r10
+    add r2, -4
+    call map_lookup_elem
+    jeq r0, 0, nope
+    ldxdw r3, [r0+0]    ; r3 = knob value
+    jge r6, r3, park
   nope:
     mov r0, 0
     exit
@@ -193,6 +203,7 @@ StatusOr<TunablePolicy> MakeRwSwitchPolicy(RwMode initial_mode) {
     call map_lookup_elem
     jeq r0, 0, dflt
     ldxdw r0, [r0+0]    ; mode from the knob map
+    jgt r0, 2, dflt     ; not an RwMode
     exit
   dflt:
     mov r0, 0           ; neutral

@@ -72,8 +72,8 @@ StatusOr<TunablePolicy> MakeShuffleFairnessGuard();
 
 // §3.1.1 lock switching for readers-writer locks: rw_mode returns knob[0]
 // (an RwMode value), so userspace flips a live lock between neutral,
-// reader-biased (BRAVO) and writer-only regimes by poking the map. This is
-// "Concord-BRAVO" in Figure 2(a).
+// reader-biased (BRAVO) and writer-only regimes by poking the map; a knob
+// above 2 reads as neutral. This is "Concord-BRAVO" in Figure 2(a).
 StatusOr<TunablePolicy> MakeRwSwitchPolicy(RwMode initial_mode);
 
 // §3.2 dynamic lock profiling entirely in BPF: the four taps count

@@ -1,8 +1,6 @@
 #include "src/concord/policy.h"
 
-#include "src/bpf/analysis/certify.h"
 #include "src/bpf/jit/jit.h"
-#include "src/bpf/verifier.h"
 
 namespace concord {
 
@@ -19,26 +17,49 @@ Status PolicySpec::AddProgram(HookKind kind, Program program) {
   return Status::Ok();
 }
 
-Status PolicySpec::VerifyAll() {
+Status PolicySpec::VerifyAll(AdmissionReport* report) {
+  AdmissionReport local;
+  AdmissionReport& r = report != nullptr ? *report : local;
   for (int k = 0; k < kNumHookKinds; ++k) {
     const auto kind = static_cast<HookKind>(k);
     Verifier::Options options;
     options.allowed_capabilities = CapabilitiesFor(kind);
     for (Program& program : chains[k].programs) {
-      // Certification needs the verifier's analysis facts (loop bounds, map
-      // access sites), so pre-verified programs are re-explored rather than
-      // skipped — attach is a control-plane operation where the extra
-      // milliseconds buy the WCET and race gates for every path in.
-      Verifier::Analysis analysis;
-      Status status = Verifier::Verify(program, options, &analysis);
+      r.hook = HookKindName(kind);
+      r.budget_ns = hook_budget_ns;
+      r.insns = program.insns.size();
+      r.analysis = {};
+      r.lint = {};
+      r.cert = {};
+      // Lint and certification need the verifier's analysis facts (return
+      // range, loop bounds, map access sites), so pre-verified programs are
+      // re-explored rather than skipped — attach is a control-plane
+      // operation where the extra milliseconds buy every gate for every
+      // path in.
+      r.stage = "verify";
+      Status status = Verifier::Verify(program, options, &r.analysis);
       if (status.ok()) {
-        status = CertifyProgram(program, analysis, hook_budget_ns);
+        r.stage = "lint";
+        r.lint = LintPolicyProgram(kind, r.analysis);
+        if (!r.lint.ok()) {
+          std::string message = "policy violates " + r.hook + " contract:";
+          for (const LintFinding& finding : r.lint.findings) {
+            message += "\n" + finding.rule + ": " + finding.message;
+          }
+          status = PermissionDeniedError(message);
+        }
+      }
+      if (status.ok()) {
+        r.stage = "certify";
+        status = CertifyProgram(program, r.analysis, hook_budget_ns, &r.cert);
       }
       if (!status.ok()) {
-        return Status(status.code(), "policy '" + name + "', hook " +
-                                         HookKindName(kind) + ", program '" +
-                                         program.name + "': " + status.message());
+        r.error = status.ToString();
+        return Status(status.code(), "policy '" + name + "', hook " + r.hook +
+                                         ", program '" + program.name +
+                                         "': " + status.message());
       }
+      r.stage.clear();
     }
   }
   return Status::Ok();

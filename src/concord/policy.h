@@ -3,9 +3,12 @@
 // A PolicySpec bundles, per hook kind, an ordered chain of BPF programs plus
 // a combinator saying how multiple programs compose (§6 "composing policies"
 // — we provide the mechanical combinators; resolving semantic conflicts
-// remains the policy author's job, as in the paper). Programs are verified
-// at attach time against the hook's context descriptor and capability mask;
-// a spec whose programs fail verification never reaches any lock.
+// remains the policy author's job, as in the paper). Every program passes
+// one admission gate at attach (VerifyAll): the verifier under the hook's
+// capability mask, the hook's lock-invariant lint (policy_lint.h), then
+// certification (src/bpf/analysis/certify.h). A spec that fails any stage
+// never reaches a lock, whether it was built in code or loaded from text
+// (policy_source.h).
 
 #ifndef SRC_CONCORD_POLICY_H_
 #define SRC_CONCORD_POLICY_H_
@@ -16,8 +19,11 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/bpf/analysis/certify.h"
 #include "src/bpf/program.h"
+#include "src/bpf/verifier.h"
 #include "src/concord/hooks.h"
+#include "src/concord/policy_lint.h"
 
 namespace concord {
 
@@ -33,6 +39,24 @@ struct HookChain {
   Combinator combinator = Combinator::kFirstNonZero;
 
   bool empty() const { return programs.empty(); }
+};
+
+// What the admission gate found about a program, filled as far as the gate
+// got. The loader (policy_source.h) adds where the hook and budget came from.
+struct AdmissionReport {
+  // The failing stage ("hook", "assemble", "verify", "lint" or "certify"),
+  // empty once admitted; `error` is that stage's status.
+  std::string stage;
+  std::string error;
+  std::string hook;
+  int hook_line = 0;  // line of the `; hook:` directive; 0 = named by caller
+  std::uint64_t budget_ns = 0;
+  std::size_t insns = 0;
+  Verifier::Analysis analysis;
+  LintReport lint;
+  CertificationReport cert;
+
+  bool ok() const { return stage.empty(); }
 };
 
 struct PolicySpec {
@@ -72,12 +96,14 @@ struct PolicySpec {
     return chains[static_cast<int>(kind)];
   }
 
-  // Verifies every program in every chain against its hook's rules, then
-  // certifies it (src/bpf/analysis/certify.h): the statically bounded worst
-  // case must fit hook_budget_ns (when nonzero) and no program may do a
-  // non-atomic store into a shared map. Idempotent; called by Concord at
-  // attach, so no spec reaches a lock uncertified.
-  Status VerifyAll();
+  // The admission gate, per program in every chain: verify under the hook's
+  // capability mask, lint the hook's lock invariants, then certify (the
+  // statically bounded worst case must fit hook_budget_ns when nonzero, and
+  // no program may do a non-atomic store into a shared map). Lint findings
+  // and certification failures are kPermissionDenied. Idempotent; called by
+  // Concord at attach, so no spec reaches a lock unchecked. `report`, when
+  // non-null, describes the last program checked (the failing one).
+  Status VerifyAll(AdmissionReport* report = nullptr);
 
   // Compiles every verified program to native code when the JIT is enabled
   // (Jit::Enabled()). A program that fails to compile simply keeps running

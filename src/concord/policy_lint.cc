@@ -1,17 +1,11 @@
 #include "src/concord/policy_lint.h"
 
-#include <cstdio>
+#include <string>
 
 #include "src/sync/shfllock.h"
 
 namespace concord {
 namespace {
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 void Finding(LintReport& report, const char* rule, std::string message) {
   report.findings.push_back({rule, std::move(message)});
@@ -26,7 +20,7 @@ void CheckReturnRange(LintReport& report, const Verifier::Analysis& analysis,
   const ScalarValue& r0 = analysis.r0_exit;
   if (r0.umax > max_value) {
     Finding(report, "return-range",
-            "return value not proven in [0, " + U64(max_value) +
+            "return value not proven in [0, " + std::to_string(max_value) +
                 "]: verifier bounds R0 at exit to " + r0.ToString());
   }
 }
@@ -37,22 +31,16 @@ void CheckLoopBound(LintReport& report, const Verifier::Analysis& analysis,
   for (const auto& loop : analysis.loops) {
     if (loop.max_trips > max_trips) {
       Finding(report, "loop-bound",
-              "loop with back edge at insn " + U64(loop.back_edge_pc) +
-                  " runs up to " + U64(loop.max_trips) + " trips, above the " +
-                  U64(max_trips) + "-trip hook bound (" + why + ")");
+              "loop with back edge at insn " +
+                  std::to_string(loop.back_edge_pc) + " runs up to " +
+                  std::to_string(loop.max_trips) + " trips, above the " +
+                  std::to_string(max_trips) + "-trip hook bound (" + why +
+                  ")");
     }
   }
 }
 
 }  // namespace
-
-std::string LintReport::ToString() const {
-  std::string out;
-  for (const auto& finding : findings) {
-    out += finding.rule + ": " + finding.message + "\n";
-  }
-  return out;
-}
 
 LintReport LintPolicyProgram(HookKind kind,
                              const Verifier::Analysis& analysis) {
@@ -84,7 +72,7 @@ LintReport LintPolicyProgram(HookKind kind,
         Finding(report, "waiter-ptr-across-call",
                 "waiter context pointer held in a callee-saved register "
                 "across the helper call at insn " +
-                    U64(pc) + "; helpers may park or requeue the waiter, "
+                    std::to_string(pc) + "; helpers may park or requeue the waiter, "
                              "making the pointer stale");
       }
       break;
@@ -101,31 +89,6 @@ LintReport LintPolicyProgram(HookKind kind,
       break;
   }
   return report;
-}
-
-Status CheckPolicyProgram(HookKind kind, Program& program, LintReport* report,
-                          Verifier::Analysis* analysis) {
-  Verifier::Options options;
-  options.allowed_capabilities = CapabilitiesFor(kind);
-  Verifier::Analysis local_analysis;
-  CONCORD_RETURN_IF_ERROR(Verifier::Verify(program, options, &local_analysis));
-  LintReport local_report = LintPolicyProgram(kind, local_analysis);
-  if (analysis != nullptr) {
-    *analysis = local_analysis;
-  }
-  if (report != nullptr) {
-    *report = local_report;
-  }
-  if (!local_report.ok()) {
-    std::string message = "policy violates ";
-    message += HookKindName(kind);
-    message += " contract:\n";
-    message += local_report.ToString();
-    // Trim the trailing newline for a tidy Status message.
-    message.pop_back();
-    return PermissionDeniedError(message);
-  }
-  return Status::Ok();
 }
 
 }  // namespace concord

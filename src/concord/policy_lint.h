@@ -22,7 +22,8 @@
 //
 // Lint runs after successful verification and consumes only proven facts, so
 // a finding is a real contract violation on some feasible abstract path —
-// never a heuristic.
+// never a heuristic. It is one stage of the admission gate every program
+// passes at attach (PolicySpec::VerifyAll), which rejects on any finding.
 
 #ifndef SRC_CONCORD_POLICY_LINT_H_
 #define SRC_CONCORD_POLICY_LINT_H_
@@ -30,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/status.h"
-#include "src/bpf/program.h"
 #include "src/bpf/verifier.h"
 #include "src/concord/hooks.h"
 
@@ -45,22 +44,11 @@ struct LintFinding {
 struct LintReport {
   std::vector<LintFinding> findings;
   bool ok() const { return findings.empty(); }
-  // One "hook/rule: message" line per finding.
-  std::string ToString() const;
 };
 
 // Checks the per-hook contracts against facts the verifier proved. The
 // program must have passed Verify() with `analysis` filled in.
 LintReport LintPolicyProgram(HookKind kind, const Verifier::Analysis& analysis);
-
-// Convenience pipeline used by concord_check and tests: verifies `program`
-// under the hook's capability mask, then lints. Returns the verifier error
-// verbatim on rejection; returns PermissionDeniedError listing the findings
-// when lint fails. Fills `report` (if non-null) with the lint findings and
-// `analysis` (if non-null) with the verifier facts.
-Status CheckPolicyProgram(HookKind kind, Program& program,
-                          LintReport* report = nullptr,
-                          Verifier::Analysis* analysis = nullptr);
 
 }  // namespace concord
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -9,16 +10,11 @@
 
 #include "src/base/fault.h"
 #include "src/base/time.h"
-#include "src/bpf/analysis/certify.h"
-#include "src/bpf/assembler.h"
-#include "src/bpf/maps.h"
 #include "src/concord/agent/fleet.h"
 #include "src/concord/autotune/controller.h"
 #include "src/concord/concord.h"
 #include "src/concord/containment.h"
 #include "src/concord/hooks.h"
-#include "src/concord/policy.h"
-#include "src/concord/policy_lint.h"
 #include "src/concord/policy_source.h"
 
 namespace concord {
@@ -288,92 +284,32 @@ StatusOr<std::string> HandlePolicyAttach(const JsonValue& params) {
     name = "rpc_policy";
   }
 
-  HookKind hook;
-  const std::string hook_param = StringParam(params, "hook", "");
-  if (!hook_param.empty()) {
-    if (!ParseHookKindName(hook_param, &hook)) {
-      return InvalidArgumentError("unknown hook '" + hook_param + "'");
-    }
-  } else {
-    auto resolved = ResolveHookDirective(source);
-    if (!resolved.ok()) {
-      if (resolved.status().code() == StatusCode::kNotFound) {
-        return InvalidArgumentError(
-            "policy has no '; hook: <name>' directive and no 'hook' param");
-      }
-      return resolved.status();  // malformed/unknown, with line context
-    }
-    hook = *resolved;
-  }
-
-  // Runtime budget: an explicit 'budget_ns' param wins; otherwise a
-  // `; budget_ns: <N>` directive in the source applies. Whichever it is,
-  // the WCET gate below certifies the program against it before attach.
-  std::uint64_t budget_ns = 0;
+  // An explicit 'hook' or 'budget_ns' param overrides the source's
+  // directive. The loader's gate runs before any lock sees the spec, and its
+  // report hands the caller the certified bound.
+  std::optional<std::uint64_t> budget_ns;
   const JsonValue* budget_param = params.Find("budget_ns");
   if (budget_param != nullptr) {
     if (!budget_param->IsNumber() || budget_param->number_value < 0) {
       return InvalidArgumentError("'budget_ns' must be a non-negative number");
     }
     budget_ns = static_cast<std::uint64_t>(budget_param->number_value);
-  } else {
-    auto directive = ResolveBudgetDirective(source);
-    if (directive.ok()) {
-      budget_ns = *directive;
-    } else if (directive.status().code() != StatusCode::kNotFound) {
-      return directive.status();
-    }
   }
-
-  // The full static-analysis gate: assemble, verify under the hook's
-  // capability mask, lint the lock invariants. Only then does the spec reach
-  // Concord::Attach (which re-verifies — belt and braces, same as every
-  // other attach path).
-  //
-  // Policies that declare no maps of their own get the legacy 8-slot
-  // "scratch" knob array at map index 0. A source with `.map` directives
-  // owns the whole map table instead — its declarations index from 0, which
-  // is how the assembly in the policy was written.
-  std::shared_ptr<ArrayMap> scratch;
-  std::vector<BpfMap*> caller_maps;
-  if (!SourceDeclaresMaps(source)) {
-    scratch = std::make_shared<ArrayMap>("scratch", 8, 8);
-    caller_maps.push_back(scratch.get());
-  }
-  std::vector<std::shared_ptr<BpfMap>> declared_maps;
-  auto program = AssembleProgram(name, source, &DescriptorFor(hook),
-                                 std::move(caller_maps), &declared_maps);
-  CONCORD_RETURN_IF_ERROR(program.status());
-  LintReport lint;
-  Verifier::Analysis analysis;
-  CONCORD_RETURN_IF_ERROR(CheckPolicyProgram(hook, *program, &lint, &analysis));
-  // Certification gate (WCET vs budget, shared-map races). VerifyAll re-runs
-  // it inside Attach — belt and braces — but certifying here hands the RPC
-  // caller the full diagnostic with the offending instruction and map site.
-  CertificationReport cert;
-  CONCORD_RETURN_IF_ERROR(CertifyProgram(*program, analysis, budget_ns, &cert));
-
-  PolicySpec spec;
-  spec.name = name;
-  spec.hook_budget_ns = budget_ns;
-  CONCORD_RETURN_IF_ERROR(spec.AddProgram(hook, std::move(*program)));
-  if (scratch != nullptr) {
-    spec.maps.push_back(std::move(scratch));
-  }
-  for (auto& map : declared_maps) {
-    spec.maps.push_back(std::move(map));  // keep `.map`-declared maps alive
-  }
+  AdmissionReport report;
+  StatusOr<PolicySpec> spec = LoadPolicy(
+      name, source, StringParam(params, "hook", ""), budget_ns, &report);
+  CONCORD_RETURN_IF_ERROR(spec.status());
   CONCORD_RETURN_IF_ERROR(
-      Concord::Global().AttachBySelector(*selector, spec));
+      Concord::Global().AttachBySelector(*selector, *spec));
 
   JsonWriter json;
   json.BeginObject();
   json.Field("attached", name);
-  json.Field("hook", HookKindName(hook));
+  json.Field("hook", report.hook);
   json.Field("selector", *selector);
-  json.NumberField("certified_wcet_ns", cert.wcet.certified_ns);
-  if (budget_ns != 0) {
-    json.NumberField("budget_ns", budget_ns);
+  json.NumberField("certified_wcet_ns", report.cert.wcet.certified_ns);
+  if (report.budget_ns != 0) {
+    json.NumberField("budget_ns", report.budget_ns);
   }
   json.NumberField(
       "locks",

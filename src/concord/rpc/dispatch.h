@@ -8,10 +8,12 @@
 // queue, waiter or policy dispatch state directly, so no RPC failure mode
 // can block an acquirer beyond normal control-plane activity.
 //
-// policy.attach goes through the full static-analysis gate — assemble,
-// range-tracking verifier under the hook's capability mask, lock-invariant
-// lint — before Concord::Attach (which verifies again). A spec that fails
-// any stage never reaches a lock; there is no raw attach verb.
+// policy.attach loads its source with LoadPolicy (src/concord/policy_source.h),
+// the loader concord_check, the fleet agent and autotune use: the same
+// directives, the same map table and the same gate (verify under the hook's
+// capability mask, lint the lock invariants, certify) before
+// Concord::Attach, which runs that gate again. A spec that fails any stage
+// never reaches a lock; there is no raw attach verb.
 //
 // Verbs are registered in the constructor and immutable afterwards;
 // Dispatch() is safe to call from any number of server workers concurrently.

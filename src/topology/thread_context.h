@@ -31,7 +31,6 @@ struct CONCORD_CACHE_ALIGNED ThreadContext {
   std::uint32_t task_id = 0;     // dense id, assigned at registration
   std::uint32_t vcpu = 0;        // virtual CPU this thread is "pinned" to
   std::uint32_t socket = 0;      // virtual socket of vcpu
-  std::uint32_t core_speed = 100;  // relative speed (percent); <100 = AMP slow core
 
   // --- application-provided context (the C3 annotations) -----------------
   std::atomic<std::uint8_t> task_class{static_cast<std::uint8_t>(TaskClass::kNormal)};
@@ -46,7 +45,6 @@ struct CONCORD_CACHE_ALIGNED ThreadContext {
   std::atomic<std::uint32_t> locks_held{0};     // nesting depth across all locks
   std::atomic<std::uint64_t> cs_length_ewma_ns{0};  // critical-section length estimate
   std::atomic<std::uint64_t> lock_hold_total_ns{0}; // cumulative hold time (SCL accounting)
-  std::atomic<std::uint64_t> last_acquire_ns{0};
 
   TaskClass Class() const {
     return static_cast<TaskClass>(task_class.load(std::memory_order_relaxed));

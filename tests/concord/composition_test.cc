@@ -13,12 +13,16 @@
 namespace concord {
 namespace {
 
-// Builds a verified single-instruction-ish cmp program returning `value`.
+// The chains below return values up to 7. The admission gate holds
+// cmp_node to 0 or 1 (policy_lint.h), so they run on the lock_acquire tap,
+// whose contract has no return rule; the combinators are the same per hook.
+constexpr HookKind kChainHook = HookKind::kLockAcquire;
+
+// Builds a single-instruction-ish program returning `value`.
 Program ConstProgram(const char* name, int value) {
   char source[64];
   std::snprintf(source, sizeof(source), "mov r0, %d\nexit\n", value);
-  auto program =
-      AssembleProgram(name, source, &DescriptorFor(HookKind::kCmpNode));
+  auto program = AssembleProgram(name, source, &DescriptorFor(kChainHook));
   EXPECT_TRUE(program.ok());
   return std::move(*program);
 }
@@ -30,7 +34,7 @@ Program ConstProgram(const char* name, int value) {
 std::uint64_t EvalChain(Combinator combinator, std::vector<int> values) {
   PolicySpec spec;
   spec.name = "chain";
-  HookChain& chain = spec.ChainFor(HookKind::kCmpNode);
+  HookChain& chain = spec.ChainFor(kChainHook);
   chain.combinator = combinator;
   for (std::size_t i = 0; i < values.size(); ++i) {
     chain.programs.push_back(
@@ -39,7 +43,7 @@ std::uint64_t EvalChain(Combinator combinator, std::vector<int> values) {
   EXPECT_TRUE(spec.VerifyAll().ok());
 
   // Reimplements the documented semantics and cross-checks against the VM.
-  CmpNodeCtx ctx{};
+  ProfileCtx ctx{};
   switch (combinator) {
     case Combinator::kFirstNonZero: {
       for (const Program& program : chain.programs) {

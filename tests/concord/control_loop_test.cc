@@ -340,7 +340,7 @@ TEST_F(ControlLoopTest, BudgetedFleetPushIntoThisProcessDoesNotBlock) {
   ASSERT_TRUE(agent
                   .AddCandidate({"budgeted_backoff",
                                  ContentionRegime::kPathological,
-                                 /*for_rw=*/false, kBudgetedBackoffSource})
+                                 kBudgetedBackoffSource})
                   .ok());
   ASSERT_TRUE(agent
                   .RegisterWorker(static_cast<std::uint64_t>(getpid()),

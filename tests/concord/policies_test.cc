@@ -5,6 +5,7 @@
 #include "src/concord/policies.h"
 
 #include <ostream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -226,14 +227,22 @@ TEST(PoliciesTest, LockCensusCountsPerTaskClass) {
   EXPECT_EQ(policy->census->Size(), 2u);
 }
 
-// Property sweep: every factory policy verifies cleanly under its hook's
-// capability mask (i.e. no ready-made policy depends on capabilities its
-// attach point would deny). Each case prints as its factory's name, which
-// gtest_discover_tests puts in the CTest name: a bare function pointer
-// prints as its address, which ASLR changes on every run.
+// Property sweep: every factory in policies.h (each rw_switch mode
+// included) passes the admission gate Concord::Attach applies — it verifies
+// under its hook's capability mask (no ready-made policy depends on
+// capabilities its attach point would deny), lints and certifies. Each case
+// prints as its factory's name, which gtest_discover_tests puts in the CTest
+// name: a bare function pointer prints as its address, which ASLR changes on
+// every run.
+template <typename Policy>
+StatusOr<PolicySpec> SpecOf(StatusOr<Policy> policy) {
+  CONCORD_RETURN_IF_ERROR(policy.status());
+  return std::move(policy->spec);
+}
+
 struct NamedFactory {
   const char* name;
-  StatusOr<TunablePolicy> (*make)();
+  StatusOr<PolicySpec> (*make)();
 };
 
 void PrintTo(const NamedFactory& factory, std::ostream* os) {
@@ -243,15 +252,16 @@ void PrintTo(const NamedFactory& factory, std::ostream* os) {
 class PolicyVerificationTest : public ::testing::TestWithParam<NamedFactory> {};
 
 TEST_P(PolicyVerificationTest, FactoryPolicyVerifies) {
-  auto policy = GetParam().make();
-  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
-  Status status = policy->spec.VerifyAll();
+  StatusOr<PolicySpec> spec = GetParam().make();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  Status status = spec->VerifyAll();
   EXPECT_TRUE(status.ok()) << status.ToString();
   // Verified programs advertise their capability usage.
   for (int k = 0; k < kNumHookKinds; ++k) {
-    for (const Program& program : policy->spec.chains[k].programs) {
+    for (const Program& program : spec->chains[k].programs) {
       EXPECT_TRUE(program.verified);
-      EXPECT_EQ(program.used_capabilities & ~CapabilitiesFor(static_cast<HookKind>(k)),
+      EXPECT_EQ(program.used_capabilities &
+                    ~CapabilitiesFor(static_cast<HookKind>(k)),
                 0u);
     }
   }
@@ -259,14 +269,38 @@ TEST_P(PolicyVerificationTest, FactoryPolicyVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFactories, PolicyVerificationTest,
-    ::testing::Values(NamedFactory{"NumaGrouping", &MakeNumaGroupingPolicy},
-                      NamedFactory{"PriorityBoost", &MakePriorityBoostPolicy},
-                      NamedFactory{"LockInheritance", &MakeLockInheritancePolicy},
-                      NamedFactory{"Scl", &MakeSclPolicy},
-                      NamedFactory{"AmpFastCore", &MakeAmpFastCorePolicy},
-                      NamedFactory{"VcpuPreemption", &MakeVcpuPreemptionPolicy},
-                      NamedFactory{"AdaptiveParking", &MakeAdaptiveParkingPolicy},
-                      NamedFactory{"ShuffleFairnessGuard", &MakeShuffleFairnessGuard}));
+    ::testing::Values(
+        NamedFactory{"NumaGrouping",
+                     [] { return SpecOf(MakeNumaGroupingPolicy()); }},
+        NamedFactory{"PriorityBoost",
+                     [] { return SpecOf(MakePriorityBoostPolicy()); }},
+        NamedFactory{"LockInheritance",
+                     [] { return SpecOf(MakeLockInheritancePolicy()); }},
+        NamedFactory{"Scl", [] { return SpecOf(MakeSclPolicy()); }},
+        NamedFactory{"AmpFastCore",
+                     [] { return SpecOf(MakeAmpFastCorePolicy()); }},
+        NamedFactory{"VcpuPreemption",
+                     [] { return SpecOf(MakeVcpuPreemptionPolicy()); }},
+        NamedFactory{"AdaptiveParking",
+                     [] { return SpecOf(MakeAdaptiveParkingPolicy()); }},
+        NamedFactory{"ShuffleFairnessGuard",
+                     [] { return SpecOf(MakeShuffleFairnessGuard()); }},
+        NamedFactory{"RwSwitchNeutral",
+                     [] {
+                       return SpecOf(MakeRwSwitchPolicy(RwMode::kNeutral));
+                     }},
+        NamedFactory{"RwSwitchReaderBias",
+                     [] {
+                       return SpecOf(MakeRwSwitchPolicy(RwMode::kReaderBias));
+                     }},
+        NamedFactory{"RwSwitchWriterOnly",
+                     [] {
+                       return SpecOf(MakeRwSwitchPolicy(RwMode::kWriterOnly));
+                     }},
+        NamedFactory{"BpfProfiler",
+                     [] { return SpecOf(MakeBpfProfilerPolicy()); }},
+        NamedFactory{"LockCensus",
+                     [] { return SpecOf(MakeLockCensusPolicy()); }}));
 
 }  // namespace
 }  // namespace concord

@@ -3,21 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/bpf/assembler.h"
 #include "src/bpf/jit/jit.h"
 #include "src/bpf/maps.h"
 #include "src/bpf/vm.h"
 #include "src/concord/hooks.h"
+#include "src/concord/policy.h"
 
 namespace concord {
 namespace {
 
 // Assembles `source` against the hook's context descriptor with the scratch
-// map bound at index 0, mirroring the concord_check tool.
+// map bound at index 0, as the policy loader does for map-less sources.
 StatusOr<Program> Assemble(HookKind kind, const std::string& source,
                            BpfMap* map) {
   return AssembleProgram("lint_test", source, &DescriptorFor(kind), {map});
+}
+
+// Runs `program` through the admission gate every attach applies
+// (PolicySpec::VerifyAll: verify, lint, certify).
+Status Gate(HookKind kind, Program program,
+            AdmissionReport* report = nullptr) {
+  PolicySpec spec;
+  spec.name = "lint_test";
+  CONCORD_RETURN_IF_ERROR(spec.AddProgram(kind, std::move(program)));
+  return spec.VerifyAll(report);
 }
 
 bool HasRule(const LintReport& report, const std::string& rule) {
@@ -43,10 +55,10 @@ TEST(PolicyLintTest, CleanNumaCmpNodePasses) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kCmpNode, source, &scratch);
   ASSERT_TRUE(program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kCmpNode, *program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kCmpNode, *program, &report);
   EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(report.ok());
+  EXPECT_TRUE(report.lint.ok());
 }
 
 TEST(PolicyLintTest, CmpNodeMapWriteViolatesPurity) {
@@ -65,11 +77,11 @@ TEST(PolicyLintTest, CmpNodeMapWriteViolatesPurity) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kCmpNode, source, &scratch);
   ASSERT_TRUE(program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kCmpNode, *program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kCmpNode, *program, &report);
   EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
   EXPECT_NE(s.message().find("cmp_node contract"), std::string::npos);
-  EXPECT_TRUE(HasRule(report, "cmp-node-pure"));
+  EXPECT_TRUE(HasRule(report.lint, "cmp-node-pure"));
 }
 
 TEST(PolicyLintTest, CmpNodeReturnOutsideZeroOne) {
@@ -77,10 +89,10 @@ TEST(PolicyLintTest, CmpNodeReturnOutsideZeroOne) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kCmpNode, source, &scratch);
   ASSERT_TRUE(program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kCmpNode, *program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kCmpNode, *program, &report);
   EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
-  EXPECT_TRUE(HasRule(report, "return-range"));
+  EXPECT_TRUE(HasRule(report.lint, "return-range"));
 }
 
 TEST(PolicyLintTest, CmpNodeLoopBeyondScanCapFlagged) {
@@ -96,16 +108,16 @@ TEST(PolicyLintTest, CmpNodeLoopBeyondScanCapFlagged) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kCmpNode, source, &scratch);
   ASSERT_TRUE(program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kCmpNode, *program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kCmpNode, *program, &report);
   EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
-  EXPECT_TRUE(HasRule(report, "loop-bound"));
+  EXPECT_TRUE(HasRule(report.lint, "loop-bound"));
 
   // The identical loop is fine for skip_shuffle, whose cap is
   // kShuffleRoundCap = 1024.
   auto program2 = Assemble(HookKind::kSkipShuffle, source, &scratch);
   ASSERT_TRUE(program2.ok());
-  EXPECT_TRUE(CheckPolicyProgram(HookKind::kSkipShuffle, *program2).ok());
+  EXPECT_TRUE(Gate(HookKind::kSkipShuffle, *program2).ok());
 }
 
 TEST(PolicyLintTest, SkipShuffleLoopBeyondRoundCapFlagged) {
@@ -120,10 +132,10 @@ TEST(PolicyLintTest, SkipShuffleLoopBeyondRoundCapFlagged) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kSkipShuffle, source, &scratch);
   ASSERT_TRUE(program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kSkipShuffle, *program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kSkipShuffle, *program, &report);
   EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
-  EXPECT_TRUE(HasRule(report, "loop-bound"));
+  EXPECT_TRUE(HasRule(report.lint, "loop-bound"));
   EXPECT_NE(s.message().find("1024-trip hook bound"), std::string::npos);
 }
 
@@ -138,10 +150,10 @@ TEST(PolicyLintTest, ScheduleWaiterMustNotRetainWaiterPointer) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kScheduleWaiter, source, &scratch);
   ASSERT_TRUE(program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kScheduleWaiter, *program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kScheduleWaiter, *program, &report);
   EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
-  EXPECT_TRUE(HasRule(report, "waiter-ptr-across-call"));
+  EXPECT_TRUE(HasRule(report.lint, "waiter-ptr-across-call"));
 }
 
 TEST(PolicyLintTest, ScheduleWaiterReloadAfterCallIsFine) {
@@ -159,21 +171,21 @@ TEST(PolicyLintTest, ScheduleWaiterReloadAfterCallIsFine) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kScheduleWaiter, source, &scratch);
   ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(CheckPolicyProgram(HookKind::kScheduleWaiter, *program).ok());
+  EXPECT_TRUE(Gate(HookKind::kScheduleWaiter, *program).ok());
 }
 
 TEST(PolicyLintTest, RwModeReturnRange) {
   ArrayMap scratch("scratch", 8, 8);
   auto ok_program = Assemble(HookKind::kRwMode, "mov r0, 2\nexit\n", &scratch);
   ASSERT_TRUE(ok_program.ok());
-  EXPECT_TRUE(CheckPolicyProgram(HookKind::kRwMode, *ok_program).ok());
+  EXPECT_TRUE(Gate(HookKind::kRwMode, *ok_program).ok());
 
   auto bad_program = Assemble(HookKind::kRwMode, "mov r0, 3\nexit\n", &scratch);
   ASSERT_TRUE(bad_program.ok());
-  LintReport report;
-  Status s = CheckPolicyProgram(HookKind::kRwMode, *bad_program, &report);
+  AdmissionReport report;
+  Status s = Gate(HookKind::kRwMode, *bad_program, &report);
   EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
-  EXPECT_TRUE(HasRule(report, "return-range"));
+  EXPECT_TRUE(HasRule(report.lint, "return-range"));
 }
 
 TEST(PolicyLintTest, ProfilingHooksAreLenient) {
@@ -185,7 +197,7 @@ TEST(PolicyLintTest, ProfilingHooksAreLenient) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kLockRelease, source, &scratch);
   ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(CheckPolicyProgram(HookKind::kLockRelease, *program).ok());
+  EXPECT_TRUE(Gate(HookKind::kLockRelease, *program).ok());
 }
 
 // The acceptance scenario for this PR: a counter-bounded-loop policy that v1
@@ -211,13 +223,16 @@ TEST(PolicyLintTest, BoundedLoopPolicyVerifiesAndRunsOnBothTiers) {
   ArrayMap scratch("scratch", 8, 8);
   auto program = Assemble(HookKind::kSkipShuffle, source, &scratch);
   ASSERT_TRUE(program.ok());
-  Verifier::Analysis analysis;
-  Status s = CheckPolicyProgram(HookKind::kSkipShuffle, *program, nullptr,
-                                &analysis);
+  PolicySpec spec;
+  ASSERT_TRUE(
+      spec.AddProgram(HookKind::kSkipShuffle, std::move(*program)).ok());
+  AdmissionReport report;
+  Status s = spec.VerifyAll(&report);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  ASSERT_EQ(analysis.loops.size(), 1u);
-  EXPECT_LE(analysis.loops[0].max_trips, 63u);
-  EXPECT_EQ(analysis.r0_exit.umax, 1u);
+  ASSERT_EQ(report.analysis.loops.size(), 1u);
+  EXPECT_LE(report.analysis.loops[0].max_trips, 63u);
+  EXPECT_EQ(report.analysis.r0_exit.umax, 1u);
+  const Program& admitted = spec.ChainFor(HookKind::kSkipShuffle).programs[0];
 
   // wait_ns = 100 -> log2 = 6 < 10 -> skip (1); wait_ns = 5000 -> log2 = 12
   // -> shuffle (0).
@@ -225,13 +240,13 @@ TEST(PolicyLintTest, BoundedLoopPolicyVerifiesAndRunsOnBothTiers) {
   short_wait.shuffler.wait_ns = 100;
   SkipShuffleCtx long_wait{};
   long_wait.shuffler.wait_ns = 5000;
-  EXPECT_EQ(BpfVm::Run(*program, &short_wait), 1u);
-  EXPECT_EQ(BpfVm::Run(*program, &long_wait), 0u);
+  EXPECT_EQ(BpfVm::Run(admitted, &short_wait), 1u);
+  EXPECT_EQ(BpfVm::Run(admitted, &long_wait), 0u);
   if (Jit::Supported()) {
-    auto compiled = Jit::Compile(*program);
+    auto compiled = Jit::Compile(admitted);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    EXPECT_EQ(compiled.value()->Run(*program, &short_wait), 1u);
-    EXPECT_EQ(compiled.value()->Run(*program, &long_wait), 0u);
+    EXPECT_EQ(compiled.value()->Run(admitted, &short_wait), 1u);
+    EXPECT_EQ(compiled.value()->Run(admitted, &long_wait), 0u);
   }
 }
 

@@ -11,8 +11,8 @@ namespace {
 
 TEST(PolicySourceTest, FindsDirectiveOnFirstLine) {
   SourceDirective directive;
-  ASSERT_TRUE(FindHookDirective("; hook: cmp_node\n  mov r0, 0\n  exit\n",
-                                &directive));
+  ASSERT_TRUE(FindDirective("; hook: cmp_node\n  mov r0, 0\n  exit\n",
+                            "hook:", &directive));
   EXPECT_EQ(directive.value, "cmp_node");
   EXPECT_EQ(directive.line, 1);
 }
@@ -25,7 +25,7 @@ TEST(PolicySourceTest, FindsDirectiveBelowOtherComments) {
       "  mov r0, 0\n"
       "  exit\n";
   SourceDirective directive;
-  ASSERT_TRUE(FindHookDirective(source, &directive));
+  ASSERT_TRUE(FindDirective(source, "hook:", &directive));
   EXPECT_EQ(directive.value, "skip_shuffle");
   EXPECT_EQ(directive.line, 3);
 
@@ -37,15 +37,16 @@ TEST(PolicySourceTest, FindsDirectiveBelowOtherComments) {
 TEST(PolicySourceTest, FindsDirectiveAfterOtherCommentText) {
   // The key may sit mid-comment; the value is the next token.
   SourceDirective directive;
-  ASSERT_TRUE(FindHookDirective(
-      "  mov r0, 0   ; target hook: rw_mode always\n  exit\n", &directive));
+  ASSERT_TRUE(
+      FindDirective("  mov r0, 0   ; target hook: rw_mode always\n  exit\n",
+                    "hook:", &directive));
   EXPECT_EQ(directive.value, "rw_mode");
   EXPECT_EQ(directive.line, 1);
 }
 
 TEST(PolicySourceTest, AbsentDirectiveIsNotFound) {
   SourceDirective directive;
-  EXPECT_FALSE(FindHookDirective("  mov r0, 0\n  exit\n", &directive));
+  EXPECT_FALSE(FindDirective("  mov r0, 0\n  exit\n", "hook:", &directive));
   auto kind = ResolveHookDirective("  mov r0, 0\n  exit\n");
   ASSERT_FALSE(kind.ok());
   EXPECT_EQ(kind.status().code(), StatusCode::kNotFound);
@@ -55,13 +56,13 @@ TEST(PolicySourceTest, KeyOutsideCommentIsIgnored) {
   // `hook:` before any `;` on the line is not a directive (it could be a
   // label named "hook"); only the comment part is scanned.
   SourceDirective directive;
-  EXPECT_FALSE(FindHookDirective("hook: cmp_node\n  exit\n", &directive));
+  EXPECT_FALSE(FindDirective("hook: cmp_node\n  exit\n", "hook:", &directive));
 }
 
 TEST(PolicySourceTest, MalformedDirectiveNamesItsLine) {
   const std::string source = "; policy\n; hook:\n  exit\n";
   SourceDirective directive;
-  ASSERT_TRUE(FindHookDirective(source, &directive));
+  ASSERT_TRUE(FindDirective(source, "hook:", &directive));
   EXPECT_TRUE(directive.value.empty());
   EXPECT_EQ(directive.line, 2);
 
@@ -89,11 +90,10 @@ TEST(PolicySourceTest, UnknownHookNamesItselfAndItsLine) {
 
 TEST(PolicySourceTest, BudgetDirectiveParses) {
   const std::string source = "; hook: lock_acquire\n; budget_ns: 2500\n  exit\n";
-  std::uint64_t budget_ns = 0;
-  int line = 0;
-  ASSERT_TRUE(FindBudgetDirective(source, &budget_ns, &line));
-  EXPECT_EQ(budget_ns, 2500u);
-  EXPECT_EQ(line, 2);
+  SourceDirective directive;
+  ASSERT_TRUE(FindDirective(source, "budget_ns:", &directive));
+  EXPECT_EQ(directive.value, "2500");
+  EXPECT_EQ(directive.line, 2);
 
   auto resolved = ResolveBudgetDirective(source);
   ASSERT_TRUE(resolved.ok());
@@ -101,8 +101,9 @@ TEST(PolicySourceTest, BudgetDirectiveParses) {
 }
 
 TEST(PolicySourceTest, BudgetDirectiveAbsent) {
-  std::uint64_t budget_ns = 0;
-  EXPECT_FALSE(FindBudgetDirective("; hook: cmp_node\n  exit\n", &budget_ns));
+  SourceDirective directive;
+  EXPECT_FALSE(
+      FindDirective("; hook: cmp_node\n  exit\n", "budget_ns:", &directive));
   auto resolved = ResolveBudgetDirective("; hook: cmp_node\n  exit\n");
   ASSERT_FALSE(resolved.ok());
   EXPECT_EQ(resolved.status().code(), StatusCode::kNotFound);

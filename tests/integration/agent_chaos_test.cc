@@ -240,7 +240,7 @@ TEST_F(AgentChaosTest, FleetCanaryPromotesOnImprovedWaits) {
   StartWorker();
   ASSERT_TRUE(FleetAgent::Global()
                   .AddCandidate({"test_backoff", ContentionRegime::kPathological,
-                                 /*for_rw=*/false, kBackoffPolicy})
+                                 kBackoffPolicy})
                   .ok());
 
   // Baseline read, then one pathological window: classify, set baseline,
@@ -271,7 +271,7 @@ TEST_F(AgentChaosTest, FleetCanaryRollsBackOnRegression) {
   StartWorker();
   ASSERT_TRUE(FleetAgent::Global()
                   .AddCandidate({"test_backoff", ContentionRegime::kPathological,
-                                 /*for_rw=*/false, kBackoffPolicy})
+                                 kBackoffPolicy})
                   .ok());
 
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
@@ -355,7 +355,7 @@ TEST_F(AgentChaosTest, MergeFaultLosesDecisionsNeverConsistency) {
   StartWorker();
   ASSERT_TRUE(FleetAgent::Global()
                   .AddCandidate({"test_backoff", ContentionRegime::kPathological,
-                                 /*for_rw=*/false, kBackoffPolicy})
+                                 kBackoffPolicy})
                   .ok());
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
   FleetAgent::Global().Tick();  // baseline

@@ -94,7 +94,7 @@ class MultiprocTest : public ::testing::Test {
     ASSERT_TRUE(FleetAgent::Global()
                     .AddCandidate({kCandidateName,
                                    ContentionRegime::kPathological,
-                                   /*for_rw=*/false, kBackoffPolicy})
+                                   kBackoffPolicy})
                     .ok());
 
     RpcServerOptions server_options;

@@ -1,67 +1,39 @@
-// concord_asm — assemble, verify and disassemble policy programs offline.
+// concord_asm — assemble, admit and disassemble policy programs offline.
 //
 // The developer loop for writing a policy: edit the .casm file, run this
-// tool against the target hook, read the verifier's verdict before going
+// tool against the target hook, read the gate's verdict before going
 // anywhere near a lock.
 //
 // Usage:
-//   concord_asm <hook> <file.casm>       assemble + verify + disassemble
-//   concord_asm --verify <hook> <file.casm>
-//                                        ... and print the verifier log:
-//                                        states explored, proven loop trip
-//                                        bounds, R0 exit range, helpers
+//   concord_asm <hook> <file.casm>       load + disassemble
 //   concord_asm --jit-dump <hook> <file.casm>
 //                                        ... then JIT-compile and hex-dump
 //                                        the native x86-64 code
-//   concord_asm --cost <hook> <file.casm>
-//                                        ... and print the certified WCET
-//                                        bound per execution tier
-//   concord_asm --races <hook> <file.casm>
-//                                        ... and print the shared-map race
-//                                        classification per map
 //   concord_asm --hooks                  list hook names and context layouts
 //
 // `<hook>` is one of the Table-1 names (cmp_node, skip_shuffle,
 // schedule_waiter, lock_acquire, lock_contended, lock_acquired,
-// lock_release) or rw_mode. Programs that reference maps get a scratch
-// 8-byte array map bound at index 0 (matching the `mov r1, 0` convention the
-// policy library uses).
+// lock_release) or rw_mode. The file loads through LoadPolicy
+// (src/concord/policy_source.h), so it gets the map table and the
+// verify-lint-certify gate every attach path applies. `concord_check --cost
+// --races` prints the verifier, cost and race facts for the same file.
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "src/bpf/analysis/race.h"
-#include "src/bpf/analysis/wcet.h"
-#include "src/bpf/assembler.h"
 #include "src/bpf/jit/jit.h"
-#include "src/bpf/maps.h"
-#include "src/bpf/verifier.h"
 #include "src/concord/hooks.h"
+#include "src/concord/policy_source.h"
 
 namespace concord {
 namespace {
 
-const HookKind kAllHooks[] = {
-    HookKind::kCmpNode,      HookKind::kSkipShuffle, HookKind::kScheduleWaiter,
-    HookKind::kLockAcquire,  HookKind::kLockContended, HookKind::kLockAcquired,
-    HookKind::kLockRelease,  HookKind::kRwMode,
-};
-
-bool ParseHook(const std::string& name, HookKind* out) {
-  for (HookKind kind : kAllHooks) {
-    if (name == HookKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 void PrintHooks() {
   std::printf("hook             granted capabilities         context fields\n");
-  for (HookKind kind : kAllHooks) {
+  for (int i = 0; i < kNumHookKinds; ++i) {
+    const auto kind = static_cast<HookKind>(i);
     const ContextDescriptor& desc = DescriptorFor(kind);
     const std::uint32_t caps = CapabilitiesFor(kind);
     std::string cap_names;
@@ -84,150 +56,43 @@ int Run(int argc, char** argv) {
     PrintHooks();
     return 0;
   }
-  bool jit_dump = false;
-  bool verify_log = false;
-  bool show_cost = false;
-  bool show_races = false;
-  int arg = 1;
-  while (arg < argc) {
-    const std::string flag = argv[arg];
-    if (flag == "--jit-dump") {
-      jit_dump = true;
-      ++arg;
-    } else if (flag == "--verify") {
-      verify_log = true;
-      ++arg;
-    } else if (flag == "--cost") {
-      show_cost = true;
-      ++arg;
-    } else if (flag == "--races") {
-      show_races = true;
-      ++arg;
-    } else {
-      break;
-    }
-  }
-  if (argc - arg != 2) {
+  const bool jit_dump = argc == 4 && std::string(argv[1]) == "--jit-dump";
+  if (argc != 3 && !jit_dump) {
     std::fprintf(stderr,
-                 "usage: %s [--verify] [--jit-dump] [--cost] [--races] "
-                 "<hook> <file.casm>\n"
+                 "usage: %s [--jit-dump] <hook> <file.casm>\n"
                  "       %s --hooks\n",
                  argv[0], argv[0]);
     return 2;
   }
-
+  const char* hook = argv[argc - 2];
+  const char* path = argv[argc - 1];
   HookKind kind;
-  if (!ParseHook(argv[arg], &kind)) {
-    std::fprintf(stderr, "unknown hook '%s' (try --hooks)\n", argv[arg]);
+  if (!ParseHookKindName(hook, &kind)) {
+    std::fprintf(stderr, "unknown hook '%s' (try --hooks)\n", hook);
     return 2;
   }
-
-  std::ifstream in(argv[arg + 1]);
+  std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", argv[arg + 1]);
+    std::fprintf(stderr, "cannot open '%s'\n", path);
     return 2;
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
 
-  // Sources with `.map` directives own the whole map table (their indices
-  // start at 0); legacy sources get the scratch knob array at index 0.
-  ArrayMap scratch("scratch", 8, 8);
-  std::vector<BpfMap*> caller_maps;
-  if (!SourceDeclaresMaps(buffer.str())) {
-    caller_maps.push_back(&scratch);
-  }
-  std::vector<std::shared_ptr<BpfMap>> declared_maps;
-  auto program = AssembleProgram(argv[arg + 1], buffer.str(),
-                                 &DescriptorFor(kind), std::move(caller_maps),
-                                 &declared_maps);
-  if (!program.ok()) {
-    std::fprintf(stderr, "assembly failed: %s\n",
-                 program.status().ToString().c_str());
+  AdmissionReport report;
+  StatusOr<PolicySpec> spec = LoadPolicy(path, buffer.str(), hook,
+                                         std::nullopt, &report);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s FAILED: %s\n", report.stage.c_str(),
+                 report.error.c_str());
     return 1;
   }
-  std::printf("assembled %zu instructions against hook '%s'\n",
-              program->insns.size(), HookKindName(kind));
-
-  Verifier::Options options;
-  options.allowed_capabilities = CapabilitiesFor(kind);
-  Verifier::Analysis analysis;
-  Status verdict = Verifier::Verify(*program, options, &analysis);
-  if (!verdict.ok()) {
-    std::printf("VERIFIER REJECTED: %s\n", verdict.ToString().c_str());
-    return 1;
-  }
-  std::printf("verifier: OK (capabilities used: 0x%x)\n",
-              program->used_capabilities);
-  if (verify_log) {
-    std::printf("verifier log:\n");
-    std::printf("  abstract states explored: %zu\n", analysis.states_processed);
-    if (analysis.loops.empty()) {
-      std::printf("  loops: none\n");
-    }
-    for (const auto& loop : analysis.loops) {
-      std::printf("  loop: back edge at insn %zu -> header %zu, proven bound "
-                  "%llu trips\n",
-                  loop.back_edge_pc, loop.header_pc,
-                  static_cast<unsigned long long>(loop.max_trips));
-    }
-    if (analysis.has_exit) {
-      std::printf("  r0 at exit: %s\n", analysis.r0_exit.ToString().c_str());
-    }
-    for (std::uint32_t id : analysis.helpers_called) {
-      const HelperDef* helper = HelperRegistry::Global().Find(id);
-      std::printf("  helper called: %u (%s)\n", id,
-                  helper != nullptr ? helper->name.c_str() : "?");
-    }
-    std::printf("  writes map: %s, writes ctx: %s\n",
-                analysis.writes_map ? "yes" : "no",
-                analysis.writes_ctx ? "yes" : "no");
-    for (std::size_t pc : analysis.ctx_ptr_across_call_pcs) {
-      std::printf("  note: context pointer held across helper call at insn "
-                  "%zu\n",
-                  pc);
-    }
-  }
-  if (show_cost) {
-    const WcetReport wcet = ComputeWcet(*program, analysis);
-    std::printf("cost model:\n");
-    std::printf("  certified worst case: %llu ns (interpreter %llu ns, jit "
-                "%llu ns)\n",
-                static_cast<unsigned long long>(wcet.certified_ns),
-                static_cast<unsigned long long>(wcet.interp_ns),
-                static_cast<unsigned long long>(wcet.jit_ns));
-    std::printf("  executed instructions: <= %llu\n",
-                static_cast<unsigned long long>(wcet.max_insns));
-    std::printf("  dominated by insn %zu (`%s`) x %llu executions (%llu ns)\n",
-                wcet.hottest_pc,
-                DisassembleInsn(program->insns[wcet.hottest_pc]).c_str(),
-                static_cast<unsigned long long>(wcet.hottest_multiplier),
-                static_cast<unsigned long long>(wcet.hottest_pc_ns));
-  }
-  if (show_races) {
-    const RaceReport races = AnalyzeRaces(*program, analysis);
-    std::printf("race analysis:\n");
-    if (races.map_classes.empty()) {
-      std::printf("  no maps referenced\n");
-    }
-    for (std::size_t i = 0; i < races.map_classes.size(); ++i) {
-      const BpfMap* map = program->maps[i];
-      std::printf("  map %zu ('%s', %s): %s\n", i,
-                  map != nullptr ? map->name().c_str() : "?",
-                  map != nullptr ? MapTypeName(map->type()) : "?",
-                  MapAccessClassName(races.map_classes[i]));
-    }
-    for (const auto& finding : races.findings) {
-      std::printf("  [%s] %s\n", finding.rule.c_str(),
-                  finding.message.c_str());
-    }
-    if (races.ok()) {
-      std::printf("  no shared-map races\n");
-    }
-  }
-  std::printf("\n");
-  for (std::size_t pc = 0; pc < program->insns.size(); ++pc) {
-    std::printf("%4zu: %s\n", pc, DisassembleInsn(program->insns[pc]).c_str());
+  const Program& program = spec->ChainFor(kind).programs.front();
+  std::printf("admitted %zu instructions against hook '%s' (capabilities "
+              "used: 0x%x)\n\n",
+              program.insns.size(), hook, program.used_capabilities);
+  for (std::size_t pc = 0; pc < program.insns.size(); ++pc) {
+    std::printf("%4zu: %s\n", pc, DisassembleInsn(program.insns[pc]).c_str());
   }
 
   if (jit_dump) {
@@ -235,7 +100,7 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "\njit: no backend on this platform/build\n");
       return 1;
     }
-    auto compiled = Jit::Compile(*program);
+    auto compiled = Jit::Compile(program);
     if (!compiled.ok()) {
       std::fprintf(stderr, "\njit: compile failed: %s\n",
                    compiled.status().ToString().c_str());

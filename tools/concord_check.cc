@@ -1,12 +1,13 @@
 // concord_check — static analysis gate for lock policies.
 //
-// Assembles each .casm file, runs the range-tracking verifier under the
-// target hook's capability mask, applies the lock-invariant lint rules
-// (src/concord/policy_lint.h), then certifies the program
-// (src/bpf/analysis/certify.h): shared-map race findings always reject;
-// the WCET bound additionally rejects when a budget is known (from a
-// `; budget_ns: <N>` directive or --budget-ns). Intended for CI: exits 0
-// only when every file passes all four stages.
+// Loads each .casm file with LoadPolicy (src/concord/policy_source.h), the
+// loader every attach surface uses: assemble, verify under the target hook's
+// capability mask, apply the lock-invariant lint rules
+// (src/concord/policy_lint.h), then certify (src/bpf/analysis/certify.h):
+// shared-map race findings always reject; the WCET bound additionally
+// rejects when a budget is known (from a `; budget_ns: <N>` directive or
+// --budget-ns). Intended for CI: exits 0 only when every file passes all
+// stages.
 //
 // Usage:
 //   concord_check [--json] [--cost] [--races] [--hook <name>]
@@ -17,150 +18,47 @@
 // (conventionally the first line); `--hook` overrides it for every file. A
 // malformed or unknown directive is reported with its line number. --cost
 // and --races print the certification detail in human output; the --json
-// report always carries both.
+// report (WriteAdmissionJson) always carries both.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/base/json.h"
-#include "src/bpf/analysis/certify.h"
-#include "src/bpf/assembler.h"
-#include "src/bpf/maps.h"
-#include "src/bpf/verifier.h"
 #include "src/concord/hooks.h"
-#include "src/concord/policy_lint.h"
 #include "src/concord/policy_source.h"
 
 namespace concord {
 namespace {
 
-struct FileResult {
-  std::string file;
-  std::string hook;
-  int hook_line = 0;  // 1-based source line of the hook directive; 0 = --hook
-  bool ok = false;
-  // Failing stage: "read", "hook", "assemble", "verify", "lint", "certify".
-  std::string stage;
-  std::string error;  // verifier/assembler/certifier message when stage is set
-  LintReport lint;
-  Verifier::Analysis analysis;
-  CertificationReport cert;
-  std::uint64_t budget_ns = 0;
-  std::size_t insns = 0;
-};
-
-FileResult CheckFile(const std::string& path, const std::string& hook_override,
-                     std::uint64_t budget_override) {
-  FileResult result;
-  result.file = path;
-
-  std::ifstream in(path);
-  if (!in) {
-    result.stage = "read";
-    result.error = "cannot open file";
-    return result;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string source = buffer.str();
-
-  HookKind kind;
-  if (!hook_override.empty()) {
-    result.hook = hook_override;
-    if (!ParseHookKindName(hook_override, &kind)) {
-      result.stage = "hook";
-      result.error = "unknown hook '" + hook_override + "'";
-      return result;
-    }
-  } else {
-    auto resolved = ResolveHookDirective(source, &result.hook_line);
-    if (!resolved.ok()) {
-      result.stage = "hook";
-      result.error =
-          resolved.status().code() == StatusCode::kNotFound
-              ? "no `; hook: <name>` directive and no --hook given"
-              : resolved.status().message();
-      return result;
-    }
-    kind = *resolved;
-    result.hook = HookKindName(kind);
-  }
-
-  result.budget_ns = budget_override;
-  if (budget_override == 0) {
-    auto budget = ResolveBudgetDirective(source);
-    if (budget.ok()) {
-      result.budget_ns = *budget;
-    } else if (budget.status().code() != StatusCode::kNotFound) {
-      result.stage = "hook";
-      result.error = budget.status().message();
-      return result;
-    }
-  }
-
-  // Sources with `.map` directives own the whole map table (their indices
-  // start at 0); legacy sources get the scratch knob array at index 0.
-  ArrayMap scratch("scratch", 8, 8);
-  std::vector<BpfMap*> caller_maps;
-  if (!SourceDeclaresMaps(source)) {
-    caller_maps.push_back(&scratch);
-  }
-  std::vector<std::shared_ptr<BpfMap>> declared_maps;
-  auto program = AssembleProgram(path, source, &DescriptorFor(kind),
-                                 std::move(caller_maps), &declared_maps);
-  if (!program.ok()) {
-    result.stage = "assemble";
-    result.error = program.status().ToString();
-    return result;
-  }
-  result.insns = program->insns.size();
-
-  Verifier::Options options;
-  options.allowed_capabilities = CapabilitiesFor(kind);
-  Status verdict = Verifier::Verify(*program, options, &result.analysis);
-  if (!verdict.ok()) {
-    result.stage = "verify";
-    result.error = verdict.ToString();
-    return result;
-  }
-
-  result.lint = LintPolicyProgram(kind, result.analysis);
-  if (!result.lint.ok()) {
-    result.stage = "lint";
-    return result;
-  }
-
-  Status certified = CertifyProgram(*program, result.analysis,
-                                    result.budget_ns, &result.cert);
-  if (!certified.ok()) {
-    result.stage = "certify";
-    result.error = certified.ToString();
-    return result;
-  }
-
-  result.ok = true;
-  return result;
-}
-
-void PrintCost(const FileResult& r) {
+// `program` is the admitted program, or null when the gate rejected it.
+void PrintCost(const AdmissionReport& r, const Program* program) {
+  const WcetReport& wcet = r.cert.wcet;
   std::printf(
       "  cost: wcet %llu ns (interp %llu, jit %llu), <= %llu insns",
-      static_cast<unsigned long long>(r.cert.wcet.certified_ns),
-      static_cast<unsigned long long>(r.cert.wcet.interp_ns),
-      static_cast<unsigned long long>(r.cert.wcet.jit_ns),
-      static_cast<unsigned long long>(r.cert.wcet.max_insns));
+      static_cast<unsigned long long>(wcet.certified_ns),
+      static_cast<unsigned long long>(wcet.interp_ns),
+      static_cast<unsigned long long>(wcet.jit_ns),
+      static_cast<unsigned long long>(wcet.max_insns));
   if (r.budget_ns != 0) {
     std::printf(", budget %llu ns",
                 static_cast<unsigned long long>(r.budget_ns));
   }
-  std::printf("\n");
+  std::printf("\n  dominated by insn %zu", wcet.hottest_pc);
+  if (program != nullptr) {
+    std::printf(" (`%s`)",
+                DisassembleInsn(program->insns[wcet.hottest_pc]).c_str());
+  }
+  std::printf(" x %llu executions (%llu ns)\n",
+              static_cast<unsigned long long>(wcet.hottest_multiplier),
+              static_cast<unsigned long long>(wcet.hottest_pc_ns));
 }
 
-void PrintRaces(const FileResult& r) {
+void PrintRaces(const AdmissionReport& r) {
   std::printf("  races: ");
   if (r.cert.races.map_classes.empty()) {
     std::printf("no maps");
@@ -175,125 +73,35 @@ void PrintRaces(const FileResult& r) {
   }
 }
 
-void PrintHuman(const FileResult& r, bool show_cost, bool show_races) {
-  if (r.ok) {
-    std::printf("%s: OK (hook %s, %zu insns, %zu states", r.file.c_str(),
+void PrintHuman(const std::string& file, const AdmissionReport& r,
+                const Program* program, bool show_cost, bool show_races) {
+  if (r.ok()) {
+    std::printf("%s: OK (hook %s, %zu insns, %zu states", file.c_str(),
                 r.hook.c_str(), r.insns, r.analysis.states_processed);
     for (const auto& loop : r.analysis.loops) {
       std::printf(", loop@%zu<=%llu trips", loop.back_edge_pc,
                   static_cast<unsigned long long>(loop.max_trips));
     }
     std::printf(")\n");
-    if (show_cost) {
-      PrintCost(r);
-    }
-    if (show_races) {
-      PrintRaces(r);
-    }
-    return;
-  }
-  if (r.stage == "lint") {
-    std::printf("%s: LINT FAILED (hook %s)\n", r.file.c_str(), r.hook.c_str());
+  } else if (r.stage == "lint") {
+    std::printf("%s: LINT FAILED (hook %s)\n", file.c_str(), r.hook.c_str());
     for (const auto& finding : r.lint.findings) {
       std::printf("  [%s] %s\n", finding.rule.c_str(), finding.message.c_str());
     }
     return;
-  }
-  std::printf("%s: %s FAILED: %s\n", r.file.c_str(), r.stage.c_str(),
-              r.error.c_str());
-  if (r.stage == "certify") {
-    if (show_cost) {
-      PrintCost(r);
-    }
-    if (show_races) {
-      PrintRaces(r);
+  } else {
+    std::printf("%s: %s FAILED: %s\n", file.c_str(), r.stage.c_str(),
+                r.error.c_str());
+    if (r.stage != "certify") {
+      return;
     }
   }
-}
-
-void EmitJson(JsonWriter& json, const FileResult& r) {
-  json.BeginObject();
-  json.Field("file", r.file);
-  json.Field("hook", r.hook);
-  if (r.hook_line != 0) {
-    json.NumberField("hook_line", static_cast<std::int64_t>(r.hook_line));
+  if (show_cost) {
+    PrintCost(r, program);
   }
-  json.Key("ok").Bool(r.ok);
-  if (!r.ok) {
-    json.Field("stage", r.stage);
-    if (!r.error.empty()) {
-      json.Field("error", r.error);
-    }
+  if (show_races) {
+    PrintRaces(r);
   }
-  json.Key("findings").BeginArray();
-  for (const auto& finding : r.lint.findings) {
-    json.BeginObject();
-    json.Field("rule", finding.rule);
-    json.Field("message", finding.message);
-    json.EndObject();
-  }
-  json.EndArray();
-  // Verifier facts plus certification facts for every program that reached
-  // those stages (i.e. verified; "lint" and "certify" failures still carry
-  // them — CI consumers want the numbers that drove the rejection).
-  if (r.stage.empty() || r.stage == "lint" || r.stage == "certify") {
-    json.Key("analysis").BeginObject();
-    json.NumberField("insns", static_cast<std::uint64_t>(r.insns));
-    json.NumberField("states",
-                     static_cast<std::uint64_t>(r.analysis.states_processed));
-    json.Key("loops").BeginArray();
-    for (const auto& loop : r.analysis.loops) {
-      json.BeginObject();
-      json.NumberField("back_edge_pc",
-                       static_cast<std::uint64_t>(loop.back_edge_pc));
-      json.NumberField("header_pc", static_cast<std::uint64_t>(loop.header_pc));
-      json.NumberField("max_trips", loop.max_trips);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("helpers").BeginArray();
-    for (std::uint32_t id : r.analysis.helpers_called) {
-      json.Number(static_cast<std::uint64_t>(id));
-    }
-    json.EndArray();
-    json.Key("writes_map").Bool(r.analysis.writes_map);
-    json.Key("writes_ctx").Bool(r.analysis.writes_ctx);
-    if (r.analysis.has_exit) {
-      json.Key("r0").BeginObject();
-      json.NumberField("umin", r.analysis.r0_exit.umin);
-      json.NumberField("umax", r.analysis.r0_exit.umax);
-      json.EndObject();
-    }
-    json.EndObject();
-
-    json.Key("certified").Bool(r.cert.certified);
-    json.Key("cost").BeginObject();
-    json.NumberField("interp_ns", r.cert.wcet.interp_ns);
-    json.NumberField("jit_ns", r.cert.wcet.jit_ns);
-    json.NumberField("certified_ns", r.cert.wcet.certified_ns);
-    json.NumberField("max_insns", r.cert.wcet.max_insns);
-    json.NumberField("budget_ns", r.budget_ns);
-    json.EndObject();
-    json.Key("races").BeginObject();
-    json.Key("maps").BeginArray();
-    for (const MapAccessClass cls : r.cert.races.map_classes) {
-      json.String(MapAccessClassName(cls));
-    }
-    json.EndArray();
-    json.Key("findings").BeginArray();
-    for (const auto& finding : r.cert.races.findings) {
-      json.BeginObject();
-      json.Field("rule", finding.rule);
-      json.NumberField("pc", static_cast<std::uint64_t>(finding.pc));
-      json.NumberField("map_index",
-                       static_cast<std::uint64_t>(finding.map_index));
-      json.Field("message", finding.message);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-  }
-  json.EndObject();
 }
 
 void ListHooks() {
@@ -309,7 +117,7 @@ int Run(int argc, char** argv) {
   bool show_cost = false;
   bool show_races = false;
   std::string hook_override;
-  std::uint64_t budget_override = 0;
+  std::optional<std::uint64_t> budget_override;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -350,34 +158,49 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--json] [--cost] [--races] [--hook <name>] "
                  "[--budget-ns <N>] <file.casm>...\n"
-                 "       %s --list-hooks\n"
-                 "hook names: cmp_node skip_shuffle schedule_waiter "
-                 "lock_acquire lock_contended lock_acquired lock_release "
-                 "rw_mode\n",
+                 "       %s --list-hooks\n",
                  argv[0], argv[0]);
     return 2;
   }
-  if (!hook_override.empty()) {
-    HookKind kind;
-    if (!ParseHookKindName(hook_override, &kind)) {
-      std::fprintf(stderr, "unknown hook '%s'\n", hook_override.c_str());
-      return 2;
-    }
+  HookKind kind;
+  if (!hook_override.empty() && !ParseHookKindName(hook_override, &kind)) {
+    std::fprintf(stderr, "unknown hook '%s' (try --list-hooks)\n",
+                 hook_override.c_str());
+    return 2;
   }
 
   JsonWriter json;
   json.BeginArray();
   int failures = 0;
   for (const std::string& file : files) {
-    const FileResult result = CheckFile(file, hook_override, budget_override);
-    if (!result.ok) {
+    AdmissionReport report;
+    std::optional<PolicySpec> spec;
+    std::ifstream in(file);
+    if (in) {
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      StatusOr<PolicySpec> loaded = LoadPolicy(file, buffer.str(),
+                                               hook_override, budget_override,
+                                               &report);
+      if (loaded.ok()) {
+        spec = std::move(*loaded);
+      }
+    } else {
+      report.stage = "read";
+      report.error = "cannot open file";
+    }
+    if (!report.ok()) {
       ++failures;
     }
     if (as_json) {
-      EmitJson(json, result);
-    } else {
-      PrintHuman(result, show_cost, show_races);
+      WriteAdmissionJson(json, file, report);
+      continue;
     }
+    const Program* program = nullptr;
+    if (spec.has_value() && ParseHookKindName(report.hook, &kind)) {
+      program = &spec->ChainFor(kind).programs.front();
+    }
+    PrintHuman(file, report, program, show_cost, show_races);
   }
   json.EndArray();
   if (as_json) {
