@@ -3,7 +3,7 @@
 // its budget; this quantifies what that accounting adds to the dispatch
 // path:
 //   - Stock:       no policy, no accounting.
-//   - BudgetOff:   null native release tap, hook_budget_ns = 0 — the
+//   - BudgetOff:   null precompiled release tap, hook_budget_ns = 0 — the
 //                  DispatchScope skips both clock reads, so this is the
 //                  policy-dispatch baseline.
 //   - BudgetOn:    same tap with a budget that never trips — adds two
@@ -33,7 +33,7 @@ namespace {
 
 // The cheapest possible policy: measures the dispatch/accounting machinery,
 // not the policy body.
-void NullReleaseTap(void*, std::uint64_t) {}
+std::uint64_t NullReleaseTap(void*, void*) { return 0; }
 
 // Registers `lock` once per process and attaches the null tap with the given
 // budget. Benchmarks re-enter for estimation runs and per-thread instances;
@@ -43,11 +43,12 @@ void AttachOnce(ShflLock& lock, std::once_flag& once, std::uint64_t& id,
   std::call_once(once, [&] {
     Concord& concord = Concord::Global();
     id = concord.RegisterShflLock(lock, name, "bench");
-    HookTable hooks;
-    hooks.lock_release = NullReleaseTap;
-    hooks.hook_budget_ns = budget_ns;
-    hooks.hook_budget_trip = ~0u;  // never trip during the run
-    CONCORD_CHECK(concord.AttachNative(id, hooks, "a10-null-tap").ok());
+    PolicySpec spec;
+    spec.name = "a10-null-tap";
+    spec.AddNative(HookKind::kLockRelease, "null", NullReleaseTap);
+    spec.hook_budget_ns = budget_ns;
+    spec.hook_budget_trip = ~0u;  // never trip during the run
+    CONCORD_CHECK(concord.Attach(id, std::move(spec)).ok());
   });
 }
 

@@ -12,9 +12,11 @@
 //  1. Convergence: start skewed, enable autotune, and wait for the
 //     controller to classify the lock NUMA-skewed, canary numa_grouping and
 //     promote it on a measured p50/p99 win. Reports time-to-promote and
-//     throughput before/after.
-//  2. Reversion: move every thread onto one socket (skew gone) and wait for
-//     the controller to fall back to plain.
+//     throughput before/after; the controller is paused for the "after"
+//     measurement, since under contention it may canary plain against the
+//     promoted policy at any time.
+//  2. Reversion: resume the controller, move every thread onto one socket
+//     (skew gone) and wait for it to fall back to plain.
 //  3. Overhead: steady-state single-thread throughput with the controller
 //     running vs stopped — the control plane must be free when it has
 //     nothing to do (target: <=2%).
@@ -165,6 +167,7 @@ int Run() {
       AwaitEvent(AutotuneEventKind::kPromote, "numa_grouping", phase1_ns);
   const bool converged = promoted.has_value();
   const std::uint64_t promote_ns = converged ? promoted->ts_ns - phase1_ns : 0;
+  CONCORD_CHECK(concord.DisableAutotune().ok());
   double skewed_after = 0.0;
   if (converged) {
     bench::SleepMs(100);
@@ -199,6 +202,7 @@ int Run() {
   const std::string incumbent = Incumbent();
   const std::uint64_t phase2_ns = MonotonicNowNs();
   load.Start(+[](int) { return std::uint32_t{0}; });
+  CONCORD_CHECK(concord.EnableAutotune("a11_hot", config).ok());
   const auto reversion =
       AwaitEvent(AutotuneEventKind::kPromote, kPlainCandidateName, phase2_ns);
   const bool reverted = reversion.has_value();

@@ -106,14 +106,17 @@ class ScopedJitMode {
   int prev_;
 };
 
-// The one dispatch point both execution tiers share: native code when the
-// program was compiled at attach, the interpreter otherwise. Hook
-// trampolines (src/concord/concord.cc) and tools call this instead of
-// BpfVm::Run directly.
+// The one place that picks a program's backend: native code when the
+// program was compiled at attach, the C++ function of a precompiled
+// program, the interpreter otherwise. Hook chains (RunDecisionChain in
+// src/concord/policy.h) and tools call this instead of BpfVm::Run directly.
 inline std::uint64_t RunPolicyProgram(const Program& program, void* ctx,
                                       void* hook_data = nullptr) {
   if (program.jit != nullptr) {
     return program.jit->Run(program, ctx, hook_data);
+  }
+  if (program.native != nullptr) {
+    return program.native(program.native_data, ctx);
   }
   return BpfVm::Run(program, ctx, hook_data);
 }

@@ -51,6 +51,14 @@ struct Program {
   // program so the executable mapping lives exactly as long as some attached
   // or in-flight copy references it. Null means "interpret".
   std::shared_ptr<const JitProgram> jit;
+
+  // A precompiled program: C++ linked into the process, run as
+  // native(native_data, ctx) in place of `insns`, with the same context
+  // struct the hook's BPF programs read. Trusted, so nothing verifies or
+  // compiles it, and no text loader builds one. Null for a BPF program.
+  using NativeFn = std::uint64_t (*)(void* data, void* ctx);
+  NativeFn native = nullptr;
+  void* native_data = nullptr;
 };
 
 }  // namespace concord

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,6 @@ struct ExploreNode {
   // becomes eligible for pruning — never before, so pruning can't justify
   // termination circularly (the kernel's branches==0 discipline).
   std::uint32_t branches = 1;
-  bool completed = false;
   // Loop headers only: the abstract state on entry, used for infinite-loop
   // detection (exact repeat vs an in-progress ancestor) and pruning
   // (coverage by a completed exploration).
@@ -54,7 +54,7 @@ class VerifierImpl {
     CONCORD_RETURN_IF_ERROR(StructuralChecks());
     loops_ = LoopAnalysis::Analyze(program_.insns, imm64_second_);
     header_visits_.assign(program_.insns.size(), 0);
-    header_snapshots_.assign(program_.insns.size(), {});
+    completed_snapshots_.assign(program_.insns.size(), {});
     loop_trip_max_.assign(loops_.back_edges().size(), 0);
     CONCORD_RETURN_IF_ERROR(Explore());
     if (analysis_ != nullptr) {
@@ -295,6 +295,15 @@ class VerifierImpl {
     return static_cast<int>(nodes_.size() - 1);
   }
 
+  // True if `ancestor` is `node` or on its parent chain. A node is always
+  // created after its parent, so the walk stops once it passes `ancestor`.
+  bool IsAncestor(int ancestor, int node) const {
+    while (node > ancestor) {
+      node = nodes_[static_cast<std::size_t>(node)].parent;
+    }
+    return node == ancestor;
+  }
+
   // A path reached exit (or was pruned): retire it, completing every subtree
   // it was the last outstanding leaf of.
   void CompletePath(int node) {
@@ -303,7 +312,9 @@ class VerifierImpl {
       if (--e.branches != 0) {
         break;
       }
-      e.completed = true;
+      if (e.snapshot != nullptr) {
+        completed_snapshots_[e.entry_pc].push_back(n);
+      }
       n = e.parent;
     }
   }
@@ -409,11 +420,14 @@ class VerifierImpl {
         ++header_visits_[pc];
         // Infinite loop: the exact same abstract state at the same header as
         // an ancestor still being explored means another identical iteration
-        // is coming — no progress, ever.
-        for (int n = cur_node_; n >= 0; n = nodes_[static_cast<std::size_t>(n)].parent) {
-          const ExploreNode& e = nodes_[static_cast<std::size_t>(n)];
-          if (e.entry_pc == pc && e.snapshot != nullptr &&
-              *e.snapshot == state) {
+        // is coming — no progress, ever. Checkpoints are indexed by state
+        // hash, so only a likely repeat costs a comparison and an ancestry
+        // walk.
+        const std::uint64_t hash = state.Hash();
+        const auto [first, last] = checkpoints_by_hash_.equal_range(hash);
+        for (auto it = first; it != last; ++it) {
+          if (*nodes_[static_cast<std::size_t>(it->second)].snapshot == state &&
+              IsAncestor(it->second, cur_node_)) {
             return PermissionDeniedError(At(
                 pc, insn,
                 "infinite loop detected: abstract state repeats at the loop "
@@ -423,9 +437,9 @@ class VerifierImpl {
         // Pruning: a completed exploration from a covering state already
         // proved every outcome reachable from here.
         bool pruned = false;
-        for (const int idx : header_snapshots_[pc]) {
-          const ExploreNode& e = nodes_[static_cast<std::size_t>(idx)];
-          if (e.completed && AbstractState::Covers(*e.snapshot, state)) {
+        for (const int idx : completed_snapshots_[pc]) {
+          if (AbstractState::Covers(*nodes_[static_cast<std::size_t>(idx)].snapshot,
+                                    state)) {
             pruned = true;
             break;
           }
@@ -438,7 +452,7 @@ class VerifierImpl {
         const int ck = NewNode(cur_node_, pc);
         nodes_[static_cast<std::size_t>(ck)].snapshot =
             std::make_unique<AbstractState>(state);
-        header_snapshots_[pc].push_back(ck);
+        checkpoints_by_hash_.emplace(hash, ck);
         cur_node_ = ck;
       }
 
@@ -1090,7 +1104,11 @@ class VerifierImpl {
   int cur_node_ = 0;
   std::size_t states_processed_ = 0;
   std::vector<std::size_t> header_visits_;
-  std::vector<std::vector<int>> header_snapshots_;  // per-pc checkpoint nodes
+  // Every checkpoint node, keyed by AbstractState::Hash() of its snapshot.
+  std::unordered_multimap<std::uint64_t, int> checkpoints_by_hash_;
+  // Per pc: the checkpoint nodes whose subtrees are fully explored, the only
+  // ones pruning may use.
+  std::vector<std::vector<int>> completed_snapshots_;
   std::vector<std::uint64_t> loop_trip_max_;
 };
 

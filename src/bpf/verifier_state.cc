@@ -613,6 +613,33 @@ bool AbstractState::operator==(const AbstractState& other) const {
   return true;
 }
 
+std::uint64_t AbstractState::Hash() const {
+  std::uint64_t h = std::hash<std::bitset<kBpfStackSize>>{}(stack_init);
+  // Murmur3's 64-bit finalizer per word, so a difference in any bit of any
+  // field reaches every bit of the hash.
+  auto mix = [&h](std::uint64_t word) {
+    h ^= word;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+  };
+  mix(pc);
+  for (const RegState& reg : regs) {
+    mix(static_cast<std::uint64_t>(reg.type));
+    mix(static_cast<std::uint64_t>(reg.off));
+    mix(reg.map_index);
+    mix(reg.var.umin);
+    mix(reg.var.umax);
+    mix(static_cast<std::uint64_t>(reg.var.smin));
+    mix(static_cast<std::uint64_t>(reg.var.smax));
+    mix(reg.var.tnum.value);
+    mix(reg.var.tnum.mask);
+  }
+  return h;
+}
+
 bool AbstractState::Covers(const AbstractState& a, const AbstractState& b) {
   if (a.pc != b.pc) {
     return false;

@@ -159,6 +159,10 @@ struct AbstractState {
 
   bool operator==(const AbstractState& other) const;
 
+  // A hash of exactly the fields operator== compares: equal states hash
+  // equal, so a hash mismatch rules equality out without comparing.
+  std::uint64_t Hash() const;
+
   // State-equivalence for pruning: `a` covers `b` iff the verdicts reachable
   // from `b` are a subset of those explored from `a`.
   static bool Covers(const AbstractState& a, const AbstractState& b);

@@ -72,9 +72,6 @@ std::vector<AutotuneEvent> CanaryEngine::RecentEvents(std::size_t max) const {
 }
 
 void CanaryEngine::AddSkip(Lock& lock, const std::string& name) const {
-  if (name == kPlainCandidateName) {
-    return;  // plain is always available
-  }
   for (SkipEntry& entry : lock.skip) {
     if (entry.name == name) {
       entry.windows_left = config_.failed_candidate_backoff_windows;
@@ -195,7 +192,14 @@ void CanaryEngine::TickLock(Lock& lock, const LockProfileSnapshot& window,
     const CanaryScore score = {lock.baseline_p50_ns, lock.baseline_p99_ns,
                                lock.canary_wait.Percentile(50),
                                lock.canary_wait.Percentile(99)};
-    const bool promote = CanaryPromotes(score, config_.promote_margin);
+    // A plain canary is promoted unless the incumbent beats it by the margin:
+    // a policy stays only while it still wins, and a tie goes to plain.
+    const bool promote =
+        lock.canary_candidate == kPlainCandidateName
+            ? !CanaryPromotes({score.canary_p50_ns, score.canary_p99_ns,
+                               score.baseline_p50_ns, score.baseline_p99_ns},
+                              config_.promote_margin)
+            : CanaryPromotes(score, config_.promote_margin);
     FinishCanary(lock, promote,
                  promote ? AutotuneEventKind::kPromote
                          : AutotuneEventKind::kRollback,
@@ -211,14 +215,17 @@ void CanaryEngine::TickLock(Lock& lock, const LockProfileSnapshot& window,
       skip.push_back(entry.name);
     }
   }
-  const std::string target =
-      plane_.choose(lock, lock.hysteresis.stable(), skip);
+  const ContentionRegime regime = lock.hysteresis.stable();
+  const std::string target = plane_.choose(lock, regime, skip);
   if (target == lock.incumbent) {
     return;
   }
-  if (target == kPlainCandidateName) {
-    // Reverting to plain needs no canary: detaching is always safe, and an
-    // uncontended lock produces no samples to score anyway.
+  if (target == kPlainCandidateName &&
+      regime == ContentionRegime::kUncontended) {
+    // An uncontended lock reverts to plain with no canary: detaching is
+    // always safe, and it produces no samples to score anyway. Under
+    // contention plain is a canary like any other candidate, since the
+    // incumbent may be what removed the signal its regime was chosen on.
     if (RevertToPlain(lock, now_ns, events)) {
       const std::string previous = lock.incumbent;
       lock.incumbent = kPlainCandidateName;
@@ -228,9 +235,12 @@ void CanaryEngine::TickLock(Lock& lock, const LockProfileSnapshot& window,
     }
     return;
   }
-  // A canary starts only from a qualifying window: the baseline it is scored
-  // against must be this window's, not a stale one.
-  if (!lock.have_baseline || !qualifies) {
+  // choose() falls back to plain even while plain is backed off; the
+  // incumbent holds until the backoff ends. A canary starts only from a
+  // qualifying window: the baseline it is scored against must be this
+  // window's, not a stale one.
+  if (std::find(skip.begin(), skip.end(), target) != skip.end() ||
+      !lock.have_baseline || !qualifies) {
     return;
   }
   StartCanary(lock, target, now_ns, events);

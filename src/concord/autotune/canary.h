@@ -8,10 +8,12 @@
 //   classifies a qualifying observation window (RegimeSignals, debounced by
 //              RegimeHysteresis) and keeps its wait p50/p99 as the baseline
 //   decays     the skip list and the cooldown
-//   acts       when the stable regime wants another candidate: reverts to
-//              plain directly, or attaches the candidate as a canary, scores
-//              the next canary_windows qualifying windows against the
-//              baseline (CanaryPromotes) and promotes or rolls back
+//   acts       when the stable regime wants another candidate: reverts an
+//              uncontended lock to plain directly, or attaches the candidate
+//              (plain too, under contention) as a canary, scores the next
+//              canary_windows qualifying windows against the baseline
+//              (CanaryPromotes; for plain, the incumbent must win it) and
+//              promotes or rolls back
 //
 // The planes differ only in where a window comes from (an argument to
 // TickLock) and how a candidate reaches the lock (the Plane callbacks). The
@@ -168,7 +170,8 @@ class CanaryEngine {
                     const std::string& detail, std::uint64_t now_ns,
                     std::vector<AutotuneEvent>& events);
 
-  // Puts `name` on the lock's skip list for failed_candidate_backoff_windows.
+  // Puts `name` (plain too) on the lock's skip list for
+  // failed_candidate_backoff_windows.
   void AddSkip(Lock& lock, const std::string& name) const;
 
   // Records an event about `lock` in the ring and in `events`.

@@ -16,13 +16,12 @@
 namespace concord {
 
 // The unit actually installed into a lock: a hook table whose slots are
-// trampolines into (a) the user's native hooks, (b) the verified BPF chains,
-// and (c) the profiler taps. Owned via shared_ptr by the registry entry;
-// the previous table is released only after an RCU grace period.
+// trampolines into the spec's chains and the profiler taps. Owned via
+// shared_ptr by the registry entry; the previous table is released only
+// after an RCU grace period.
 struct CompiledPolicy {
   std::uint64_t lock_id = 0;
-  std::shared_ptr<const PolicySpec> spec;  // nullable
-  std::optional<HookTable> native;         // nullable user native hooks
+  std::shared_ptr<const PolicySpec> spec;    // nullable
   ShardedLockProfileStats* stats = nullptr;  // nullable; owned by the entry
   // Budget accounting, owned by the entry; outlives this table (the entry
   // only swaps its budget after the RCU grace period retiring this table).
@@ -40,53 +39,6 @@ struct CompiledPolicy {
 };
 
 namespace {
-
-// Chains dispatch through RunPolicyProgram: a program compiled at attach
-// time runs native, anything else falls back to the interpreter.
-std::uint64_t RunDecisionChain(const HookChain& chain, void* ctx) {
-  switch (chain.combinator) {
-    case Combinator::kFirstNonZero: {
-      for (const Program& program : chain.programs) {
-        const std::uint64_t result = RunPolicyProgram(program, ctx);
-        if (result != 0) {
-          return result;
-        }
-      }
-      return 0;
-    }
-    case Combinator::kAll: {
-      for (const Program& program : chain.programs) {
-        if (RunPolicyProgram(program, ctx) == 0) {
-          return 0;
-        }
-      }
-      return 1;
-    }
-    case Combinator::kAny: {
-      for (const Program& program : chain.programs) {
-        if (RunPolicyProgram(program, ctx) != 0) {
-          return 1;
-        }
-      }
-      return 0;
-    }
-  }
-  return 0;
-}
-
-void RunTapChain(const HookChain* chain, std::uint64_t lock_id, HookKind kind) {
-  if (chain == nullptr) {
-    return;
-  }
-  ProfileCtx ctx;
-  ctx.lock_id = lock_id;
-  ctx.now_ns = MonotonicNowNs();
-  ctx.hook = static_cast<std::uint32_t>(kind);
-  ctx.reserved = 0;
-  for (const Program& program : chain->programs) {
-    RunPolicyProgram(program, &ctx);
-  }
-}
 
 // --- dispatch accounting -----------------------------------------------------
 //
@@ -146,48 +98,11 @@ inline void TraceDispatch(const CompiledPolicy* cp, HookKind kind) {
               static_cast<std::uint64_t>(kind));
 }
 
-// The table slot a profiling tap kind fires.
-constexpr HookTable::Tap HookTable::*TapSlot(HookKind kind) {
-  switch (kind) {
-    case HookKind::kLockAcquire:
-      return &HookTable::lock_acquire;
-    case HookKind::kLockContended:
-      return &HookTable::lock_contended;
-    case HookKind::kLockAcquired:
-      return &HookTable::lock_acquired;
-    default:
-      return &HookTable::lock_release;
-  }
-}
-
-// True if a native table fills the slot for `kind`.
-bool Fills(const HookTable& table, HookKind kind) {
-  switch (kind) {
-    case HookKind::kCmpNode:
-      return table.cmp_node != nullptr;
-    case HookKind::kSkipShuffle:
-      return table.skip_shuffle != nullptr;
-    case HookKind::kScheduleWaiter:
-      return table.schedule_waiter != nullptr;
-    case HookKind::kRwMode:
-      return table.rw_mode != nullptr;
-    default:
-      return table.*TapSlot(kind) != nullptr;
-  }
-}
-
-// True if the policy (native table or BPF chain) has a hook of `kind`.
-bool Fills(const CompiledPolicy& cp, HookKind kind) {
-  return cp.ChainFor(kind) != nullptr ||
-         (cp.native.has_value() && Fills(*cp.native, kind));
-}
-
-// The one kind rule, for native tables and BPF specs alike: a hook the lock
-// never consults cannot attach. ShflLock consults every hook but rw_mode;
-// a readers-writer lock consults rw_mode and the four taps.
-template <typename FilledFn>
+// The one kind rule: a hook the lock never consults cannot attach, whatever
+// its programs' backend. ShflLock consults every hook but rw_mode; a
+// readers-writer lock consults rw_mode and the four taps.
 Status CheckHookKinds(bool rw_lock, const std::string& lock_name,
-                      FilledFn filled) {
+                      const PolicySpec& spec) {
   for (int k = 0; k < kNumHookKinds; ++k) {
     const auto kind = static_cast<HookKind>(k);
     bool consulted = true;
@@ -197,7 +112,7 @@ Status CheckHookKinds(bool rw_lock, const std::string& lock_name,
     } else if (kind == HookKind::kRwMode) {
       consulted = rw_lock;
     }
-    if (!consulted && filled(kind)) {
+    if (!consulted && !spec.ChainFor(kind).empty()) {
       return FailedPreconditionError(
           std::string("hook ") + HookKindName(kind) + " cannot attach to " +
           (rw_lock ? "readers-writer lock '" : "mutex '") + lock_name + "'");
@@ -207,83 +122,61 @@ Status CheckHookKinds(bool rw_lock, const std::string& lock_name,
 }
 
 // --- trampolines ---------------------------------------------------------------
+//
+// A trampoline is installed only for a hook whose chain is non-empty (or, for
+// the taps, when profiling), so each one builds its context and makes the one
+// dispatch call below.
+
+// Trace event, budget scope, then the chain. A tap chain runs every program
+// and ignores their results; a decision chain combines them.
+std::uint64_t Dispatch(CompiledPolicy* cp, HookKind kind, void* ctx) {
+  TraceDispatch(cp, kind);
+  DispatchScope scope(cp, kind);
+  const HookChain& chain = cp->spec->ChainFor(kind);
+  if (kind >= HookKind::kLockAcquire && kind <= HookKind::kLockRelease) {
+    for (const Program& program : chain.programs) {
+      RunPolicyProgram(program, ctx);
+    }
+    return 0;
+  }
+  return RunDecisionChain(chain, ctx);
+}
 
 bool CmpNodeTrampoline(void* user_data, const ShflWaiterView& shuffler,
                        const ShflWaiterView& curr) {
-  auto* cp = static_cast<CompiledPolicy*>(user_data);
-  TraceDispatch(cp, HookKind::kCmpNode);
-  DispatchScope scope(cp, HookKind::kCmpNode);
-  if (cp->native.has_value() && cp->native->cmp_node != nullptr) {
-    return cp->native->cmp_node(cp->native->user_data, shuffler, curr);
-  }
-  if (const HookChain* chain = cp->ChainFor(HookKind::kCmpNode)) {
-    CmpNodeCtx ctx{shuffler, curr};
-    return RunDecisionChain(*chain, &ctx) != 0;
-  }
-  return false;
+  CmpNodeCtx ctx{shuffler, curr};
+  return Dispatch(static_cast<CompiledPolicy*>(user_data), HookKind::kCmpNode,
+                  &ctx) != 0;
 }
 
 bool SkipShuffleTrampoline(void* user_data, const ShflWaiterView& shuffler) {
-  auto* cp = static_cast<CompiledPolicy*>(user_data);
-  TraceDispatch(cp, HookKind::kSkipShuffle);
-  DispatchScope scope(cp, HookKind::kSkipShuffle);
-  if (cp->native.has_value() && cp->native->skip_shuffle != nullptr) {
-    return cp->native->skip_shuffle(cp->native->user_data, shuffler);
-  }
-  if (const HookChain* chain = cp->ChainFor(HookKind::kSkipShuffle)) {
-    SkipShuffleCtx ctx{shuffler};
-    return RunDecisionChain(*chain, &ctx) != 0;
-  }
-  return false;
+  SkipShuffleCtx ctx{shuffler};
+  return Dispatch(static_cast<CompiledPolicy*>(user_data),
+                  HookKind::kSkipShuffle, &ctx) != 0;
 }
 
 bool ScheduleWaiterTrampoline(void* user_data, const ShflWaiterView& waiter,
                               std::uint32_t spin_iterations) {
-  auto* cp = static_cast<CompiledPolicy*>(user_data);
-  TraceDispatch(cp, HookKind::kScheduleWaiter);
-  DispatchScope scope(cp, HookKind::kScheduleWaiter);
-  if (cp->native.has_value() && cp->native->schedule_waiter != nullptr) {
-    return cp->native->schedule_waiter(cp->native->user_data, waiter,
-                                       spin_iterations);
-  }
-  if (const HookChain* chain = cp->ChainFor(HookKind::kScheduleWaiter)) {
-    ScheduleWaiterCtx ctx{waiter, spin_iterations, 0};
-    return RunDecisionChain(*chain, &ctx) != 0;
-  }
-  return spin_iterations > 128;  // lock default
+  ScheduleWaiterCtx ctx{waiter, spin_iterations, 0};
+  return Dispatch(static_cast<CompiledPolicy*>(user_data),
+                  HookKind::kScheduleWaiter, &ctx) != 0;
 }
 
 std::uint32_t RwModeTrampoline(void* user_data) {
   auto* cp = static_cast<CompiledPolicy*>(user_data);
-  TraceDispatch(cp, HookKind::kRwMode);
-  DispatchScope scope(cp, HookKind::kRwMode);
-  if (cp->native.has_value() && cp->native->rw_mode != nullptr) {
-    return cp->native->rw_mode(cp->native->user_data);
-  }
-  if (const HookChain* chain = cp->ChainFor(HookKind::kRwMode)) {
-    RwModeCtx ctx{cp->lock_id};
-    return static_cast<std::uint32_t>(RunDecisionChain(*chain, &ctx));
-  }
-  return static_cast<std::uint32_t>(RwMode::kNeutral);
+  RwModeCtx ctx{cp->lock_id};
+  return static_cast<std::uint32_t>(Dispatch(cp, HookKind::kRwMode, &ctx));
 }
 
+// The policy's tap chain runs first, under its own budget scope, then the
+// framework profiler: the budget bounds the *policy*.
 template <HookKind kKind>
 void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
   auto* cp = static_cast<CompiledPolicy*>(user_data);
-  {
-    // Scope covers only the policy's own work (native tap + BPF chain), not
-    // the framework profiler below — the budget bounds the *policy*.
-    DispatchScope scope(cp, kKind);
-    if (cp->native.has_value()) {
-      if (const HookTable::Tap tap = (*cp->native).*TapSlot(kKind)) {
-        TraceDispatch(cp, kKind);
-        tap(cp->native->user_data, lock_id);
-      }
-    }
-    if (const HookChain* chain = cp->ChainFor(kKind)) {
-      TraceDispatch(cp, kKind);
-      RunTapChain(chain, lock_id, kKind);
-    }
+  if (cp->ChainFor(kKind) != nullptr) {
+    ProfileCtx ctx{lock_id, MonotonicNowNs(), static_cast<std::uint32_t>(kKind),
+                   0};
+    Dispatch(cp, kKind, &ctx);
   }
   if (cp->stats != nullptr) {
     if constexpr (kKind == HookKind::kLockAcquire) {
@@ -295,14 +188,6 @@ void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
     } else {
       ProfilerTaps::OnRelease(*cp->stats, lock_id);
     }
-  }
-}
-
-// A hook budget is only enforced once containment polls its trip flag, so
-// the first budgeted attach starts the control loop.
-void StartContainmentForBudget(std::uint64_t budget_ns) {
-  if (budget_ns != 0) {
-    ControlLoop::Global().Start();
   }
 }
 
@@ -365,7 +250,7 @@ Status Concord::Unregister(std::uint64_t lock_id) {
     entry->kind = LockKind::kNone;
     entry->site = nullptr;
     entry->shfl = nullptr;
-    entry->quarantined = {};
+    entry->quarantined = nullptr;
     entry->budget.reset();
   }
   // Outside mu_: containment may hold its own mutex while calling into this
@@ -426,8 +311,8 @@ std::vector<Concord::LockInfo> Concord::ListLocks(
     info.is_rw = entry->kind == LockKind::kRw;
     info.profiling = entry->profiling;
     info.tracing = TraceEnabled(id);
-    info.has_policy = !entry->attached.empty();
-    info.policy_name = entry->attached.name;
+    info.has_policy = entry->attached != nullptr;
+    info.policy_name = info.has_policy ? entry->attached->name : "";
     result.push_back(std::move(info));
   }
   return result;
@@ -439,73 +324,63 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
     return NotFoundError("lock id " + std::to_string(lock_id));
   }
 
-  const Attachment& policy = entry->attached;
+  const PolicySpec* spec = entry->attached.get();
   std::shared_ptr<CompiledPolicy> fresh;
   std::unique_ptr<HookBudgetState> fresh_budget;
-  if (!policy.empty() || entry->profiling) {
+  if (spec != nullptr || entry->profiling) {
     fresh = std::make_shared<CompiledPolicy>();
     fresh->lock_id = lock_id;
-    fresh->spec = policy.spec;
-    fresh->native = policy.native;
+    fresh->spec = entry->attached;
     fresh->stats = entry->profiling ? entry->stats.get() : nullptr;
 
     // Budget accounting rides along whenever a policy is attached and either
     // a budget is configured or fault injection is compiled in (the latter
     // needs the state purely for fault attribution). Profiling-only tables
     // carry no budget — there is no policy to contain.
-    if (!policy.empty()) {
-      const std::uint64_t budget_ns = policy.spec != nullptr
-                                          ? policy.spec->hook_budget_ns
-                                          : policy.native->hook_budget_ns;
-      const std::uint32_t trip = policy.spec != nullptr
-                                     ? policy.spec->hook_budget_trip
-                                     : policy.native->hook_budget_trip;
-      if (budget_ns != 0 || CONCORD_FAULT_INJECTION) {
-        fresh_budget = std::make_unique<HookBudgetState>();
-        fresh_budget->budget_ns = budget_ns;
-        fresh_budget->trip_overruns = trip == 0 ? 1 : trip;
-        fresh->budget = fresh_budget.get();
-      }
+    if (spec != nullptr &&
+        (spec->hook_budget_ns != 0 || CONCORD_FAULT_INJECTION)) {
+      fresh_budget = std::make_unique<HookBudgetState>();
+      fresh_budget->budget_ns = spec->hook_budget_ns;
+      fresh_budget->trip_overruns =
+          spec->hook_budget_trip == 0 ? 1 : spec->hook_budget_trip;
+      fresh->budget = fresh_budget.get();
     }
 
     // The attach-time kind check keeps slots the lock never consults empty,
     // so one table serves both lock families.
     HookTable& t = fresh->table;
     t.user_data = fresh.get();
-    if (Fills(*fresh, HookKind::kCmpNode)) {
+    auto fills = [&](HookKind kind) { return fresh->ChainFor(kind) != nullptr; };
+    if (fills(HookKind::kCmpNode)) {
       t.cmp_node = CmpNodeTrampoline;
     }
-    if (Fills(*fresh, HookKind::kSkipShuffle)) {
+    if (fills(HookKind::kSkipShuffle)) {
       t.skip_shuffle = SkipShuffleTrampoline;
     }
-    if (Fills(*fresh, HookKind::kScheduleWaiter)) {
+    if (fills(HookKind::kScheduleWaiter)) {
       t.schedule_waiter = ScheduleWaiterTrampoline;
     }
-    if (Fills(*fresh, HookKind::kRwMode)) {
+    if (fills(HookKind::kRwMode)) {
       t.rw_mode = RwModeTrampoline;
     }
     // The profiler needs every tap; a policy only the ones it fills.
     const bool profiled = fresh->stats != nullptr;
-    if (profiled || Fills(*fresh, HookKind::kLockAcquire)) {
+    if (profiled || fills(HookKind::kLockAcquire)) {
       t.lock_acquire = ProfileTapTrampoline<HookKind::kLockAcquire>;
     }
-    if (profiled || Fills(*fresh, HookKind::kLockContended)) {
+    if (profiled || fills(HookKind::kLockContended)) {
       t.lock_contended = ProfileTapTrampoline<HookKind::kLockContended>;
     }
-    if (profiled || Fills(*fresh, HookKind::kLockAcquired)) {
+    if (profiled || fills(HookKind::kLockAcquired)) {
       t.lock_acquired = ProfileTapTrampoline<HookKind::kLockAcquired>;
     }
-    if (profiled || Fills(*fresh, HookKind::kLockRelease)) {
+    if (profiled || fills(HookKind::kLockRelease)) {
       t.lock_release = ProfileTapTrampoline<HookKind::kLockRelease>;
     }
-    if (policy.spec != nullptr) {
-      t.max_shuffle_rounds = policy.spec->max_shuffle_rounds;
-      t.max_waiter_bypasses = policy.spec->max_waiter_bypasses;
-      t.track_hold_time = policy.spec->needs_hold_accounting;
-    } else if (policy.native.has_value()) {
-      t.max_shuffle_rounds = policy.native->max_shuffle_rounds;
-      t.max_waiter_bypasses = policy.native->max_waiter_bypasses;
-      t.track_hold_time = policy.native->track_hold_time;
+    if (spec != nullptr) {
+      t.max_shuffle_rounds = spec->max_shuffle_rounds;
+      t.max_waiter_bypasses = spec->max_waiter_bypasses;
+      t.track_hold_time = spec->needs_hold_accounting;
     }
     if (profiled) {
       t.track_hold_time = true;
@@ -515,9 +390,9 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
   // Publish, wait a grace period, then let the old table die.
   std::shared_ptr<CompiledPolicy> old = entry->current;
   entry->site->Install(fresh != nullptr ? &fresh->table : nullptr);
-  if (entry->shfl != nullptr && policy.spec != nullptr &&
-      policy.spec->set_blocking.has_value()) {
-    entry->shfl->SetBlocking(*policy.spec->set_blocking);
+  if (entry->shfl != nullptr && spec != nullptr &&
+      spec->set_blocking.has_value()) {
+    entry->shfl->SetBlocking(*spec->set_blocking);
   }
   entry->current = fresh;
   if (old != nullptr || fresh != nullptr) {
@@ -541,18 +416,16 @@ Status Concord::Attach(std::uint64_t lock_id, PolicySpec spec) {
     if (entry == nullptr) {
       return NotFoundError("lock id " + std::to_string(lock_id));
     }
-    CONCORD_RETURN_IF_ERROR(CheckHookKinds(
-        entry->kind == LockKind::kRw, entry->name,
-        [&](HookKind kind) { return !spec.ChainFor(kind).empty(); }));
+    CONCORD_RETURN_IF_ERROR(
+        CheckHookKinds(entry->kind == LockKind::kRw, entry->name, spec));
     CONCORD_RETURN_IF_ERROR(spec.VerifyAll());
     // Compile the now-verified chains to native code (no-op when the JIT is
     // disabled; per-program failures keep the interpreter and are surfaced
     // to containment as an informational event).
     jit_failures = spec.JitCompileAll();
-    entry->attached = {std::make_shared<const PolicySpec>(std::move(spec)),
-                       std::nullopt, policy_name};
+    entry->attached = std::make_shared<const PolicySpec>(std::move(spec));
     // A manual attach supersedes anything parked by a quarantine.
-    entry->quarantined = {};
+    entry->quarantined = nullptr;
     status = ReinstallLocked(lock_id);
   }
   // Containment notifications happen outside mu_: the sanctioned lock order
@@ -563,7 +436,11 @@ Status Concord::Attach(std::uint64_t lock_id, PolicySpec spec) {
       ContainmentRegistry::Global().NoteJitFallback(lock_id, policy_name,
                                                     jit_failures);
     }
-    StartContainmentForBudget(budget_ns);
+    // A hook budget is only enforced once containment polls its trip flag,
+    // so the first budgeted attach starts the control loop.
+    if (budget_ns != 0) {
+      ControlLoop::Global().Start();
+    }
   }
   return status;
 }
@@ -581,29 +458,6 @@ Status Concord::AttachBySelector(const std::string& selector,
   return Status::Ok();
 }
 
-Status Concord::AttachNative(std::uint64_t lock_id, const HookTable& hooks,
-                             std::string name) {
-  Status status;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    Entry* entry = EntryFor(lock_id);
-    if (entry == nullptr) {
-      return NotFoundError("lock id " + std::to_string(lock_id));
-    }
-    CONCORD_RETURN_IF_ERROR(
-        CheckHookKinds(entry->kind == LockKind::kRw, entry->name,
-                       [&](HookKind kind) { return Fills(hooks, kind); }));
-    entry->attached = {nullptr, hooks, name.empty() ? "<native>" : name};
-    entry->quarantined = {};
-    status = ReinstallLocked(lock_id);
-  }
-  if (status.ok()) {
-    ContainmentRegistry::Global().OnManualAttach(lock_id, name);
-    StartContainmentForBudget(hooks.hook_budget_ns);
-  }
-  return status;
-}
-
 Status Concord::Detach(std::uint64_t lock_id) {
   Status status;
   {
@@ -612,8 +466,8 @@ Status Concord::Detach(std::uint64_t lock_id) {
     if (entry == nullptr) {
       return NotFoundError("lock id " + std::to_string(lock_id));
     }
-    entry->attached = {};
-    entry->quarantined = {};
+    entry->attached = nullptr;
+    entry->quarantined = nullptr;
     status = ReinstallLocked(lock_id);
   }
   if (status.ok()) {
@@ -628,11 +482,11 @@ Status Concord::DetachForQuarantine(std::uint64_t lock_id) {
   if (entry == nullptr) {
     return NotFoundError("lock id " + std::to_string(lock_id));
   }
-  if (entry->attached.empty()) {
+  if (entry->attached == nullptr) {
     return FailedPreconditionError("'" + entry->name +
                                    "' has no attached policy to quarantine");
   }
-  entry->quarantined = std::exchange(entry->attached, {});
+  entry->quarantined = std::move(entry->attached);
   return ReinstallLocked(lock_id);
 }
 
@@ -642,22 +496,21 @@ Status Concord::ReattachFromQuarantine(std::uint64_t lock_id) {
   if (entry == nullptr) {
     return NotFoundError("lock id " + std::to_string(lock_id));
   }
-  if (entry->quarantined.empty()) {
+  if (entry->quarantined == nullptr) {
     return FailedPreconditionError("'" + entry->name +
                                    "' has no quarantined policy to re-attach");
   }
-  entry->attached = std::exchange(entry->quarantined, {});
+  entry->attached = std::move(entry->quarantined);
   return ReinstallLocked(lock_id);
 }
 
 std::string Concord::AttachedPolicyName(std::uint64_t lock_id) const {
   std::lock_guard<std::mutex> guard(mu_);
   const Entry* entry = EntryFor(lock_id);
-  if (entry == nullptr) {
-    return "";
-  }
-  return entry->attached.empty() ? entry->quarantined.name
-                                 : entry->attached.name;
+  const PolicySpec* spec = entry == nullptr          ? nullptr
+                           : entry->attached != nullptr ? entry->attached.get()
+                                                        : entry->quarantined.get();
+  return spec == nullptr ? "" : spec->name;
 }
 
 std::vector<Concord::BudgetTrip> Concord::HarvestBudgetTrips() {
@@ -673,7 +526,7 @@ std::vector<Concord::BudgetTrip> Concord::HarvestBudgetTrips() {
     }
     BudgetTrip trip;
     trip.lock_id = i + 1;
-    trip.policy_name = entry->attached.name;
+    trip.policy_name = entry->attached != nullptr ? entry->attached->name : "";
     trip.overruns = entry->budget->overruns.load(std::memory_order_relaxed);
     trip.dispatch_faults =
         entry->budget->dispatch_faults.load(std::memory_order_relaxed);
@@ -775,7 +628,7 @@ std::string Concord::StatsJson(const std::string& selector) const {
       writer.EndObject();
       writer.Key("stats");
       entry->stats->AppendJson(writer);
-      const PolicySpec* spec = entry->attached.spec.get();
+      const PolicySpec* spec = entry->attached.get();
       if (spec != nullptr && !spec->maps.empty()) {
         writer.Key("policy_maps").BeginArray();
         for (const auto& map : spec->maps) {
@@ -804,10 +657,10 @@ StatusOr<std::string> Concord::MapDumpJson(const std::string& selector,
     std::lock_guard<std::mutex> guard(mu_);
     for (std::uint64_t id : ids) {
       const Entry* entry = EntryFor(id);
-      if (entry == nullptr || entry->attached.spec == nullptr) {
+      if (entry == nullptr || entry->attached == nullptr) {
         continue;
       }
-      const PolicySpec& spec = *entry->attached.spec;
+      const PolicySpec& spec = *entry->attached;
       writer.BeginObject();
       writer.NumberField("lock_id", id);
       writer.Field("name", entry->name);

@@ -20,7 +20,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,8 +71,8 @@ class Concord {
     std::string name;
     std::string lock_class;
     bool is_rw = false;
-    bool has_policy = false;     // BPF spec or native hooks attached
-    std::string policy_name;     // spec name, or "<native>" for native hooks
+    bool has_policy = false;
+    std::string policy_name;     // the attached spec's name
     bool profiling = false;
     bool tracing = false;        // flight-recorder runtime gate (src/base/trace.h)
   };
@@ -82,19 +81,13 @@ class Concord {
   // --- policy patching --------------------------------------------------------
 
   // Verifies `spec` and hot-swaps it onto the lock. Replaces any previously
-  // attached policy atomically (readers see old or new, never a mix). A spec
-  // with a hook budget starts the control loop, whose containment pass
-  // enforces the budget.
+  // attached policy atomically (readers see old or new, never a mix). Rejects
+  // a spec with a hook the lock never consults. A spec with a hook budget
+  // starts the control loop, whose containment pass enforces the budget.
   Status Attach(std::uint64_t lock_id, PolicySpec spec);
 
   // Attaches to every lock matched by `selector`; fails fast on first error.
   Status AttachBySelector(const std::string& selector, const PolicySpec& spec);
-
-  // "Precompiled" comparison path: native function-pointer hooks, no BPF.
-  // `name` identifies the policy in containment events and ListLocks. Like
-  // Attach, rejects a table filling a slot the lock never consults.
-  Status AttachNative(std::uint64_t lock_id, const HookTable& hooks,
-                      std::string name = "<native>");
 
   // Removes any attached policy (lock reverts to default behaviour;
   // profiling, if enabled, stays).
@@ -102,9 +95,9 @@ class Concord {
 
   // --- containment plumbing (src/concord/containment.h) ----------------------
 
-  // Detaches the policy's hook table but *parks* the spec or native table on
-  // the entry so ReattachFromQuarantine can restore them without the
-  // controller. Profiling stays. Fails if no policy is attached.
+  // Detaches the policy's hook table but *parks* the spec on the entry so
+  // ReattachFromQuarantine can restore it without the controller. Profiling
+  // stays. Fails if no policy is attached.
   Status DetachForQuarantine(std::uint64_t lock_id);
 
   // Restores a policy parked by DetachForQuarantine (probation re-attach).
@@ -195,19 +188,7 @@ class Concord {
   void ResetForTest();
 
  private:
-  friend struct CompiledPolicy;
-
   enum class LockKind { kNone, kShfl, kRw };
-
-  // A policy as the controller attached it: a verified BPF spec or a native
-  // table, and the name containment and ListLocks report for it.
-  struct Attachment {
-    std::shared_ptr<const PolicySpec> spec;
-    std::optional<HookTable> native;
-    std::string name;
-
-    bool empty() const { return spec == nullptr && !native.has_value(); }
-  };
 
   struct Entry {
     LockKind kind = LockKind::kNone;
@@ -218,9 +199,9 @@ class Concord {
 
     // Current attachment state (control plane, guarded by mu_).
     std::shared_ptr<struct CompiledPolicy> current;
-    Attachment attached;
+    std::shared_ptr<const PolicySpec> attached;
     // Parked by DetachForQuarantine for ReattachFromQuarantine.
-    Attachment quarantined;
+    std::shared_ptr<const PolicySpec> quarantined;
     bool profiling = false;
     std::unique_ptr<ShardedLockProfileStats> stats;
     // Window boundary reported by StatsJson: ClockNowNs() at the most recent

@@ -4,6 +4,34 @@
 
 namespace concord {
 
+std::uint64_t RunDecisionChain(const HookChain& chain, void* ctx) {
+  switch (chain.combinator) {
+    case Combinator::kFirstNonZero:
+      for (const Program& program : chain.programs) {
+        const std::uint64_t result = RunPolicyProgram(program, ctx);
+        if (result != 0) {
+          return result;
+        }
+      }
+      return 0;
+    case Combinator::kAll:
+      for (const Program& program : chain.programs) {
+        if (RunPolicyProgram(program, ctx) == 0) {
+          return 0;
+        }
+      }
+      return 1;
+    case Combinator::kAny:
+      for (const Program& program : chain.programs) {
+        if (RunPolicyProgram(program, ctx) != 0) {
+          return 1;
+        }
+      }
+      return 0;
+  }
+  return 0;
+}
+
 Status PolicySpec::AddProgram(HookKind kind, Program program) {
   const ContextDescriptor& expected = DescriptorFor(kind);
   if (program.ctx_desc != &expected) {
@@ -17,6 +45,16 @@ Status PolicySpec::AddProgram(HookKind kind, Program program) {
   return Status::Ok();
 }
 
+void PolicySpec::AddNative(HookKind kind, std::string program_name,
+                           Program::NativeFn fn, void* data) {
+  Program program;
+  program.name = std::move(program_name);
+  program.ctx_desc = &DescriptorFor(kind);
+  program.native = fn;
+  program.native_data = data;
+  ChainFor(kind).programs.push_back(std::move(program));
+}
+
 Status PolicySpec::VerifyAll(AdmissionReport* report) {
   AdmissionReport local;
   AdmissionReport& r = report != nullptr ? *report : local;
@@ -25,6 +63,9 @@ Status PolicySpec::VerifyAll(AdmissionReport* report) {
     Verifier::Options options;
     options.allowed_capabilities = CapabilitiesFor(kind);
     for (Program& program : chains[k].programs) {
+      if (program.native != nullptr) {
+        continue;
+      }
       r.hook = HookKindName(kind);
       r.budget_ns = hook_budget_ns;
       r.insns = program.insns.size();

@@ -1,14 +1,16 @@
 // Policy specifications — what a userspace controller hands to Concord.
 //
-// A PolicySpec bundles, per hook kind, an ordered chain of BPF programs plus
-// a combinator saying how multiple programs compose (§6 "composing policies"
+// A PolicySpec bundles, per hook kind, an ordered chain of programs plus a
+// combinator saying how multiple programs compose (§6 "composing policies"
 // — we provide the mechanical combinators; resolving semantic conflicts
-// remains the policy author's job, as in the paper). Every program passes
-// one admission gate at attach (VerifyAll): the verifier under the hook's
-// capability mask, the hook's lock-invariant lint (policy_lint.h), then
-// certification (src/bpf/analysis/certify.h). A spec that fails any stage
-// never reaches a lock, whether it was built in code or loaded from text
-// (policy_source.h).
+// remains the policy author's job, as in the paper). A program is BPF
+// (interpreted, or JIT-compiled at attach) or precompiled C++ (AddNative),
+// and all three run through one call, RunPolicyProgram. Every BPF program
+// passes one admission gate at attach (VerifyAll): the verifier under the
+// hook's capability mask, the hook's lock-invariant lint (policy_lint.h),
+// then certification (src/bpf/analysis/certify.h). A spec that fails any
+// stage never reaches a lock, whether it was built in code or loaded from
+// text (policy_source.h).
 
 #ifndef SRC_CONCORD_POLICY_H_
 #define SRC_CONCORD_POLICY_H_
@@ -40,6 +42,11 @@ struct HookChain {
 
   bool empty() const { return programs.empty(); }
 };
+
+// Runs every program of `chain` that the combinator needs, in order, on
+// `ctx`, and returns the combined decision. An empty chain decides 0, or 1
+// under kAll (vacuous truth).
+std::uint64_t RunDecisionChain(const HookChain& chain, void* ctx);
 
 // What the admission gate found about a program, filled as far as the gate
 // got. The loader (policy_source.h) adds where the hook and budget came from.
@@ -89,6 +96,12 @@ struct PolicySpec {
   // against the wrong context descriptor.
   Status AddProgram(HookKind kind, Program program);
 
+  // Adds a precompiled program to the chain for `kind`: `fn` runs with
+  // `data` and the hook's context struct (CmpNodeCtx, SkipShuffleCtx,
+  // ScheduleWaiterCtx, ProfileCtx or RwModeCtx; src/concord/hooks.h).
+  void AddNative(HookKind kind, std::string program_name, Program::NativeFn fn,
+                 void* data = nullptr);
+
   HookChain& ChainFor(HookKind kind) {
     return chains[static_cast<int>(kind)];
   }
@@ -96,13 +109,15 @@ struct PolicySpec {
     return chains[static_cast<int>(kind)];
   }
 
-  // The admission gate, per program in every chain: verify under the hook's
-  // capability mask, lint the hook's lock invariants, then certify (the
-  // statically bounded worst case must fit hook_budget_ns when nonzero, and
-  // no program may do a non-atomic store into a shared map). Lint findings
-  // and certification failures are kPermissionDenied. Idempotent; called by
-  // Concord at attach, so no spec reaches a lock unchecked. `report`, when
-  // non-null, describes the last program checked (the failing one).
+  // The admission gate, per BPF program in every chain: verify under the
+  // hook's capability mask, lint the hook's lock invariants, then certify
+  // (the statically bounded worst case must fit hook_budget_ns when nonzero,
+  // and no program may do a non-atomic store into a shared map). Lint
+  // findings and certification failures are kPermissionDenied. Precompiled
+  // programs are C++ linked into the process and pass unchecked. Idempotent;
+  // called by Concord at attach, so no spec reaches a lock unchecked.
+  // `report`, when non-null, describes the last program checked (the
+  // failing one).
   Status VerifyAll(AdmissionReport* report = nullptr);
 
   // Compiles every verified program to native code when the JIT is enabled

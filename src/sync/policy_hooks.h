@@ -2,12 +2,13 @@
 //
 // A lock does not know *why* one waiter should run before another; a policy
 // does. Locks in this library consult an RCU-published hook table at their
-// decision points. The Concord layer (src/concord) builds these tables from
-// either native C++ functions ("precompiled" in the paper's comparison) or
-// verified BPF programs ("Concord-..."), and hot-swaps them while the lock is
-// under contention. BPF-backed slots dispatch through RunPolicyProgram
-// (src/bpf/jit/jit.h): attach-time JIT-compiled native code when available,
-// the interpreter otherwise — the table shape is identical either way.
+// decision points. The Concord layer (src/concord) fills these tables with
+// trampolines into a policy's program chains and hot-swaps them while the
+// lock is under contention. Every program runs through RunPolicyProgram
+// (src/bpf/jit/jit.h), whether it is precompiled C++ ("precompiled" in the
+// paper's comparison), JIT-compiled BPF or interpreted BPF ("Concord-...").
+// A table installed straight into a HookSite, with raw function pointers,
+// is the precompiled baseline the benches compare against.
 //
 // Hook semantics follow Table 1:
 //   cmp_node        - should `curr` be moved into the shuffler's group?
@@ -61,7 +62,7 @@ struct HookTable {
   using Tap = void (*)(void* user_data, std::uint64_t lock_id);
 
   // Opaque cookie passed to every hook (Concord stores its policy object
-  // here; native policies store whatever they like).
+  // here; a raw table stores whatever it likes).
   void* user_data = nullptr;
 
   // Shuffling decisions. Null => lock default (no shuffling).
@@ -99,13 +100,6 @@ struct HookTable {
   // it (the shuffle-round budget bounds the shuffler; this bounds the
   // victim). Clamped to ShflLock::kBypassCap.
   std::uint32_t max_waiter_bypasses = 128;
-
-  // Runtime budget per hook invocation, in nanoseconds. 0 disables budget
-  // timing entirely for this table. When nonzero, the Concord dispatch path
-  // times each hook call and trips containment after `hook_budget_trip`
-  // overruns (see src/concord/containment.h).
-  std::uint64_t hook_budget_ns = 0;
-  std::uint32_t hook_budget_trip = 8;
 };
 
 // A lock's only way to its hooks: the RCU-published table and the lock's

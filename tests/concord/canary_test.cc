@@ -66,6 +66,17 @@ class CanaryEngineTest : public ::testing::Test {
     return window;
   }
 
+  // The same contention on one socket, with no cross-socket grants: the
+  // moderate regime, which the chooser maps to plain.
+  static LockProfileSnapshot ModerateWindow(std::uint64_t acquisitions,
+                                            std::uint64_t wait_each_ns) {
+    LockProfileSnapshot window = NumaWindow(acquisitions, wait_each_ns);
+    window.socket_acquisitions[0] = acquisitions;
+    window.socket_acquisitions[1] = 0;
+    window.cross_socket_handoffs = 0;
+    return window;
+  }
+
   std::vector<AutotuneEvent> Tick(const LockProfileSnapshot& window) {
     std::vector<AutotuneEvent> events;
     engine_.TickLock(lock_, window, ++now_ns_, events);
@@ -83,6 +94,23 @@ class CanaryEngineTest : public ::testing::Test {
     ASSERT_TRUE(Has(Tick(NumaWindow(100, 8'000)),
                     AutotuneEventKind::kCanaryStart));
     ASSERT_EQ(attached_, kNuma);
+  }
+
+  // Canaries kNuma against an 8us baseline and promotes it on 1us waits.
+  void PromoteNuma() {
+    StartNumaCanary();
+    Tick(NumaWindow(100, 1'000));
+    ASSERT_TRUE(Has(Tick(NumaWindow(100, 1'000)), AutotuneEventKind::kPromote));
+    ASSERT_EQ(lock_.incumbent, kNuma);
+  }
+
+  // The event of `kind` about `candidate` in `events`, if any.
+  static bool HasFor(const std::vector<AutotuneEvent>& events,
+                     AutotuneEventKind kind, const std::string& candidate) {
+    return std::any_of(events.begin(), events.end(),
+                       [&](const AutotuneEvent& e) {
+                         return e.kind == kind && e.candidate == candidate;
+                       });
   }
 
   bool offer_numa_ = true;
@@ -150,6 +178,64 @@ TEST_F(CanaryEngineTest, FailedRevertToPlainEmitsError) {
   EXPECT_FALSE(Has(events, AutotuneEventKind::kPromote));
   EXPECT_EQ(lock_.incumbent, kNuma);
   EXPECT_EQ(attached_, kNuma);
+}
+
+// A promoted policy can remove the signal its regime was chosen on: NUMA
+// grouping ends the cross-socket grants, so the lock reads moderate, which
+// maps to plain. Plain then runs as a canary, and the incumbent, still
+// winning, stays; plain is backed off and the incumbent holds meanwhile.
+TEST_F(CanaryEngineTest, WinningIncumbentIsHeldUnderAModerateRegime) {
+  PromoteNuma();
+  auto events = Tick(ModerateWindow(100, 1'000));
+  ASSERT_TRUE(Has(events, AutotuneEventKind::kRegimeChange));
+  ASSERT_EQ(lock_.hysteresis.stable(), ContentionRegime::kModerate);
+  EXPECT_TRUE(HasFor(events, AutotuneEventKind::kCanaryStart,
+                     kPlainCandidateName));
+  EXPECT_FALSE(Has(events, AutotuneEventKind::kPromote));
+  EXPECT_EQ(attached_, kPlainCandidateName);
+
+  // Plain waits 64x longer than the incumbent did.
+  Tick(ModerateWindow(100, 64'000));
+  events = Tick(ModerateWindow(100, 64'000));
+  EXPECT_TRUE(HasFor(events, AutotuneEventKind::kRollback, kPlainCandidateName));
+  EXPECT_EQ(attached_, kNuma);
+  EXPECT_EQ(lock_.incumbent, kNuma);
+  ASSERT_EQ(lock_.skip.size(), 1u);
+  EXPECT_EQ(lock_.skip[0].name, kPlainCandidateName);
+
+  // While plain is backed off the engine holds the incumbent.
+  const std::size_t applies = applied_.size();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(Tick(ModerateWindow(100, 1'000)).empty());
+  }
+  EXPECT_EQ(applied_.size(), applies);
+  EXPECT_EQ(attached_, kNuma);
+}
+
+// An incumbent that no longer beats plain by the margin loses to it.
+TEST_F(CanaryEngineTest, PlainIsPromotedOnATie) {
+  PromoteNuma();
+  ASSERT_TRUE(HasFor(Tick(ModerateWindow(100, 8'000)),
+                     AutotuneEventKind::kCanaryStart, kPlainCandidateName));
+  Tick(ModerateWindow(100, 8'000));
+  const auto events = Tick(ModerateWindow(100, 8'000));
+  EXPECT_TRUE(HasFor(events, AutotuneEventKind::kPromote, kPlainCandidateName));
+  EXPECT_EQ(attached_, kPlainCandidateName);
+  EXPECT_EQ(lock_.incumbent, kPlainCandidateName);
+  EXPECT_TRUE(lock_.skip.empty());
+}
+
+// With no contention there is nothing to score: plain returns directly.
+TEST_F(CanaryEngineTest, UncontendedRegimeStillRevertsDirectly) {
+  PromoteNuma();
+  LockProfileSnapshot quiet;
+  quiet.acquisitions = 100;
+  const auto events = Tick(quiet);
+  EXPECT_TRUE(HasFor(events, AutotuneEventKind::kPromote, kPlainCandidateName));
+  EXPECT_FALSE(Has(events, AutotuneEventKind::kCanaryStart));
+  EXPECT_EQ(attached_, kPlainCandidateName);
+  EXPECT_EQ(lock_.incumbent, kPlainCandidateName);
+  EXPECT_EQ(lock_.mode, CanaryEngine::Mode::kObserving);
 }
 
 // Both planes share one event vocabulary; the strings are what

@@ -1,77 +1,39 @@
 // Combinator semantics for multi-program hook chains (§4.2 "chaining
-// multiple eBPF programs" / §6 "composing policies"), exercised end-to-end
-// through a live lock: the chain decision is observed via which waiters the
-// shuffler actually groups.
+// multiple eBPF programs" / §6 "composing policies"), run through the runner
+// every trampoline uses, RunDecisionChain: on chains of precompiled
+// constant programs, and on a chain of two shipped BPF policies.
 
 #include <gtest/gtest.h>
 
-#include "src/bpf/assembler.h"
-#include "src/bpf/vm.h"
-#include "src/concord/concord.h"
+#include <vector>
+
 #include "src/concord/policies.h"
+#include "src/concord/policy.h"
 
 namespace concord {
 namespace {
 
-// The chains below return values up to 7. The admission gate holds
-// cmp_node to 0 or 1 (policy_lint.h), so they run on the lock_acquire tap,
-// whose contract has no return rule; the combinators are the same per hook.
-constexpr HookKind kChainHook = HookKind::kLockAcquire;
+// Precompiled programs pass the admission gate unlinted, so these constant
+// chains can return values above cmp_node's 0/1 range.
+constexpr HookKind kChainHook = HookKind::kCmpNode;
 
-// Builds a single-instruction-ish program returning `value`.
-Program ConstProgram(const char* name, int value) {
-  char source[64];
-  std::snprintf(source, sizeof(source), "mov r0, %d\nexit\n", value);
-  auto program = AssembleProgram(name, source, &DescriptorFor(kChainHook));
-  EXPECT_TRUE(program.ok());
-  return std::move(*program);
+std::uint64_t ReturnValue(void* value, void*) {
+  return *static_cast<const std::uint64_t*>(value);
 }
 
-// Runs the chain the way the Concord trampoline would, via a spec attached
-// to a scratch lock; the decision is read back through a probe context.
-// (We test the chain logic directly through VerifyAll + manual evaluation of
-// the combinator semantics documented in policy.h.)
-std::uint64_t EvalChain(Combinator combinator, std::vector<int> values) {
+// Runs a chain of programs returning `values`, in order, under `combinator`.
+std::uint64_t EvalChain(Combinator combinator,
+                        std::vector<std::uint64_t> values) {
   PolicySpec spec;
   spec.name = "chain";
+  for (std::uint64_t& value : values) {
+    spec.AddNative(kChainHook, "const", ReturnValue, &value);
+  }
   HookChain& chain = spec.ChainFor(kChainHook);
   chain.combinator = combinator;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    chain.programs.push_back(
-        ConstProgram(("p" + std::to_string(i)).c_str(), values[i]));
-  }
   EXPECT_TRUE(spec.VerifyAll().ok());
-
-  // Reimplements the documented semantics and cross-checks against the VM.
-  ProfileCtx ctx{};
-  switch (combinator) {
-    case Combinator::kFirstNonZero: {
-      for (const Program& program : chain.programs) {
-        const std::uint64_t r = BpfVm::Run(program, &ctx);
-        if (r != 0) {
-          return r;
-        }
-      }
-      return 0;
-    }
-    case Combinator::kAll: {
-      for (const Program& program : chain.programs) {
-        if (BpfVm::Run(program, &ctx) == 0) {
-          return 0;
-        }
-      }
-      return 1;
-    }
-    case Combinator::kAny: {
-      for (const Program& program : chain.programs) {
-        if (BpfVm::Run(program, &ctx) != 0) {
-          return 1;
-        }
-      }
-      return 0;
-    }
-  }
-  return 0;
+  CmpNodeCtx ctx{};
+  return RunDecisionChain(chain, &ctx);
 }
 
 TEST(CompositionTest, FirstNonZeroTakesFirstDecision) {
@@ -82,12 +44,14 @@ TEST(CompositionTest, FirstNonZeroTakesFirstDecision) {
 
 TEST(CompositionTest, AllRequiresUnanimity) {
   EXPECT_EQ(EvalChain(Combinator::kAll, {1, 1, 1}), 1u);
+  EXPECT_EQ(EvalChain(Combinator::kAll, {7, 3}), 1u);
   EXPECT_EQ(EvalChain(Combinator::kAll, {1, 0, 1}), 0u);
   EXPECT_EQ(EvalChain(Combinator::kAll, {}), 1u);  // vacuous truth
 }
 
 TEST(CompositionTest, AnyRequiresOneVote) {
   EXPECT_EQ(EvalChain(Combinator::kAny, {0, 0, 1}), 1u);
+  EXPECT_EQ(EvalChain(Combinator::kAny, {0, 7}), 1u);
   EXPECT_EQ(EvalChain(Combinator::kAny, {0, 0, 0}), 0u);
   EXPECT_EQ(EvalChain(Combinator::kAny, {}), 0u);
 }
@@ -119,14 +83,7 @@ TEST(CompositionTest, NumaAndPriorityConjunction) {
     ctx.shuffler.socket = shuffler_socket;
     ctx.curr.socket = curr_socket;
     ctx.curr.priority = curr_priority;
-    bool all = true;
-    for (const Program& program : chain.programs) {
-      if (BpfVm::Run(program, &ctx) == 0) {
-        all = false;
-        break;
-      }
-    }
-    return all;
+    return RunDecisionChain(chain, &ctx) != 0;
   };
 
   EXPECT_TRUE(decide(2, 2, 5));    // same socket AND priority >= 1

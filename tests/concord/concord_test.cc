@@ -176,16 +176,41 @@ TEST_F(ConcordTest, NativeAttachIsThePrecompiledPath) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock, "l", "test");
 
-  HookTable native;
-  native.cmp_node = [](void*, const ShflWaiterView& s, const ShflWaiterView& c) {
-    return s.socket == c.socket;
-  };
-  ASSERT_TRUE(concord.AttachNative(id, native).ok());
+  PolicySpec spec;
+  spec.name = "native_numa";
+  spec.AddNative(HookKind::kCmpNode, "same_socket", [](void*, void* ctx) {
+    const auto* c = static_cast<const CmpNodeCtx*>(ctx);
+    return std::uint64_t{c->shuffler.socket == c->curr.socket};
+  });
+  ASSERT_TRUE(concord.Attach(id, std::move(spec)).ok());
   EXPECT_NE(lock.hook_site().Current(), nullptr);
   for (int i = 0; i < 100; ++i) {
     ShflGuard guard(lock);
   }
   ASSERT_TRUE(concord.Detach(id).ok());
+}
+
+// A precompiled program passes the gate unchecked; a BPF program beside it
+// in the same chain is still verified, linted and certified.
+TEST_F(ConcordTest, NativeProgramLeavesItsChainGated) {
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "test");
+  PolicySpec spec;
+  spec.name = "mixed";
+  spec.AddNative(HookKind::kCmpNode, "never",
+                 [](void*, void*) { return std::uint64_t{0}; });
+  // cmp_node decides 0 or 1, so returning 2 fails the return-range lint.
+  auto two = AssembleProgram("returns_two", "mov r0, 2\nexit\n",
+                             &DescriptorFor(HookKind::kCmpNode));
+  ASSERT_TRUE(two.ok());
+  ASSERT_TRUE(spec.AddProgram(HookKind::kCmpNode, std::move(*two)).ok());
+
+  const Status status = concord.Attach(id, std::move(spec));
+  EXPECT_EQ(status.code(), StatusCode::kPermissionDenied) << status.ToString();
+  EXPECT_NE(status.message().find("return-range"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(lock_.hook_site().Current(), nullptr);
+  EXPECT_EQ(concord.AttachedPolicyName(id), "");
 }
 
 TEST_F(ConcordTest, HotSwapBetweenPoliciesUnderLoad) {

@@ -257,7 +257,10 @@ TEST_F(ContainmentTest, ManualAttachSupersedesQuarantine) {
   EXPECT_TRUE(HasPolicy(id));
 }
 
-void SlowReleaseTap(void*, std::uint64_t) { BurnNs(100'000); }
+std::uint64_t SlowReleaseTap(void*, void*) {
+  BurnNs(100'000);
+  return 0;
+}
 
 TEST_F(ContainmentTest, BudgetOverrunsTripAndQuarantine) {
   Concord& concord = Concord::Global();
@@ -269,11 +272,12 @@ TEST_F(ContainmentTest, BudgetOverrunsTripAndQuarantine) {
   config.auto_reattach = false;
   registry.SetConfig(config);
 
-  HookTable hooks;
-  hooks.lock_release = SlowReleaseTap;  // ~100us per release
-  hooks.hook_budget_ns = 10'000;        // budget: 10us
-  hooks.hook_budget_trip = 3;
-  ASSERT_TRUE(concord.AttachNative(id, hooks, "slow-release").ok());
+  PolicySpec spec;
+  spec.name = "slow-release";
+  spec.AddNative(HookKind::kLockRelease, "slow", SlowReleaseTap);  // ~100us
+  spec.hook_budget_ns = 10'000;  // budget: 10us
+  spec.hook_budget_trip = 3;
+  ASSERT_TRUE(concord.Attach(id, std::move(spec)).ok());
 
   for (int i = 0; i < 8; ++i) {
     lock_.Lock();
@@ -306,10 +310,12 @@ TEST_F(ContainmentTest, FastPolicyWithinBudgetStaysActive) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "t");
 
-  HookTable hooks;
-  hooks.lock_release = [](void*, std::uint64_t) {};
-  hooks.hook_budget_ns = 10'000'000;  // 10ms: generous
-  ASSERT_TRUE(concord.AttachNative(id, hooks, "fast").ok());
+  PolicySpec spec;
+  spec.name = "fast";
+  spec.AddNative(HookKind::kLockRelease, "noop",
+                 [](void*, void*) { return std::uint64_t{0}; });
+  spec.hook_budget_ns = 10'000'000;  // 10ms: generous
+  ASSERT_TRUE(concord.Attach(id, std::move(spec)).ok());
 
   for (int i = 0; i < 100; ++i) {
     lock_.Lock();

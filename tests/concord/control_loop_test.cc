@@ -163,7 +163,10 @@ TEST_F(ControlLoopTest, ManualScopeKeepsTheThreadOff) {
 }
 
 // Burns well past its budget on every release.
-void SlowReleaseTap(void*, std::uint64_t) { BurnNs(200'000); }
+std::uint64_t SlowReleaseTap(void*, void*) {
+  BurnNs(200'000);
+  return 0;
+}
 
 // Nothing in the test polls containment: the budgeted attach starts the
 // loop, whose containment pass quarantines the tap and, after the backoff,
@@ -179,11 +182,12 @@ TEST_F(ControlLoopTest, BudgetOverrunIsQuarantinedAndReattachedWithoutPoll) {
 
   Concord& concord = Concord::Global();
   lock_id_ = concord.RegisterShflLock(lock_, "overrun", "loop");
-  HookTable hooks;
-  hooks.lock_release = SlowReleaseTap;
-  hooks.hook_budget_ns = 10'000;
-  hooks.hook_budget_trip = 1;
-  ASSERT_TRUE(concord.AttachNative(lock_id_, hooks, "slow-release").ok());
+  PolicySpec spec;
+  spec.name = "slow-release";
+  spec.AddNative(HookKind::kLockRelease, "slow", SlowReleaseTap);
+  spec.hook_budget_ns = 10'000;
+  spec.hook_budget_trip = 1;
+  ASSERT_TRUE(concord.Attach(lock_id_, std::move(spec)).ok());
 
   lock_.Lock();
   lock_.Unlock();  // one overrun trips the budget

@@ -1,6 +1,6 @@
-// One hook table and one hook site for both lock families: the same native
-// and BPF attachments, the same quarantine round trip and the same kind rule
-// run over ShflLock and BravoLock<NeutralRwLock>.
+// One hook table and one hook site for both lock families: the same
+// precompiled and BPF programs, the same quarantine round trip and the same
+// kind rule run over ShflLock and BravoLock<NeutralRwLock>.
 
 #include <gtest/gtest.h>
 
@@ -62,51 +62,22 @@ class HookSiteTest : public ::testing::Test {
 using LockFamilies = ::testing::Types<ShflLock, Bravo>;
 TYPED_TEST_SUITE(HookSiteTest, LockFamilies);
 
-void CountTap(void* calls, std::uint64_t) {
+std::uint64_t CountCalls(void* calls, void*) {
   static_cast<std::atomic<std::uint64_t>*>(calls)->fetch_add(
       1, std::memory_order_relaxed);
+  return 0;
 }
 
-void NoopTap(void*, std::uint64_t) {}
-
-// A native table filling exactly the slot for `kind`.
-HookTable TableFilling(HookKind kind) {
-  HookTable table;
-  switch (kind) {
-    case HookKind::kCmpNode:
-      table.cmp_node = [](void*, const ShflWaiterView&, const ShflWaiterView&) {
-        return false;
-      };
-      break;
-    case HookKind::kSkipShuffle:
-      table.skip_shuffle = [](void*, const ShflWaiterView&) { return false; };
-      break;
-    case HookKind::kScheduleWaiter:
-      table.schedule_waiter = [](void*, const ShflWaiterView&, std::uint32_t) {
-        return false;
-      };
-      break;
-    case HookKind::kLockAcquire:
-      table.lock_acquire = NoopTap;
-      break;
-    case HookKind::kLockContended:
-      table.lock_contended = NoopTap;
-      break;
-    case HookKind::kLockAcquired:
-      table.lock_acquired = NoopTap;
-      break;
-    case HookKind::kLockRelease:
-      table.lock_release = NoopTap;
-      break;
-    case HookKind::kRwMode:
-      table.rw_mode = [](void*) { return 0u; };
-      break;
-  }
-  return table;
+// A spec with one precompiled program at `kind`, returning 0.
+PolicySpec NativeFilling(HookKind kind) {
+  PolicySpec spec;
+  spec.name = std::string("native_") + HookKindName(kind);
+  spec.AddNative(kind, spec.name, [](void*, void*) { return std::uint64_t{0}; });
+  return spec;
 }
 
-// A spec with one trivial program at `kind`, which verifies at every kind.
-PolicySpec SpecFilling(HookKind kind) {
+// A spec with one trivial BPF program at `kind`, which verifies at every kind.
+PolicySpec BpfFilling(HookKind kind) {
   PolicySpec spec;
   spec.name = std::string("only_") + HookKindName(kind);
   auto program =
@@ -122,10 +93,10 @@ TYPED_TEST(HookSiteTest, NativeAttachmentSurvivesQuarantineRoundTrip) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = Family<TypeParam>::Register(this->lock_);
   std::atomic<std::uint64_t> releases{0};
-  HookTable native;
-  native.user_data = &releases;
-  native.lock_release = CountTap;
-  ASSERT_TRUE(concord.AttachNative(id, native, "counting").ok());
+  PolicySpec spec;
+  spec.name = "counting";
+  spec.AddNative(HookKind::kLockRelease, "count", CountCalls, &releases);
+  ASSERT_TRUE(concord.Attach(id, std::move(spec)).ok());
   Family<TypeParam>::Cycle(this->lock_);
   EXPECT_EQ(releases.load(), 1u);
 
@@ -167,7 +138,7 @@ TYPED_TEST(HookSiteTest, BpfAttachmentSurvivesQuarantineRoundTrip) {
   EXPECT_EQ(policy->Count(HookKind::kLockRelease), 2u);
 }
 
-TYPED_TEST(HookSiteTest, OneKindRuleForTablesAndSpecs) {
+TYPED_TEST(HookSiteTest, OneKindRuleForNativeAndBpfPrograms) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = Family<TypeParam>::Register(this->lock_);
   for (int k = 0; k < kNumHookKinds; ++k) {
@@ -175,10 +146,10 @@ TYPED_TEST(HookSiteTest, OneKindRuleForTablesAndSpecs) {
     const StatusCode expected = Family<TypeParam>::Rejects(kind)
                                     ? StatusCode::kFailedPrecondition
                                     : StatusCode::kOk;
-    EXPECT_EQ(concord.AttachNative(id, TableFilling(kind)).code(), expected)
+    EXPECT_EQ(concord.Attach(id, NativeFilling(kind)).code(), expected)
         << "native " << HookKindName(kind);
-    EXPECT_EQ(concord.Attach(id, SpecFilling(kind)).code(), expected)
-        << "spec " << HookKindName(kind);
+    EXPECT_EQ(concord.Attach(id, BpfFilling(kind)).code(), expected)
+        << "bpf " << HookKindName(kind);
   }
 }
 

@@ -1,5 +1,5 @@
-// Readers-writer lock attachment paths: native rw_mode hooks, BPF rw_mode on
-// both BravoLock instantiations, and registry edge cases.
+// Readers-writer lock attachment paths: precompiled rw_mode programs, BPF
+// rw_mode on both BravoLock instantiations, and registry edge cases.
 
 #include <gtest/gtest.h>
 
@@ -21,15 +21,31 @@ class RwAttachTest : public ::testing::Test {
   ShflLock shfl_;
 };
 
+// A spec holding one precompiled program at `kind`.
+PolicySpec NativeSpec(HookKind kind, Program::NativeFn fn) {
+  PolicySpec spec;
+  spec.name = "native";
+  spec.AddNative(kind, "native", fn);
+  return spec;
+}
+
+std::atomic<std::uint32_t> mode{static_cast<std::uint32_t>(RwMode::kNeutral)};
+
+std::uint64_t ModeFromAtomic(void*, void*) { return mode.load(); }
+
+std::uint64_t ReaderBias(void*, void*) {
+  return static_cast<std::uint64_t>(RwMode::kReaderBias);
+}
+
+std::uint64_t Zero(void*, void*) { return 0; }
+
 TEST_F(RwAttachTest, NativeRwModeHookDrivesTheLock) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterRwLock(neutral_bravo_, "rw", "t");
 
-  static std::atomic<std::uint32_t> mode{
-      static_cast<std::uint32_t>(RwMode::kNeutral)};
-  HookTable native;
-  native.rw_mode = [](void*) { return mode.load(); };
-  ASSERT_TRUE(concord.AttachNative(id, native).ok());
+  mode.store(static_cast<std::uint32_t>(RwMode::kNeutral));
+  ASSERT_TRUE(
+      concord.Attach(id, NativeSpec(HookKind::kRwMode, ModeFromAtomic)).ok());
 
   neutral_bravo_.ReadLock();
   neutral_bravo_.ReadUnlock();
@@ -47,22 +63,16 @@ TEST_F(RwAttachTest, NativeRwModeHookDrivesTheLock) {
 TEST_F(RwAttachTest, NativeRwAttachRejectedOnShflLock) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(shfl_, "s", "t");
-  // An empty table is a valid no-op policy; rw_mode is what a ShflLock
+  // An empty spec is a valid no-op policy; rw_mode is what a ShflLock
   // never consults.
-  HookTable native;
-  native.rw_mode = [](void*) { return 0u; };
-  EXPECT_EQ(concord.AttachNative(id, native).code(),
+  EXPECT_EQ(concord.Attach(id, NativeSpec(HookKind::kRwMode, Zero)).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RwAttachTest, NativeShflAttachRejectedOnRwLock) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterRwLock(neutral_bravo_, "rw", "t");
-  HookTable native;
-  native.cmp_node = [](void*, const ShflWaiterView&, const ShflWaiterView&) {
-    return true;
-  };
-  EXPECT_EQ(concord.AttachNative(id, native).code(),
+  EXPECT_EQ(concord.Attach(id, NativeSpec(HookKind::kCmpNode, Zero)).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -86,11 +96,8 @@ TEST_F(RwAttachTest, ReattachReplacesNativeWithBpf) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterRwLock(neutral_bravo_, "rw", "t");
 
-  HookTable native;
-  native.rw_mode = [](void*) {
-    return static_cast<std::uint32_t>(RwMode::kReaderBias);
-  };
-  ASSERT_TRUE(concord.AttachNative(id, native).ok());
+  ASSERT_TRUE(
+      concord.Attach(id, NativeSpec(HookKind::kRwMode, ReaderBias)).ok());
   neutral_bravo_.ReadLock();
   neutral_bravo_.ReadUnlock();
   const std::uint64_t fast_with_native = neutral_bravo_.fast_reads();

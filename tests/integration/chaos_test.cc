@@ -59,13 +59,23 @@ bool Await(Pred pred) {
   return true;
 }
 
+// A spec named `name` holding one precompiled program at `kind`.
+PolicySpec NativeSpec(const char* name, HookKind kind, Program::NativeFn fn,
+                      void* data = nullptr) {
+  PolicySpec spec;
+  spec.name = name;
+  spec.AddNative(kind, name, fn, data);
+  return spec;
+}
+
 // Hostile profiling tap: ~150us burned inside every lock release, inflating
 // the critical section two orders of magnitude past its budget. Counts its
 // invocations in the counter `calls` points to.
-void HostileSlowReleaseTap(void* calls, std::uint64_t) {
+std::uint64_t HostileSlowReleaseTap(void* calls, void*) {
   static_cast<std::atomic<std::uint64_t>*>(calls)->fetch_add(
       1, std::memory_order_relaxed);
   BurnNs(150'000);
+  return 0;
 }
 
 TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndNeverFiresAgain) {
@@ -80,12 +90,11 @@ TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndNeverFiresAgain) {
 
   constexpr int kThreads = 4;
   std::atomic<std::uint64_t> tap_calls{0};
-  HookTable hooks;
-  hooks.user_data = &tap_calls;
-  hooks.lock_release = HostileSlowReleaseTap;
-  hooks.hook_budget_ns = 20'000;  // 20us budget vs ~150us actual
-  hooks.hook_budget_trip = 8;
-  ASSERT_TRUE(concord.AttachNative(id, hooks, "hostile-slow-release").ok());
+  PolicySpec spec = NativeSpec("hostile-slow-release", HookKind::kLockRelease,
+                               HostileSlowReleaseTap, &tap_calls);
+  spec.hook_budget_ns = 20'000;  // 20us budget vs ~150us actual
+  spec.hook_budget_trip = 8;
+  ASSERT_TRUE(concord.Attach(id, std::move(spec)).ok());
 
   // Hammer under the hostile tap until containment quarantines it.
   std::atomic<bool> stop{false};
@@ -136,9 +145,9 @@ TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndNeverFiresAgain) {
 
 // Hostile parking decision: burns time on every consult and never lets a
 // waiter park, defeating the blocking lock's whole point.
-bool HostileNeverPark(void*, const ShflWaiterView&, std::uint32_t) {
+std::uint64_t HostileNeverPark(void*, void*) {
   BurnNs(30'000);
-  return false;
+  return 0;
 }
 
 TEST_F(ChaosTest, NeverParkScheduleWaiterContainedWithZeroLostWakeups) {
@@ -151,11 +160,11 @@ TEST_F(ChaosTest, NeverParkScheduleWaiterContainedWithZeroLostWakeups) {
   config.auto_reattach = false;
   registry.SetConfig(config);
 
-  HookTable hooks;
-  hooks.schedule_waiter = HostileNeverPark;
-  hooks.hook_budget_ns = 5'000;
-  hooks.hook_budget_trip = 4;
-  ASSERT_TRUE(concord.AttachNative(id, hooks, "hostile-never-park").ok());
+  PolicySpec spec = NativeSpec("hostile-never-park", HookKind::kScheduleWaiter,
+                               HostileNeverPark);
+  spec.hook_budget_ns = 5'000;
+  spec.hook_budget_trip = 4;
+  ASSERT_TRUE(concord.Attach(id, std::move(spec)).ok());
 
   // Hammer with ~10us critical sections (so the queue stays populated and
   // waiters consult schedule_waiter) until containment pulls the hook. Every
@@ -195,8 +204,8 @@ TEST_F(ChaosTest, NeverParkScheduleWaiterContainedWithZeroLostWakeups) {
 // Hostile (in intent) grouping decision: boosts only a task class nobody
 // runs with, so the policy never helps anyone — and under the manufactured
 // starvation below, the watchdog quarantines it via containment.
-bool StarvingCmpNode(void*, const ShflWaiterView&, const ShflWaiterView& curr) {
-  return curr.task_class == 1;
+std::uint64_t StarvingCmpNode(void*, void* ctx) {
+  return static_cast<const CmpNodeCtx*>(ctx)->curr.task_class == 1;
 }
 
 TEST_F(ChaosTest, StarvingCmpNodeQuarantinedByWatchdogWithBackoff) {
@@ -209,9 +218,10 @@ TEST_F(ChaosTest, StarvingCmpNodeQuarantinedByWatchdogWithBackoff) {
   config.probation_success_ns = 50'000'000;
   registry.SetConfig(config);
 
-  HookTable hooks;
-  hooks.cmp_node = StarvingCmpNode;
-  ASSERT_TRUE(concord.AttachNative(id, hooks, "starving-cmp-node").ok());
+  ASSERT_TRUE(concord
+                  .Attach(id, NativeSpec("starving-cmp-node",
+                                         HookKind::kCmpNode, StarvingCmpNode))
+                  .ok());
 
   WatchdogConfig wconfig;
   wconfig.max_wait_ns = 10'000'000;  // 10ms is starvation-grade here
@@ -272,15 +282,16 @@ TEST_F(ChaosTest, StarvingCmpNodeQuarantinedByWatchdogWithBackoff) {
 // Benign parking policy that parks every waiter on first consult — makes
 // park/unpark traffic deterministic regardless of core count (organic
 // spin-then-park escalation is timing-dependent on a single-core host).
-bool AlwaysPark(void*, const ShflWaiterView&, std::uint32_t) { return true; }
+std::uint64_t AlwaysPark(void*, void*) { return 1; }
 
 TEST_F(ChaosTest, DelayedWakeupFaultDelaysButNeverLosesWakeups) {
   Concord& concord = Concord::Global();
   lock_.SetBlocking(true);
   const std::uint64_t id = concord.RegisterShflLock(lock_, "chaos", "t");
-  HookTable hooks;
-  hooks.schedule_waiter = AlwaysPark;
-  ASSERT_TRUE(concord.AttachNative(id, hooks, "always-park").ok());
+  ASSERT_TRUE(concord
+                  .Attach(id, NativeSpec("always-park",
+                                         HookKind::kScheduleWaiter, AlwaysPark))
+                  .ok());
 
   // Every unpark stalls 2ms before delivering: wakeups arrive late, but
   // they must all arrive.

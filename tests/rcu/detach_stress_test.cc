@@ -1,8 +1,8 @@
 // RCU stress that detaches under load: worker threads hammer a ShflLock and
-// a BravoLock while a control thread attaches, replaces and detaches native
-// policies on both. Each policy's hooks run inside the locks' RCU read
-// sections and make a plain write to the calling worker's slot of the
-// policy's state. The control thread reads those slots after the grace
+// a BravoLock while a control thread attaches, replaces and detaches specs of
+// precompiled programs on both. Each policy's programs run inside the locks'
+// RCU read sections and make a plain write to the calling worker's slot of
+// the policy's state. The control thread reads those slots after the grace
 // period, then poisons and frees the state.
 //
 // What catches a broken grace period:
@@ -45,38 +45,37 @@ thread_local int tls_worker = -1;
 thread_local std::uint64_t tls_hook_calls = 0;
 std::atomic<bool> saw_poison{false};
 
-void Touch(void* user_data) {
-  auto* state = static_cast<PolicyState*>(user_data);
+std::uint64_t TouchTap(void* data, void*) {
+  auto* state = static_cast<PolicyState*>(data);
   if (state->alive != PolicyState::kAlive) {
     saw_poison.store(true, std::memory_order_relaxed);
   }
   ++*state->calls[tls_worker];
   ++tls_hook_calls;
+  return 0;
 }
 
-void TouchTap(void* user_data, std::uint64_t) { Touch(user_data); }
-
-std::uint32_t TouchRwMode(void* user_data) {
-  Touch(user_data);
-  return static_cast<std::uint32_t>(RwMode::kReaderBias);
+std::uint64_t TouchRwMode(void* data, void* ctx) {
+  TouchTap(data, ctx);
+  return static_cast<std::uint64_t>(RwMode::kReaderBias);
 }
 
-HookTable ShflPolicy(PolicyState* state) {
-  HookTable hooks;
-  hooks.user_data = state;
-  hooks.lock_acquire = TouchTap;
-  hooks.lock_acquired = TouchTap;
-  hooks.lock_release = TouchTap;
-  return hooks;
+PolicySpec ShflPolicy(PolicyState* state) {
+  PolicySpec spec;
+  spec.name = "touch";
+  spec.AddNative(HookKind::kLockAcquire, "acquire", TouchTap, state);
+  spec.AddNative(HookKind::kLockAcquired, "acquired", TouchTap, state);
+  spec.AddNative(HookKind::kLockRelease, "release", TouchTap, state);
+  return spec;
 }
 
-HookTable RwPolicy(PolicyState* state) {
-  HookTable hooks;
-  hooks.user_data = state;
-  hooks.rw_mode = TouchRwMode;
-  hooks.lock_acquired = TouchTap;
-  hooks.lock_release = TouchTap;
-  return hooks;
+PolicySpec RwPolicy(PolicyState* state) {
+  PolicySpec spec;
+  spec.name = "touch-rw";
+  spec.AddNative(HookKind::kRwMode, "rw_mode", TouchRwMode, state);
+  spec.AddNative(HookKind::kLockAcquired, "acquired", TouchTap, state);
+  spec.AddNative(HookKind::kLockRelease, "release", TouchTap, state);
+  return spec;
 }
 
 class RcuDetachStressTest : public ::testing::Test {
@@ -145,14 +144,14 @@ TEST_F(RcuDetachStressTest, DetachUnderLoadNeverTouchesFreedPolicyState) {
   for (int round = 0; round < kRounds; ++round) {
     auto* shfl_first = new PolicyState;
     auto* rw_first = new PolicyState;
-    ASSERT_TRUE(concord.AttachNative(shfl_id, ShflPolicy(shfl_first)).ok());
-    ASSERT_TRUE(concord.AttachNative(rw_id, RwPolicy(rw_first)).ok());
+    ASSERT_TRUE(concord.Attach(shfl_id, ShflPolicy(shfl_first)).ok());
+    ASSERT_TRUE(concord.Attach(rw_id, RwPolicy(rw_first)).ok());
     await_traffic();
 
     auto* shfl_second = new PolicyState;
     auto* rw_second = new PolicyState;
-    ASSERT_TRUE(concord.AttachNative(shfl_id, ShflPolicy(shfl_second)).ok());
-    ASSERT_TRUE(concord.AttachNative(rw_id, RwPolicy(rw_second)).ok());
+    ASSERT_TRUE(concord.Attach(shfl_id, ShflPolicy(shfl_second)).ok());
+    ASSERT_TRUE(concord.Attach(rw_id, RwPolicy(rw_second)).ok());
     Rcu::Global().Synchronize();
     Retire(shfl_first);
     Retire(rw_first);
