@@ -1,8 +1,10 @@
 // A7: what does a policy invocation cost? (google-benchmark)
 // Breaks the "Concord overhead" down into its parts: BPF execution per
-// program (interpreted and JIT-compiled), hook-table dispatch, and the
+// program (interpreted and JIT-compiled), hook-table dispatch, the
 // end-to-end uncontended lock/unlock with nothing / native hooks /
-// interpreted BPF hooks / JIT'd BPF hooks attached.
+// interpreted BPF hooks / JIT'd BPF hooks attached, and the uncontended
+// BravoLock read pair with nothing / a native rw_mode / a JIT'd rw_mode
+// policy attached.
 //
 // Every BM_Bpf* case has a BM_Jit* counterpart running the same program as
 // native code; the ratio between the pair is the JIT speedup the ISSUE's
@@ -16,6 +18,7 @@
 #include "src/bpf/vm.h"
 #include "src/concord/concord.h"
 #include "src/concord/policies.h"
+#include "src/sync/bravo.h"
 #include "src/sync/shfllock.h"
 
 namespace concord {
@@ -153,6 +156,54 @@ void BM_UncontendedLock_JitBpfPolicy(benchmark::State& state) {
   UncontendedLockBpfPolicy(state, /*jit=*/true);
 }
 BENCHMARK(BM_UncontendedLock_JitBpfPolicy);
+
+// The read side: one uncontended BravoLock read pair with nothing, a raw
+// rw_mode slot, or a JIT'd rw_mode policy installed. Every variant runs in
+// neutral mode, so the pairs differ only in what the hooks cost.
+void BM_UncontendedReadPair_NoHooks(benchmark::State& state) {
+  BravoLock<NeutralRwLock> lock;
+  for (auto _ : state) {
+    lock.ReadLock();
+    lock.ReadUnlock();
+  }
+}
+BENCHMARK(BM_UncontendedReadPair_NoHooks);
+
+void BM_UncontendedReadPair_NativeRwMode(benchmark::State& state) {
+  BravoLock<NeutralRwLock> lock;
+  HookTable hooks;
+  hooks.rw_mode = [](void*) {
+    return static_cast<std::uint32_t>(RwMode::kNeutral);
+  };
+  lock.hook_site().Install(&hooks);
+  for (auto _ : state) {
+    lock.ReadLock();
+    lock.ReadUnlock();
+  }
+  lock.hook_site().Install(nullptr);
+  Rcu::Global().Synchronize();
+}
+BENCHMARK(BM_UncontendedReadPair_NativeRwMode);
+
+void BM_UncontendedReadPair_JitRwModePolicy(benchmark::State& state) {
+  ScopedJitMode mode(true);
+  if (!Jit::Supported()) {
+    state.SkipWithError("no JIT backend on this platform/build");
+    return;
+  }
+  static BravoLock<NeutralRwLock> lock;
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = concord.RegisterRwLock(lock, "a7_rw_lock", "bench");
+  auto policy = MakeRwSwitchPolicy(RwMode::kNeutral);
+  CONCORD_CHECK(policy.ok());
+  CONCORD_CHECK(concord.Attach(id, std::move(policy->spec)).ok());
+  for (auto _ : state) {
+    lock.ReadLock();
+    lock.ReadUnlock();
+  }
+  CONCORD_CHECK(concord.Unregister(id).ok());
+}
+BENCHMARK(BM_UncontendedReadPair_JitRwModePolicy);
 
 void BM_RwModeDecision_Bpf(benchmark::State& state) {
   const TunablePolicy policy = VerifiedPolicy(MakeRwSwitchPolicy(RwMode::kReaderBias));

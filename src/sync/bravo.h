@@ -176,7 +176,7 @@ class BravoLock {
 
   std::uint32_t CurrentMode() const {
     std::uint32_t mode = default_mode_.load(std::memory_order_relaxed);
-    hooks_.Read([&](const HookTable& hooks) {
+    hooks_.Read(HookSite::kRwMode, [&](const HookTable& hooks) {
       if (hooks.rw_mode != nullptr) {
         mode = hooks.rw_mode(hooks.user_data);
       }

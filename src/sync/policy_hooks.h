@@ -25,6 +25,7 @@
 #ifndef SRC_SYNC_POLICY_HOOKS_H_
 #define SRC_SYNC_POLICY_HOOKS_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "src/rcu/rcu.h"
@@ -102,36 +103,72 @@ struct HookTable {
   std::uint32_t max_waiter_bypasses = 128;
 };
 
-// A lock's only way to its hooks: the RCU-published table and the lock's
-// registry id. Every hook read goes through Read(), which skips the RCU read
-// section entirely while no table is installed.
+// A lock's only way to its hooks: the RCU-published table, a mask of the
+// slots that table fills, and the lock's registry id. Every hook read names
+// the mask bits it needs and enters an RCU read section only when one of them
+// is set, so a lock pays a section only for the hooks its table fills: an
+// unpatched lock enters none, a cmp_node-only policy's uncontended pair none,
+// and an rw_mode-only read pair one.
+//
+// Install publishes in three steps: OR the new table's bits into the mask,
+// swap the table pointer, then store the new table's exact bits. The mask is
+// relaxed and read outside any section, which is sound because:
+//   - every dereference of a table stays inside a read section, so memory
+//     safety never rests on the mask;
+//   - a stale set bit only enters a section that finds an empty slot and does
+//     nothing (every slot is checked for null before it is called);
+//   - a stale clear bit can be read only by a load that precedes Install's OR
+//     in the mask's modification order, so the acquisition that made it
+//     started before Install (and so before Concord's Attach) returned and
+//     may still run under the old table;
+//   - an acquisition that happens after Install returns reads the exact bits
+//     (or a later install's) by coherence, and the new table pointer too.
 class HookSite {
  public:
+  // Mask bits: one per hook slot, plus the hold-time accounting flag.
+  static constexpr std::uint32_t kCmpNode = 1u << 0;
+  static constexpr std::uint32_t kSkipShuffle = 1u << 1;
+  static constexpr std::uint32_t kScheduleWaiter = 1u << 2;
+  static constexpr std::uint32_t kLockAcquire = 1u << 3;
+  static constexpr std::uint32_t kLockContended = 1u << 4;
+  static constexpr std::uint32_t kLockAcquired = 1u << 5;
+  static constexpr std::uint32_t kLockRelease = 1u << 6;
+  static constexpr std::uint32_t kRwMode = 1u << 7;
+  static constexpr std::uint32_t kTrackHoldTime = 1u << 8;
+  // The slots that read a waiter's view (and so its enqueue time).
+  static constexpr std::uint32_t kWaiterDecisions =
+      kCmpNode | kSkipShuffle | kScheduleWaiter;
+
   // Atomically publishes a new table; returns the previous one. The caller
   // must free the old table only after an RCU grace period (Concord does).
-  // Passing nullptr reverts the lock to its default behaviour.
+  // Passing nullptr reverts the lock to its default behaviour. Installs must
+  // not race each other (Concord serializes them per lock).
   const HookTable* Install(const HookTable* table) {
-    return table_.Swap(table);
+    const std::uint32_t bits = BitsOf(table);
+    mask_.fetch_or(bits, std::memory_order_relaxed);
+    const HookTable* old = table_.Swap(table);
+    mask_.store(bits, std::memory_order_relaxed);
+    return old;
   }
 
   // The installed table, or nullptr. Dereferencing it needs an RCU guard.
   const HookTable* Current() const { return table_.Read(); }
 
-  // If a table is installed, runs `fn(table)` inside one RCU read section
-  // and returns true. The null probe comes first and needs no guard (it
-  // dereferences nothing), so an unpatched lock takes no read-side fences.
+  // The mask bits of the installed table (see the class comment).
+  std::uint32_t mask() const { return mask_.load(std::memory_order_relaxed); }
+
+  // If any of `bits` is set and a table is installed, runs `fn(table)` inside
+  // one RCU read section. Otherwise enters no section.
   template <typename Fn>
-  bool Read(Fn&& fn) const {
-    if (table_.Read() == nullptr) {
-      return false;
+  void Read(std::uint32_t bits, Fn&& fn) const {
+    if ((mask() & bits) == 0) {
+      return;
     }
     RcuReadGuard rcu;
     const HookTable* table = table_.Read();
-    if (table == nullptr) {
-      return false;
+    if (table != nullptr) {
+      fn(*table);
     }
-    fn(*table);
-    return true;
   }
 
   // Fires `slot` of a table already read under a guard.
@@ -141,9 +178,10 @@ class HookSite {
     }
   }
 
-  // Fires `slot` of the installed table, if any, in one read section.
+  // Fires `slot` of the installed table, if its bit is set, in one read
+  // section.
   void Tap(HookTable::Tap HookTable::*slot) const {
-    Read([&](const HookTable& table) { Fire(table, slot); });
+    Read(TapBit(slot), [&](const HookTable& table) { Fire(table, slot); });
   }
 
   // Registry identity passed to the taps (0 = unregistered).
@@ -151,7 +189,31 @@ class HookSite {
   std::uint64_t lock_id() const { return lock_id_; }
 
  private:
+  // The mask bits `table` fills (0 for nullptr).
+  static std::uint32_t BitsOf(const HookTable* table) {
+    if (table == nullptr) {
+      return 0;
+    }
+    return (table->cmp_node != nullptr ? kCmpNode : 0) |
+           (table->skip_shuffle != nullptr ? kSkipShuffle : 0) |
+           (table->schedule_waiter != nullptr ? kScheduleWaiter : 0) |
+           (table->lock_acquire != nullptr ? kLockAcquire : 0) |
+           (table->lock_contended != nullptr ? kLockContended : 0) |
+           (table->lock_acquired != nullptr ? kLockAcquired : 0) |
+           (table->lock_release != nullptr ? kLockRelease : 0) |
+           (table->rw_mode != nullptr ? kRwMode : 0) |
+           (table->track_hold_time ? kTrackHoldTime : 0);
+  }
+
+  static constexpr std::uint32_t TapBit(HookTable::Tap HookTable::*slot) {
+    return slot == &HookTable::lock_acquire     ? kLockAcquire
+           : slot == &HookTable::lock_contended ? kLockContended
+           : slot == &HookTable::lock_acquired  ? kLockAcquired
+                                                : kLockRelease;
+  }
+
   RcuPointer<const HookTable> table_{nullptr};
+  std::atomic<std::uint32_t> mask_{0};
   std::uint64_t lock_id_ = 0;
 };
 

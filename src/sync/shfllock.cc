@@ -47,20 +47,20 @@ void ShflLock::Lock() {
   ThreadContext& ctx = Self();
   TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquire);
   // Hold-time accounting (timestamps + EWMA) is policy food; it is only
-  // maintained while a hook table is installed so that an unpatched lock
-  // costs no clock reads. (Install any policy or enable profiling to warm
-  // the per-thread CS statistics.)
-  bool track_time = false;
-  const bool hooked = hooks_.Read([&](const HookTable& hooks) {
-    track_time = hooks.track_hold_time;
-    hooks_.Fire(hooks, &HookTable::lock_acquire);
-  });
+  // maintained while the installed table asks for it, and a waiter is only
+  // timestamped while a decision hook could read its wait time, so that an
+  // unpatched lock costs no clock reads. (Enable profiling, or attach a
+  // policy that needs hold accounting, to warm the per-thread CS statistics.)
+  const std::uint32_t mask = hooks_.mask();
+  const bool track_time = (mask & HookSite::kTrackHoldTime) != 0;
+  const bool time_wait = (mask & HookSite::kWaiterDecisions) != 0;
+  hooks_.Tap(&HookTable::lock_acquire);
 
   // Fast path: steal only while no queue exists (bounded unfairness).
   if (tail_.load(std::memory_order_relaxed) != nullptr || !TryAcquireWord()) {
     ShflQNode node;
     node.ctx = &ctx;
-    node.enqueue_ns = hooked ? MonotonicNowNs() : 0;
+    node.enqueue_ns = time_wait ? MonotonicNowNs() : 0;
     SlowLock(node);
   }
 
@@ -109,7 +109,9 @@ void ShflLock::SlowLock(ShflQNode& node) {
     // past its pure-spin phase, unless the policy's schedule_waiter decides.
     const bool blocking = blocking_.load(std::memory_order_relaxed) != 0;
     bool park_now = blocking && spin.iterations() > 128;
-    hooks_.Read([&](const HookTable& hooks) {
+    const std::uint32_t consulted =
+        HookSite::kCmpNode | (blocking ? HookSite::kScheduleWaiter : 0);
+    hooks_.Read(consulted, [&](const HookTable& hooks) {
       if (hooks.cmp_node != nullptr) {
         const std::uint32_t bound = hooks.max_shuffle_rounds < kShuffleRoundCap
                                         ? hooks.max_shuffle_rounds
@@ -170,7 +172,7 @@ void ShflLock::WaitUntilHead(ShflQNode& node) {
     const bool blocking = blocking_.load(std::memory_order_relaxed) != 0;
     bool park_now = blocking && spin.iterations() > 128;
     if (blocking) {
-      hooks_.Read([&](const HookTable& hooks) {
+      hooks_.Read(HookSite::kScheduleWaiter, [&](const HookTable& hooks) {
         if (hooks.schedule_waiter != nullptr) {
           park_now = hooks.schedule_waiter(hooks.user_data,
                                            MakeView(node, MonotonicNowNs()),

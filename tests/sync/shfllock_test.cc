@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <map>
@@ -405,21 +406,43 @@ TEST(ShflLockTest, HotSwapPolicyUnderContention) {
 
 // Adversarial policy boosting socket-0 waiters over everyone else; the
 // per-waiter bypass bound must cap how often the socket-1 victim is
-// overtaken.
+// overtaken. The queue is built deterministically: the lock runs in blocking
+// mode with a schedule_waiter that records each caller's task id and never
+// parks. A waiter consults it only once it is linked into the queue (or is
+// its head), so each thread is spawned only after the previous one's id is
+// recorded, and the queue order is the spawn order.
 TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
   MachineTopology::Global().ResetForTest();
 
+  struct Arrivals {
+    std::mutex mu;
+    std::vector<std::uint32_t> task_ids;  // distinct, in first-call order
+
+    std::size_t size() {
+      std::lock_guard<std::mutex> guard(mu);
+      return task_ids.size();
+    }
+  };
+
   auto run_scenario = [&](std::uint32_t bypass_bound) -> std::size_t {
     ShflLock lock;
-    std::atomic<int> contended{0};
+    lock.SetBlocking(true);
+    Arrivals arrivals;
     auto hooks = std::make_unique<HookTable>();
-    hooks->user_data = &contended;
+    hooks->user_data = &arrivals;
     hooks->cmp_node = [](void*, const ShflWaiterView&,
                          const ShflWaiterView& curr) {
       return curr.socket == 0;  // boost socket 0 unconditionally
     };
-    hooks->lock_contended = [](void* ud, std::uint64_t) {
-      static_cast<std::atomic<int>*>(ud)->fetch_add(1);
+    hooks->schedule_waiter = [](void* ud, const ShflWaiterView& waiter,
+                                std::uint32_t) {
+      auto& seen = *static_cast<Arrivals*>(ud);
+      std::lock_guard<std::mutex> guard(seen.mu);
+      if (std::find(seen.task_ids.begin(), seen.task_ids.end(),
+                    waiter.task_id) == seen.task_ids.end()) {
+        seen.task_ids.push_back(waiter.task_id);
+      }
+      return false;  // never park
     };
     hooks->max_waiter_bypasses = bypass_bound;
     lock.hook_site().Install(hooks.get());
@@ -428,7 +451,6 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
     std::mutex order_mu;
     lock.Lock();
     std::vector<std::thread> threads;
-    int expected = 0;
     auto spawn = [&](const char* group, std::uint32_t vcpu) {
       threads.emplace_back([&, group, vcpu] {
         ThreadRegistry::Global().RegisterCurrent(vcpu);
@@ -439,10 +461,8 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
         }
         lock.Unlock();
       });
-      ++expected;
-      EXPECT_TRUE(AwaitCondition([&] { return contended.load() >= expected; }));
-      timespec ts{0, 2'000'000};
-      nanosleep(&ts, nullptr);
+      const std::size_t linked = threads.size();
+      EXPECT_TRUE(AwaitCondition([&] { return arrivals.size() >= linked; }));
     };
 
     spawn("head", 0);     // socket 0, queue head (never bypassed)
@@ -450,9 +470,17 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
     for (int i = 0; i < 6; ++i) {
       spawn("boosted", static_cast<std::uint32_t>(1 + i));  // socket 0
     }
-    // Let the head shuffle the fully-formed queue.
-    timespec ts{0, 50'000'000};
-    nanosleep(&ts, nullptr);
+    // Let the head shuffle the fully formed queue. The tail is never moved,
+    // so five boosted waiters can pass the victim; a bound of 2 lets two
+    // pass and freezes the next move.
+    if (bypass_bound >= 5) {
+      EXPECT_TRUE(AwaitCondition([&] { return lock.shuffle_moves() == 5; }));
+    } else {
+      EXPECT_TRUE(AwaitCondition([&] {
+        return lock.shuffle_moves() == bypass_bound &&
+               lock.bypass_freezes() > 0;
+      }));
+    }
     lock.Unlock();
     for (auto& thread : threads) {
       thread.join();
