@@ -20,18 +20,6 @@ inline std::uint64_t MonotonicNowNs() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-// Cheap serializing-free cycle counter, used where the profiler wants minimal
-// probe cost and only needs relative ordering on one CPU.
-inline std::uint64_t CycleCount() {
-#if defined(__x86_64__)
-  std::uint32_t lo, hi;
-  asm volatile("rdtsc" : "=a"(lo), "=d"(hi));
-  return (static_cast<std::uint64_t>(hi) << 32) | lo;
-#else
-  return MonotonicNowNs();
-#endif
-}
-
 // Busy-burn roughly `ns` nanoseconds of CPU work; models a critical-section
 // body of known length in benchmarks (does not yield; use only for short ns).
 void BurnNs(std::uint64_t ns);
@@ -39,14 +27,14 @@ void BurnNs(std::uint64_t ns);
 // --- injectable clock --------------------------------------------------------
 //
 // Control-plane time (watchdog polling baselines, containment backoff
-// schedules, hook-budget timing) and sampled observability paths (the
-// dynamic lock profiler's wait/hold stamps, flight-recorder events) go
-// through ClockNowNs() so tests can install a FakeClock and drive them
-// deterministically — the override check is a single relaxed load that
-// predicts perfectly, and these paths already pay a clock read. Hot paths
-// that feed raw statistics on every operation (waiter views, hold-time
-// EWMA) keep calling MonotonicNowNs() directly: they never make timeout
-// decisions and run even with no observer attached.
+// schedules, hook-budget timing, profile snapshots) and flight-recorder
+// events go through ClockNowNs() so tests can install a FakeClock and drive
+// them deterministically — the override check is a single relaxed load that
+// predicts perfectly, and these paths already pay a clock read. Lock hot
+// paths (waiter views, the stamps of a timed acquisition that feed the
+// hold-time EWMA and the profiler's wait/hold histograms) keep calling
+// MonotonicNowNs() directly: they never make timeout decisions, and tests
+// drive the profiler with stamps of their own.
 
 class ClockInterface {
  public:

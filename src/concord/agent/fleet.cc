@@ -32,7 +32,6 @@ void MergeWindow(const LockProfileSnapshot& delta,
     merged.socket_acquisitions[i] += delta.socket_acquisitions[i];
   }
   merged.cross_socket_handoffs += delta.cross_socket_handoffs;
-  merged.dropped_samples += delta.dropped_samples;
   merged.budget_overruns += delta.budget_overruns;
   merged.quarantines += delta.quarantines;
   merged.wait_ns.MergeFrom(delta.wait_ns);

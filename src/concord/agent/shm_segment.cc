@@ -117,7 +117,6 @@ void ShmEncodeRecord(const ShmLockSample& sample, ShmLockRecord& out) {
     out.socket_acquisitions[i] = snap.socket_acquisitions[i];
   }
   out.cross_socket_handoffs = snap.cross_socket_handoffs;
-  out.dropped_samples = snap.dropped_samples;
   out.budget_overruns = snap.budget_overruns;
   out.quarantines = snap.quarantines;
   EncodeHistogram(snap.wait_ns, out.wait_buckets, out.wait_sum, out.wait_max);
@@ -138,7 +137,6 @@ void ShmDecodeRecord(const ShmLockRecord& record, std::uint64_t published_ns,
     snap.socket_acquisitions[i] = record.socket_acquisitions[i];
   }
   snap.cross_socket_handoffs = record.cross_socket_handoffs;
-  snap.dropped_samples = record.dropped_samples;
   snap.budget_overruns = record.budget_overruns;
   snap.quarantines = record.quarantines;
   DecodeHistogram(record.wait_buckets, record.wait_sum, record.wait_max,

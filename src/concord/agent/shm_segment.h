@@ -42,7 +42,7 @@ namespace concord {
 
 // "CCRDSHM1" little-endian.
 inline constexpr std::uint64_t kShmSegmentMagic = 0x314D485344524343ull;
-inline constexpr std::uint32_t kShmSegmentVersion = 1;
+inline constexpr std::uint32_t kShmSegmentVersion = 2;
 inline constexpr std::uint32_t kShmSegmentDefaultCapacity = 64;
 inline constexpr std::size_t kShmMaxLockName = 56;
 
@@ -59,7 +59,6 @@ struct ShmLockRecord {
   std::uint64_t releases;
   std::uint64_t socket_acquisitions[kProfilerSocketSlots];
   std::uint64_t cross_socket_handoffs;
-  std::uint64_t dropped_samples;
   std::uint64_t budget_overruns;
   std::uint64_t quarantines;
 

@@ -100,14 +100,17 @@ inline void TraceDispatch(const CompiledPolicy* cp, HookKind kind) {
 
 // The one kind rule: a hook the lock never consults cannot attach, whatever
 // its programs' backend. ShflLock consults every hook but rw_mode; a
-// readers-writer lock consults rw_mode and the four taps.
+// readers-writer lock consults rw_mode and the lock_acquire, lock_acquired
+// and lock_release taps (nothing of it queues through a hook point, so it
+// never fires lock_contended).
 Status CheckHookKinds(bool rw_lock, const std::string& lock_name,
                       const PolicySpec& spec) {
   for (int k = 0; k < kNumHookKinds; ++k) {
     const auto kind = static_cast<HookKind>(k);
     bool consulted = true;
     if (kind == HookKind::kCmpNode || kind == HookKind::kSkipShuffle ||
-        kind == HookKind::kScheduleWaiter) {
+        kind == HookKind::kScheduleWaiter ||
+        kind == HookKind::kLockContended) {
       consulted = !rw_lock;
     } else if (kind == HookKind::kRwMode) {
       consulted = rw_lock;
@@ -169,13 +172,20 @@ std::uint32_t RwModeTrampoline(void* user_data) {
 }
 
 // The policy's tap chain runs first, under its own budget scope, then the
-// framework profiler: the budget bounds the *policy*.
+// framework profiler: the budget bounds the *policy*. A program's now_ns is
+// the lock's stamp of this event on a timed acquisition, and a clock read
+// here otherwise.
 template <HookKind kKind>
-void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
+void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id,
+                          const TapStamps& stamps) {
   auto* cp = static_cast<CompiledPolicy*>(user_data);
   if (cp->ChainFor(kKind) != nullptr) {
-    ProfileCtx ctx{lock_id, MonotonicNowNs(), static_cast<std::uint32_t>(kKind),
-                   0};
+    const std::uint64_t stamp =
+        kKind == HookKind::kLockAcquired  ? stamps.acquired_ns
+        : kKind == HookKind::kLockRelease ? stamps.release_ns
+                                          : 0;
+    ProfileCtx ctx{lock_id, stamp != 0 ? stamp : MonotonicNowNs(),
+                   static_cast<std::uint32_t>(kKind), 0};
     Dispatch(cp, kKind, &ctx);
   }
   if (cp->stats != nullptr) {
@@ -184,9 +194,9 @@ void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id) {
     } else if constexpr (kKind == HookKind::kLockContended) {
       ProfilerTaps::OnContended(*cp->stats, lock_id);
     } else if constexpr (kKind == HookKind::kLockAcquired) {
-      ProfilerTaps::OnAcquired(*cp->stats, lock_id);
+      ProfilerTaps::OnAcquired(*cp->stats, lock_id, stamps);
     } else {
-      ProfilerTaps::OnRelease(*cp->stats, lock_id);
+      ProfilerTaps::OnRelease(*cp->stats, lock_id, stamps);
     }
   }
 }
@@ -382,9 +392,6 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
       t.max_waiter_bypasses = spec->max_waiter_bypasses;
       t.track_hold_time = spec->needs_hold_accounting;
     }
-    if (profiled) {
-      t.track_hold_time = true;
-    }
   }
 
   // Publish, wait a grace period, then let the old table die.
@@ -393,6 +400,9 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
   if (entry->shfl != nullptr && spec != nullptr &&
       spec->set_blocking.has_value()) {
     entry->shfl->SetBlocking(*spec->set_blocking);
+  }
+  if (fresh != nullptr && fresh->stats != nullptr) {
+    fresh->stats->SetTimedOneIn(HookSite::TimedOneIn(entry->site->mask()));
   }
   entry->current = fresh;
   if (old != nullptr || fresh != nullptr) {

@@ -64,7 +64,9 @@ struct ScheduleWaiterCtx {
 };
 static_assert(sizeof(ScheduleWaiterCtx) == 48);
 
-// The four profiling hooks share one context.
+// The four profiling hooks share one context. now_ns is the lock's stamp of
+// the event on a timed acquisition (lock_acquired, lock_release) and a clock
+// read in the trampoline otherwise.
 struct ProfileCtx {
   std::uint64_t lock_id;  // offset 0
   std::uint64_t now_ns;   // offset 8

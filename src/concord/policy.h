@@ -82,9 +82,10 @@ struct PolicySpec {
   std::uint32_t max_waiter_bypasses = 128;  // per-waiter starvation bound
   std::optional<bool> set_blocking;
 
-  // Request hold-time accounting (two clock reads per acquisition). Set
-  // this for policies that read cs_ewma_ns / hold totals; profiling enables
-  // it regardless.
+  // Request hold-time accounting: time every acquisition (two or three clock
+  // reads each) and feed each hold into the holder's cs_ewma_ns. Set this
+  // for policies that read cs_ewma_ns. Profiling does not set it; a
+  // profiled lock times 1 acquisition in HookSite::kTimedOneIn instead.
   bool needs_hold_accounting = false;
 
   // Runtime budget per hook invocation (0 = no timing) and how many overruns

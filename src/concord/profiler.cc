@@ -11,170 +11,51 @@
 namespace concord {
 namespace {
 
-// Per-thread in-flight acquisition records. Locks nest, so this behaves as a
-// small stack: slots are matched by lock id at acquired/release time,
-// newest-first (LIFO). Matching the *oldest* slot instead — as an earlier
-// version did — pairs a recursive re-acquisition's timestamps with the outer
-// acquisition's slot, inflating its hold time and orphaning the inner slot.
-// Out-of-order release of different locks still works because matching is by
-// lock id, not strictly stack order.
-struct InFlight {
-  std::uint64_t lock_id = 0;
-  std::uint64_t acquire_ns = 0;
-  std::uint64_t acquired_ns = 0;
-  std::uint64_t seq = 0;  // allocation order; higher = more recent
-  bool contended = false;
-  bool live = false;
-};
-
-constexpr int kMaxInFlight = 16;
-thread_local InFlight tls_inflight[kMaxInFlight];
-thread_local std::uint64_t tls_inflight_seq = 0;
-
-// Newest live slot for `lock_id` (highest seq), or nullptr.
-InFlight* FindSlot(std::uint64_t lock_id) {
-  InFlight* best = nullptr;
-  for (auto& slot : tls_inflight) {
-    if (slot.live && slot.lock_id == lock_id &&
-        (best == nullptr || slot.seq > best->seq)) {
-      best = &slot;
-    }
-  }
-  return best;
-}
-
-InFlight* AllocSlot(std::uint64_t lock_id) {
-  for (auto& slot : tls_inflight) {
-    if (!slot.live) {
-      slot.live = true;
-      slot.lock_id = lock_id;
-      slot.contended = false;
-      slot.acquire_ns = 0;
-      slot.acquired_ns = 0;
-      slot.seq = ++tls_inflight_seq;
-      return &slot;
-    }
-  }
-  return nullptr;  // too deeply nested: caller records the drop
-}
-
 // The socket slot a virtual socket folds into (sockets beyond the tracked
 // range share the last slot).
 std::size_t SocketSlotFor(std::uint32_t socket) {
   return socket < kProfilerSocketSlots ? socket : kProfilerSocketSlots - 1;
 }
 
-void AppendCountersJson(JsonWriter& writer, std::uint64_t acquisitions,
-                        std::uint64_t contentions, std::uint64_t releases,
-                        std::uint64_t dropped, std::uint64_t overruns,
-                        std::uint64_t quarantines,
-                        const std::uint64_t* socket_acquisitions,
-                        std::uint64_t cross_socket_handoffs,
-                        double contention_rate, const Log2Histogram& wait_ns,
-                        const Log2Histogram& hold_ns) {
-  writer.BeginObject();
-  writer.NumberField("acquisitions", acquisitions);
-  writer.NumberField("contentions", contentions);
-  writer.NumberField("releases", releases);
-  writer.NumberField("dropped_samples", dropped);
-  writer.NumberField("budget_overruns", overruns);
-  writer.NumberField("quarantines", quarantines);
-  writer.Key("socket_acquisitions").BeginArray();
-  for (std::size_t i = 0; i < kProfilerSocketSlots; ++i) {
-    writer.Number(socket_acquisitions[i]);
-  }
-  writer.EndArray();
-  writer.NumberField("cross_socket_handoffs", cross_socket_handoffs);
-  writer.NumberField("contention_rate", contention_rate);
-  writer.Key("wait_ns");
-  wait_ns.AppendJson(writer);
-  writer.Key("hold_ns");
-  hold_ns.AppendJson(writer);
-  writer.EndObject();
-}
-
-std::string SummaryLine(std::uint64_t acquisitions, std::uint64_t contentions,
-                        std::uint64_t releases, std::uint64_t dropped,
-                        std::uint64_t overruns, std::uint64_t quarantines,
-                        double contention_rate, const Log2Histogram& wait_ns,
-                        const Log2Histogram& hold_ns) {
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "acq=%" PRIu64 " contended=%" PRIu64 " (%.1f%%) rel=%" PRIu64
-                " wait[p50=%" PRIu64 "ns p99=%" PRIu64 "ns max=%" PRIu64
-                "ns] hold[p50=%" PRIu64 "ns p99=%" PRIu64 "ns]",
-                acquisitions, contentions, 100.0 * contention_rate, releases,
-                wait_ns.Percentile(50), wait_ns.Percentile(99), wait_ns.Max(),
-                hold_ns.Percentile(50), hold_ns.Percentile(99));
-  std::string out = line;
-  if (dropped != 0) {
-    std::snprintf(line, sizeof(line), " dropped_samples=%" PRIu64, dropped);
-    out += line;
-  }
-  if (overruns != 0 || quarantines != 0) {
-    std::snprintf(line, sizeof(line),
-                  " budget_overruns=%" PRIu64 " quarantines=%" PRIu64, overruns,
-                  quarantines);
-    out += line;
-  }
-  return out;
-}
-
 }  // namespace
 
-void ProfilerTaps::OnAcquire(ShardedLockProfileStats& stats,
-                             std::uint64_t lock_id) {
+void ProfilerTaps::OnAcquire(ShardedLockProfileStats& stats, std::uint64_t) {
   LockProfileStats& shard = stats.Shard();
   shard.acquisitions.fetch_add(1, std::memory_order_relaxed);
   shard.socket_acquisitions[SocketSlotFor(Self().socket)].fetch_add(
       1, std::memory_order_relaxed);
-  if (InFlight* slot = AllocSlot(lock_id)) {
-    slot->acquire_ns = ClockNowNs();
-  } else {
-    shard.dropped_samples.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
-void ProfilerTaps::OnContended(ShardedLockProfileStats& stats,
-                               std::uint64_t lock_id) {
+void ProfilerTaps::OnContended(ShardedLockProfileStats& stats, std::uint64_t) {
   stats.Shard().contentions.fetch_add(1, std::memory_order_relaxed);
-  if (InFlight* slot = FindSlot(lock_id)) {
-    slot->contended = true;
+}
+
+void ProfilerTaps::OnAcquired(ShardedLockProfileStats& stats, std::uint64_t,
+                              const TapStamps& stamps) {
+  // Queued grants carry the NUMA handoff signal: did the lock move to a
+  // different socket than the previous queued grant's? Fast-path
+  // acquisitions skip this: they never ping-pong the line.
+  if (!stamps.queued) {
+    return;
+  }
+  LockProfileStats& shard = stats.Shard();
+  if (stamps.acquired_ns != 0) {
+    shard.wait_ns.Record(stamps.acquired_ns - stamps.enqueue_ns);
+  }
+  const std::uint32_t socket = Self().socket;
+  const std::uint32_t prev = stats.ExchangeOwnerSocket(socket);
+  if (prev != kNoOwnerSocket && prev != socket) {
+    shard.cross_socket_handoffs.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void ProfilerTaps::OnAcquired(ShardedLockProfileStats& stats,
-                              std::uint64_t lock_id) {
-  if (InFlight* slot = FindSlot(lock_id)) {
-    const std::uint64_t now = ClockNowNs();
-    slot->acquired_ns = now;
-    if (slot->contended) {
-      stats.Shard().wait_ns.Record(now - slot->acquire_ns);
-      // Contended grants carry the NUMA handoff signal: did the lock move to
-      // a different socket than its previous (contended) owner's? Uncontended
-      // fast-path acquisitions skip this — they never ping-pong the line.
-      const std::uint32_t socket = Self().socket;
-      const std::uint32_t prev = stats.ExchangeOwnerSocket(socket);
-      if (prev != kNoOwnerSocket && prev != socket) {
-        stats.Shard().cross_socket_handoffs.fetch_add(1,
-                                                      std::memory_order_relaxed);
-      }
-    }
-  }
-}
-
-void ProfilerTaps::OnRelease(ShardedLockProfileStats& stats,
-                             std::uint64_t lock_id) {
+void ProfilerTaps::OnRelease(ShardedLockProfileStats& stats, std::uint64_t,
+                             const TapStamps& stamps) {
   LockProfileStats& shard = stats.Shard();
   shard.releases.fetch_add(1, std::memory_order_relaxed);
-  if (InFlight* slot = FindSlot(lock_id)) {
-    if (slot->acquired_ns != 0) {
-      shard.hold_ns.Record(ClockNowNs() - slot->acquired_ns);
-    }
-    slot->live = false;
+  if (stamps.acquired_ns != 0) {
+    shard.hold_ns.Record(stamps.release_ns - stamps.acquired_ns);
   }
-  // No slot: either the sample was dropped at acquire (already counted) or
-  // profiling attached mid-critical-section; nothing to time either way.
 }
 
 void LockProfileStats::MergeFrom(const LockProfileStats& other) {
@@ -192,9 +73,6 @@ void LockProfileStats::MergeFrom(const LockProfileStats& other) {
   cross_socket_handoffs.fetch_add(
       other.cross_socket_handoffs.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  dropped_samples.fetch_add(
-      other.dropped_samples.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   budget_overruns.fetch_add(
       other.budget_overruns.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -202,31 +80,6 @@ void LockProfileStats::MergeFrom(const LockProfileStats& other) {
                         std::memory_order_relaxed);
   wait_ns.MergeFrom(other.wait_ns);
   hold_ns.MergeFrom(other.hold_ns);
-}
-
-std::string LockProfileStats::Summary() const {
-  return SummaryLine(acquisitions.load(std::memory_order_relaxed),
-                     contentions.load(std::memory_order_relaxed),
-                     releases.load(std::memory_order_relaxed),
-                     dropped_samples.load(std::memory_order_relaxed),
-                     budget_overruns.load(std::memory_order_relaxed),
-                     quarantines.load(std::memory_order_relaxed),
-                     ContentionRate(), wait_ns, hold_ns);
-}
-
-void LockProfileStats::AppendJson(JsonWriter& writer) const {
-  std::uint64_t sockets[kProfilerSocketSlots];
-  for (std::size_t i = 0; i < kProfilerSocketSlots; ++i) {
-    sockets[i] = socket_acquisitions[i].load(std::memory_order_relaxed);
-  }
-  AppendCountersJson(writer, acquisitions.load(std::memory_order_relaxed),
-                     contentions.load(std::memory_order_relaxed),
-                     releases.load(std::memory_order_relaxed),
-                     dropped_samples.load(std::memory_order_relaxed),
-                     budget_overruns.load(std::memory_order_relaxed),
-                     quarantines.load(std::memory_order_relaxed), sockets,
-                     cross_socket_handoffs.load(std::memory_order_relaxed),
-                     ContentionRate(), wait_ns, hold_ns);
 }
 
 std::size_t ShardedLockProfileStats::ThisThreadShard() {
@@ -259,20 +112,50 @@ void ShardedLockProfileStats::MergeInto(LockProfileStats& out) const {
 }
 
 std::string ShardedLockProfileStats::Summary() const {
-  return SummaryLine(Acquisitions(), Contentions(), Releases(),
-                     DroppedSamples(), BudgetOverruns(), Quarantines(),
-                     ContentionRate(), WaitNs(), HoldNs());
+  const Log2Histogram wait_ns = WaitNs();
+  const Log2Histogram hold_ns = HoldNs();
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "acq=%" PRIu64 " contended=%" PRIu64 " (%.1f%%) rel=%" PRIu64
+                " wait[p50=%" PRIu64 "ns p99=%" PRIu64 "ns max=%" PRIu64
+                "ns] hold[p50=%" PRIu64 "ns p99=%" PRIu64
+                "ns] timed_one_in=%" PRIu32,
+                Acquisitions(), Contentions(), 100.0 * ContentionRate(),
+                Releases(), wait_ns.Percentile(50), wait_ns.Percentile(99),
+                wait_ns.Max(), hold_ns.Percentile(50), hold_ns.Percentile(99),
+                TimedOneIn());
+  std::string out = line;
+  const std::uint64_t overruns = BudgetOverruns();
+  const std::uint64_t quarantines = Quarantines();
+  if (overruns != 0 || quarantines != 0) {
+    std::snprintf(line, sizeof(line),
+                  " budget_overruns=%" PRIu64 " quarantines=%" PRIu64, overruns,
+                  quarantines);
+    out += line;
+  }
+  return out;
 }
 
 void ShardedLockProfileStats::AppendJson(JsonWriter& writer) const {
-  std::uint64_t sockets[kProfilerSocketSlots];
+  writer.BeginObject();
+  writer.NumberField("acquisitions", Acquisitions());
+  writer.NumberField("contentions", Contentions());
+  writer.NumberField("releases", Releases());
+  writer.NumberField("budget_overruns", BudgetOverruns());
+  writer.NumberField("quarantines", Quarantines());
+  writer.Key("socket_acquisitions").BeginArray();
   for (std::size_t i = 0; i < kProfilerSocketSlots; ++i) {
-    sockets[i] = SocketAcquisitions(i);
+    writer.Number(SocketAcquisitions(i));
   }
-  AppendCountersJson(writer, Acquisitions(), Contentions(), Releases(),
-                     DroppedSamples(), BudgetOverruns(), Quarantines(), sockets,
-                     CrossSocketHandoffs(), ContentionRate(), WaitNs(),
-                     HoldNs());
+  writer.EndArray();
+  writer.NumberField("cross_socket_handoffs", CrossSocketHandoffs());
+  writer.NumberField("contention_rate", ContentionRate());
+  writer.NumberField("timed_one_in", TimedOneIn());
+  writer.Key("wait_ns");
+  WaitNs().AppendJson(writer);
+  writer.Key("hold_ns");
+  HoldNs().AppendJson(writer);
+  writer.EndObject();
 }
 
 std::uint64_t ShardedLockProfileStats::SocketAcquisitions(
@@ -317,8 +200,6 @@ LockProfileSnapshot ShardedLockProfileStats::Snapshot() const {
   }
   snap.cross_socket_handoffs =
       merged.cross_socket_handoffs.load(std::memory_order_relaxed);
-  snap.dropped_samples =
-      merged.dropped_samples.load(std::memory_order_relaxed);
   snap.budget_overruns =
       merged.budget_overruns.load(std::memory_order_relaxed);
   snap.quarantines = merged.quarantines.load(std::memory_order_relaxed);
@@ -365,7 +246,6 @@ LockProfileSnapshot LockProfileSnapshot::DeltaSince(
   }
   delta.cross_socket_handoffs =
       ClampedDelta(cross_socket_handoffs, earlier.cross_socket_handoffs);
-  delta.dropped_samples = ClampedDelta(dropped_samples, earlier.dropped_samples);
   delta.budget_overruns = ClampedDelta(budget_overruns, earlier.budget_overruns);
   delta.quarantines = ClampedDelta(quarantines, earlier.quarantines);
   delta.wait_ns = wait_ns.DeltaSince(earlier.wait_ns);

@@ -17,6 +17,7 @@
 
 #include "src/base/cacheline.h"
 #include "src/base/histogram.h"
+#include "src/sync/policy_hooks.h"
 
 namespace concord {
 
@@ -36,21 +37,18 @@ struct LockProfileStats {
   std::atomic<std::uint64_t> contentions{0};
   std::atomic<std::uint64_t> releases{0};
   // NUMA signal for the autotune control plane: which virtual sockets the
-  // acquiring threads sit on, and how often a *contended* grant moved the
-  // lock to a different socket than its previous owner's.
+  // acquiring threads sit on, and how often a queued grant moved the lock to
+  // a different socket than the previous queued grant's.
   std::atomic<std::uint64_t> socket_acquisitions[kProfilerSocketSlots] = {};
   std::atomic<std::uint64_t> cross_socket_handoffs{0};
-  // Samples the profiler could NOT time: in-flight slot table exhausted by
-  // >kMaxInFlight-deep lock nesting. Counted instead of silently dropped so
-  // a suspicious wait/hold histogram can be cross-checked against how much
-  // of the traffic it actually saw.
-  std::atomic<std::uint64_t> dropped_samples{0};
   // Containment counters (src/concord/containment.h): hook invocations that
   // blew their runtime budget, and how often this lock's policy was
   // quarantined as a result of any fault class.
   std::atomic<std::uint64_t> budget_overruns{0};
   std::atomic<std::uint64_t> quarantines{0};
-  Log2Histogram wait_ns;  // contended acquisitions: time from acquire to grant
+  // Timed acquisitions only (HookSite::TimeAcquisition): 1 in
+  // HookSite::kTimedOneIn, or all under hold-time accounting.
+  Log2Histogram wait_ns;  // queued acquisitions: time from enqueue to grant
   Log2Histogram hold_ns;  // critical-section lengths
 
   void Reset() {
@@ -61,7 +59,6 @@ struct LockProfileStats {
       slot.store(0, std::memory_order_relaxed);
     }
     cross_socket_handoffs.store(0, std::memory_order_relaxed);
-    dropped_samples.store(0, std::memory_order_relaxed);
     budget_overruns.store(0, std::memory_order_relaxed);
     quarantines.store(0, std::memory_order_relaxed);
     wait_ns.Reset();
@@ -71,21 +68,6 @@ struct LockProfileStats {
   // Adds `other`'s counters and histograms into this block (shard
   // aggregation; relaxed reads, statistically consistent).
   void MergeFrom(const LockProfileStats& other);
-
-  double ContentionRate() const {
-    const std::uint64_t acq = acquisitions.load(std::memory_order_relaxed);
-    if (acq == 0) {
-      return 0.0;
-    }
-    return static_cast<double>(contentions.load(std::memory_order_relaxed)) /
-           static_cast<double>(acq);
-  }
-
-  // One-lock summary line: counts, contention rate, wait/hold p50/p99.
-  std::string Summary() const;
-
-  // Machine-readable counters + histograms, appended as one JSON object.
-  void AppendJson(JsonWriter& writer) const;
 };
 
 // A point-in-time copy of one lock's merged profiling state. The live
@@ -104,7 +86,6 @@ struct LockProfileSnapshot {
   std::uint64_t releases = 0;
   std::uint64_t socket_acquisitions[kProfilerSocketSlots] = {};
   std::uint64_t cross_socket_handoffs = 0;
-  std::uint64_t dropped_samples = 0;
   std::uint64_t budget_overruns = 0;
   std::uint64_t quarantines = 0;
   Log2Histogram wait_ns;
@@ -164,9 +145,6 @@ class ShardedLockProfileStats {
   std::uint64_t Acquisitions() const { return Sum(&LockProfileStats::acquisitions); }
   std::uint64_t Contentions() const { return Sum(&LockProfileStats::contentions); }
   std::uint64_t Releases() const { return Sum(&LockProfileStats::releases); }
-  std::uint64_t DroppedSamples() const {
-    return Sum(&LockProfileStats::dropped_samples);
-  }
   std::uint64_t BudgetOverruns() const {
     return Sum(&LockProfileStats::budget_overruns);
   }
@@ -188,10 +166,25 @@ class ShardedLockProfileStats {
   // and never to neither.
   LockProfileSnapshot Snapshot() const;
 
-  // Last socket a contended grant landed on (cross-socket handoff tracking;
-  // written by ProfilerTaps::OnAcquired). Returns the previous value.
+  // Last socket a queued grant landed on (cross-socket handoff tracking);
+  // returns the previous value. Only a mutex holder calls it
+  // (ProfilerTaps::OnAcquired on a queued grant), so the mutex orders the
+  // calls and a relaxed load and store replace an RMW.
   std::uint32_t ExchangeOwnerSocket(std::uint32_t socket) {
-    return last_owner_socket_.exchange(socket, std::memory_order_relaxed);
+    const std::uint32_t prev =
+        last_owner_socket_.load(std::memory_order_relaxed);
+    last_owner_socket_.store(socket, std::memory_order_relaxed);
+    return prev;
+  }
+
+  // One timed acquisition in this many feeds the wait and hold histograms
+  // (HookSite::TimedOneIn of the lock's table). Concord sets it at each
+  // install; it is reported, never configured.
+  std::uint32_t TimedOneIn() const {
+    return timed_one_in_.load(std::memory_order_relaxed);
+  }
+  void SetTimedOneIn(std::uint32_t one_in) {
+    timed_one_in_.store(one_in, std::memory_order_relaxed);
   }
 
   double ContentionRate() const {
@@ -229,18 +222,27 @@ class ShardedLockProfileStats {
 
   AlignedStats shards_[kShards];
   std::atomic<std::uint32_t> last_owner_socket_{kNoOwnerSocket};
+  std::atomic<std::uint32_t> timed_one_in_{HookSite::kTimedOneIn};
 };
 
 // Native profiling taps. The tap trampolines Concord installs in a lock's
-// HookTable call these, on both lock families; they stamp per-thread
-// timestamps to compute wait and hold durations. In-flight acquisitions are
-// matched per thread by lock id, newest-first (LIFO), so recursive or
-// repeated acquisition of the same lock nests correctly.
+// HookTable call these, on both lock families. They read no clock: wait and
+// hold come from the lock's stamps of a timed acquisition, and an untimed
+// one (all stamps 0) is counted but not sampled. `lock_id` is unused.
+//   OnAcquire   - acquisitions and per-socket acquisitions;
+//   OnContended - contentions;
+//   OnAcquired  - on a queued grant: a cross-socket handoff check, and the
+//                 wait (acquired - enqueue) if timed;
+//   OnRelease   - releases, and the hold (release - acquired) if timed.
+// Counting stays in the acquire and contended taps, outside the critical
+// section; OnAcquired, which runs inside it, does work only on queued grants.
 struct ProfilerTaps {
   static void OnAcquire(ShardedLockProfileStats& stats, std::uint64_t lock_id);
   static void OnContended(ShardedLockProfileStats& stats, std::uint64_t lock_id);
-  static void OnAcquired(ShardedLockProfileStats& stats, std::uint64_t lock_id);
-  static void OnRelease(ShardedLockProfileStats& stats, std::uint64_t lock_id);
+  static void OnAcquired(ShardedLockProfileStats& stats, std::uint64_t lock_id,
+                         const TapStamps& stamps = {});
+  static void OnRelease(ShardedLockProfileStats& stats, std::uint64_t lock_id,
+                        const TapStamps& stamps = {});
 };
 
 }  // namespace concord

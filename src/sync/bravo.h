@@ -58,8 +58,7 @@ class BravoLock {
     const std::uint32_t mode = CurrentMode();
     if (mode == static_cast<std::uint32_t>(RwMode::kWriterOnly)) {
       underlying_.WriteLock();
-      PushToken(kTokenWriterOnly);
-      hooks_.Tap(&HookTable::lock_acquired);
+      ReadAcquired(kTokenWriterOnly);
       return;
     }
     const bool reader_bias =
@@ -76,9 +75,8 @@ class BravoLock {
         // seq_cst: with acquire/release alone the model lets both sides miss
         // each other and a fast-path reader run beside the writer.
         if (bias_.load(std::memory_order_seq_cst) != 0) {
-          PushToken(index);
           fast_reads_.fetch_add(1, std::memory_order_relaxed);
-          hooks_.Tap(&HookTable::lock_acquired);
+          ReadAcquired(index);
           return;
         }
         slot.store(0, std::memory_order_release);
@@ -88,14 +86,14 @@ class BravoLock {
     if (reader_bias) {
       MaybeReenableBias();  // under the read lock, so no writer is inside
     }
-    PushToken(kTokenUnderlying);
     slow_reads_.fetch_add(1, std::memory_order_relaxed);
-    hooks_.Tap(&HookTable::lock_acquired);
+    ReadAcquired(kTokenUnderlying);
   }
 
   void ReadUnlock() {
-    hooks_.Tap(&HookTable::lock_release);
-    const std::uint64_t token = PopToken();
+    std::uint64_t acquired_ns = 0;
+    const std::uint64_t token = PopToken(acquired_ns);
+    Released(acquired_ns);
     if (token == kTokenUnderlying) {
       underlying_.ReadUnlock();
       return;
@@ -113,11 +111,22 @@ class BravoLock {
     if (bias_.load(std::memory_order_acquire) != 0) {
       Revoke();
     }
-    hooks_.Tap(&HookTable::lock_acquired);
+    const std::uint32_t mask = hooks_.mask();
+    const std::uint64_t acquired_ns = StampIfTimed(mask);
+    if (acquired_ns != 0) {
+      writer_acquired_ns_ = acquired_ns;
+    }
+    hooks_.Tap(mask, &HookTable::lock_acquired,
+               TapStamps{0, acquired_ns, 0, false});
   }
 
   void WriteUnlock() {
-    hooks_.Tap(&HookTable::lock_release);
+    // Stored only by a timed writer, so an untimed pair stores nothing.
+    const std::uint64_t acquired_ns = writer_acquired_ns_;
+    if (acquired_ns != 0) {
+      writer_acquired_ns_ = 0;
+    }
+    Released(acquired_ns);
     underlying_.WriteUnlock();
   }
 
@@ -148,12 +157,19 @@ class BravoLock {
   Underlying& underlying() { return underlying_; }
 
  private:
-  static constexpr std::uint64_t kTokenUnderlying = ~0ull;
-  static constexpr std::uint64_t kTokenWriterOnly = ~0ull - 1;
+  // A read's token: its visible-readers slot, or one of the two values
+  // below, with kTokenTimed set when the read was timed.
+  static constexpr std::uint64_t kTokenUnderlying = kTableSlots;
+  static constexpr std::uint64_t kTokenWriterOnly = kTableSlots + 1;
+  static constexpr std::uint64_t kTokenTimed = 1ull << 32;
   static constexpr int kMaxNestedReads = 16;
 
+  // The calling thread's reads in progress, LIFO. A timed read keeps its
+  // acquired stamp beside its token, so a nested read's release pairs with
+  // its own acquisition.
   struct TokenStack {
     std::uint64_t tokens[kMaxNestedReads];
+    std::uint64_t acquired_ns[kMaxNestedReads];  // written for timed reads
     int depth = 0;
   };
 
@@ -162,16 +178,51 @@ class BravoLock {
     return stack;
   }
 
-  void PushToken(std::uint64_t token) {
+  void PushToken(std::uint64_t token, std::uint64_t acquired_ns) {
     TokenStack& stack = Tokens();
     CONCORD_CHECK(stack.depth < kMaxNestedReads);
+    if (acquired_ns != 0) {
+      stack.acquired_ns[stack.depth] = acquired_ns;
+      token |= kTokenTimed;
+    }
     stack.tokens[stack.depth++] = token;
   }
 
-  std::uint64_t PopToken() {
+  // Pops the newest read's token; sets `acquired_ns` if it was timed.
+  std::uint64_t PopToken(std::uint64_t& acquired_ns) {
     TokenStack& stack = Tokens();
     CONCORD_CHECK(stack.depth > 0);
-    return stack.tokens[--stack.depth];
+    const std::uint64_t token = stack.tokens[--stack.depth];
+    if ((token & kTokenTimed) != 0) {
+      acquired_ns = stack.acquired_ns[stack.depth];
+    }
+    return token & ~kTokenTimed;
+  }
+
+  // The acquired stamp of an acquisition that holds the lock now, or 0 if
+  // it is untimed. Nothing of this lock queues, so the timing decision is
+  // taken here, with the mask the acquired tap reads, and an acquisition is
+  // stamped at acquired and release only.
+  static std::uint64_t StampIfTimed(std::uint32_t mask) {
+    return HookSite::TimeAcquisition(mask) ? MonotonicNowNs() : 0;
+  }
+
+  // A read is held: stamps it if timed, records its token and fires
+  // lock_acquired.
+  void ReadAcquired(std::uint64_t token) {
+    const std::uint32_t mask = hooks_.mask();
+    const std::uint64_t acquired_ns = StampIfTimed(mask);
+    PushToken(token, acquired_ns);
+    hooks_.Tap(mask, &HookTable::lock_acquired,
+               TapStamps{0, acquired_ns, 0, false});
+  }
+
+  // Fires lock_release, stamped if the acquisition was timed, while the
+  // lock is still held.
+  void Released(std::uint64_t acquired_ns) {
+    const std::uint64_t release_ns = acquired_ns != 0 ? MonotonicNowNs() : 0;
+    hooks_.Tap(&HookTable::lock_release,
+               TapStamps{0, acquired_ns, release_ns, false});
   }
 
   std::uint32_t CurrentMode() const {
@@ -216,6 +267,9 @@ class BravoLock {
 
   // The wrapped lock: taken by slow-path readers and by every writer.
   Underlying underlying_;
+  // The write holder's acquired stamp when its acquisition is timed, else 0.
+  // Written and read only under the underlying write lock.
+  std::uint64_t writer_acquired_ns_ = 0;
   // Visible readers: each fast-path reader writes its own slot; a revoking
   // writer reads them all.
   CacheLinePadded<std::atomic<std::uint32_t>> visible_[kTableSlots];

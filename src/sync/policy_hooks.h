@@ -19,6 +19,8 @@
 //                     Hazard: performance (wake-up latency).
 //   lock_acquire / lock_contended / lock_acquired / lock_release
 //                   - profiling taps. Hazard: lengthen the critical section.
+//                     lock_acquired and lock_release receive the lock's
+//                     stamps of a timed acquisition (TapStamps).
 //   rw_mode         - readers-writer analogue (BRAVO): which RwMode to run
 //                     in. Hazard: performance.
 
@@ -28,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "src/base/rng.h"
 #include "src/rcu/rcu.h"
 
 namespace concord {
@@ -56,11 +59,25 @@ enum class RwMode : std::uint32_t {
   kWriterOnly = 2,  // readers take the write path (write-heavy workloads)
 };
 
+// What a lock hands its taps: the stamps of a timed acquisition (see
+// HookSite::TimeAcquisition), all from MonotonicNowNs(). Every stamp is 0 on
+// an untimed acquisition and at the lock_acquire and lock_contended taps.
+struct TapStamps {
+  std::uint64_t enqueue_ns = 0;   // lock_acquired: when the waiter queued
+  std::uint64_t acquired_ns = 0;  // lock_acquired and lock_release
+  std::uint64_t release_ns = 0;   // lock_release
+  // lock_acquired: the acquisition queued. Set on every acquisition, timed
+  // or not.
+  bool queued = false;
+};
+
 // One table shape for both lock families. ShflLock consults every slot but
-// rw_mode; BravoLock consults rw_mode and the four taps. Concord rejects a
-// table that fills a slot its lock never consults.
+// rw_mode; BravoLock consults rw_mode and the lock_acquire, lock_acquired and
+// lock_release taps (no reader or writer queues through a hook point).
+// Concord rejects a table that fills a slot its lock never consults.
 struct HookTable {
-  using Tap = void (*)(void* user_data, std::uint64_t lock_id);
+  using Tap = void (*)(void* user_data, std::uint64_t lock_id,
+                       const TapStamps& stamps);
 
   // Opaque cookie passed to every hook (Concord stores its policy object
   // here; a raw table stores whatever it likes).
@@ -91,9 +108,12 @@ struct HookTable {
   // clamps this to ShflLock::kShuffleRoundCap.
   std::uint32_t max_shuffle_rounds = 64;
 
-  // Maintain per-acquisition hold-time accounting (timestamps, CS EWMA).
-  // Costs two clock reads per acquisition; needed by profiling and by
-  // policies reading cs_ewma_ns (e.g. scheduler-cooperative locking).
+  // Time every acquisition (HookSite::TimeAcquisition) and feed each hold
+  // into the holder's cs_ewma_ns. Costs two or three clock reads per
+  // acquisition; needed by policies reading cs_ewma_ns (e.g.
+  // scheduler-cooperative locking). Without it a lock whose table fills a
+  // timed tap (a profiled lock) times 1 acquisition in
+  // HookSite::kTimedOneIn per thread and updates cs_ewma_ns from those.
   bool track_hold_time = false;
 
   // Starvation bound per *waiter*: once a queued waiter has been overtaken
@@ -123,6 +143,10 @@ struct HookTable {
 //     may still run under the old table;
 //   - an acquisition that happens after Install returns reads the exact bits
 //     (or a later install's) by coherence, and the new table pointer too.
+//
+// The site also decides which acquisitions are timed (TimeAcquisition): the
+// lock reads the clock only on those, and hands the stamps to its
+// lock_acquired and lock_release taps.
 class HookSite {
  public:
   // Mask bits: one per hook slot, plus the hold-time accounting flag.
@@ -138,6 +162,12 @@ class HookSite {
   // The slots that read a waiter's view (and so its enqueue time).
   static constexpr std::uint32_t kWaiterDecisions =
       kCmpNode | kSkipShuffle | kScheduleWaiter;
+  // The taps that receive a timed acquisition's stamps.
+  static constexpr std::uint32_t kTimedTaps = kLockAcquired | kLockRelease;
+
+  // A thread times 1 in this many of its acquisitions of locks whose table
+  // fills a timed tap but asks for no hold-time accounting.
+  static constexpr std::uint32_t kTimedOneIn = 16;
 
   // Atomically publishes a new table; returns the previous one. The caller
   // must free the old table only after an RCU grace period (Concord does).
@@ -157,31 +187,51 @@ class HookSite {
   // The mask bits of the installed table (see the class comment).
   std::uint32_t mask() const { return mask_.load(std::memory_order_relaxed); }
 
+  // Whether the acquisition that read `mask` is timed: every one while the
+  // table asks for hold-time accounting, 1 in kTimedOneIn of each thread's
+  // acquisitions while only a timed tap is filled, none otherwise. Both lock
+  // families call this once per acquisition; an unpatched lock reads
+  // neither the clock nor the thread's sampler.
+  static bool TimeAcquisition(std::uint32_t mask) {
+    if ((mask & (kTrackHoldTime | kTimedTaps)) == 0) [[likely]] {
+      return false;
+    }
+    return (mask & kTrackHoldTime) != 0 || SampleThisThread();
+  }
+
+  // The rate TimeAcquisition applies under `mask`: one timed acquisition in
+  // this many (1 under hold-time accounting).
+  static std::uint32_t TimedOneIn(std::uint32_t mask) {
+    return (mask & kTrackHoldTime) != 0 ? 1 : kTimedOneIn;
+  }
+
   // If any of `bits` is set and a table is installed, runs `fn(table)` inside
   // one RCU read section. Otherwise enters no section.
   template <typename Fn>
   void Read(std::uint32_t bits, Fn&& fn) const {
-    if ((mask() & bits) == 0) {
-      return;
-    }
-    RcuReadGuard rcu;
-    const HookTable* table = table_.Read();
-    if (table != nullptr) {
-      fn(*table);
+    if ((mask() & bits) != 0) {
+      ReadTable(fn);
     }
   }
 
-  // Fires `slot` of a table already read under a guard.
-  void Fire(const HookTable& table, HookTable::Tap HookTable::*slot) const {
-    if (table.*slot != nullptr) {
-      (table.*slot)(table.user_data, lock_id_);
-    }
+  // Fires `slot` of the installed table with `stamps`, if its bit is set, in
+  // one read section. The read section works on its own copy of `stamps`,
+  // so the copy the tap's pointer reaches is built only once the bit is
+  // found set: an unpatched lock stores nothing for it.
+  void Tap(HookTable::Tap HookTable::*slot, TapStamps stamps = {}) const {
+    Tap(mask(), slot, stamps);
   }
 
-  // Fires `slot` of the installed table, if its bit is set, in one read
-  // section.
-  void Tap(HookTable::Tap HookTable::*slot) const {
-    Read(TapBit(slot), [&](const HookTable& table) { Fire(table, slot); });
+  // The same, against a mask() the acquisition has already read.
+  void Tap(std::uint32_t mask, HookTable::Tap HookTable::*slot,
+           TapStamps stamps = {}) const {
+    if ((mask & TapBit(slot)) != 0) {
+      ReadTable([this, slot, stamps](const HookTable& table) {
+        if (table.*slot != nullptr) {
+          (table.*slot)(table.user_data, lock_id_, stamps);
+        }
+      });
+    }
   }
 
   // Registry identity passed to the taps (0 = unregistered).
@@ -189,6 +239,36 @@ class HookSite {
   std::uint64_t lock_id() const { return lock_id_; }
 
  private:
+  // Runs `fn(table)` inside one RCU read section if a table is installed.
+  template <typename Fn>
+  void ReadTable(Fn&& fn) const {
+    RcuReadGuard rcu;
+    const HookTable* table = table_.Read();
+    if (table != nullptr) {
+      fn(*table);
+    }
+  }
+
+  // One draw of the calling thread's sampler: true on its first call, then
+  // after gaps drawn uniformly from [1, 2 * kTimedOneIn - 1] (mean
+  // kTimedOneIn) by a per-thread generator with a fixed seed. A random gap
+  // keeps a thread that takes several profiled locks in a fixed order from
+  // timing only one of them, as a fixed period would.
+  static bool SampleThisThread() {
+    struct Sampler {
+      std::uint32_t countdown = 0;
+      std::uint64_t state = 0x5eed'c0c0'a7ed'0001ull;
+    };
+    static thread_local Sampler sampler;
+    if (sampler.countdown != 0) {
+      --sampler.countdown;
+      return false;
+    }
+    sampler.countdown = static_cast<std::uint32_t>(
+        SplitMix64(sampler.state) % (2 * kTimedOneIn - 1));
+    return true;
+  }
+
   // The mask bits `table` fills (0 for nullptr).
   static std::uint32_t BitsOf(const HookTable* table) {
     if (table == nullptr) {

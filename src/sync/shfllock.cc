@@ -46,27 +46,35 @@ ShflWaiterView ShflLock::MakeView(const ShflQNode& node, std::uint64_t now_ns) {
 void ShflLock::Lock() {
   ThreadContext& ctx = Self();
   TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquire);
-  // Hold-time accounting (timestamps + EWMA) is policy food; it is only
-  // maintained while the installed table asks for it, and a waiter is only
-  // timestamped while a decision hook could read its wait time, so that an
-  // unpatched lock costs no clock reads. (Enable profiling, or attach a
-  // policy that needs hold accounting, to warm the per-thread CS statistics.)
+  // The clock is read only on a timed acquisition (HookSite decides which:
+  // all under hold-time accounting, 1 in 16 on a profiled lock), which is
+  // stamped at enqueue, acquired and release, and a waiter is stamped at
+  // enqueue also while a decision hook could read its wait time. So an
+  // unpatched lock reads no clock. (Enable profiling, or attach a policy
+  // that needs hold accounting, to warm the per-thread CS statistics.)
   const std::uint32_t mask = hooks_.mask();
-  const bool track_time = (mask & HookSite::kTrackHoldTime) != 0;
-  const bool time_wait = (mask & HookSite::kWaiterDecisions) != 0;
-  hooks_.Tap(&HookTable::lock_acquire);
+  const bool timed = HookSite::TimeAcquisition(mask);
+  hooks_.Tap(mask, &HookTable::lock_acquire);
 
   // Fast path: steal only while no queue exists (bounded unfairness).
-  if (tail_.load(std::memory_order_relaxed) != nullptr || !TryAcquireWord()) {
-    ShflQNode node;
-    node.ctx = &ctx;
-    node.enqueue_ns = time_wait ? MonotonicNowNs() : 0;
-    SlowLock(node);
+  if (tail_.load(std::memory_order_relaxed) == nullptr && TryAcquireWord()) {
+    Acquired(ctx, timed, TapStamps{});
+    return;
   }
+  ShflQNode node;
+  node.ctx = &ctx;
+  const bool time_wait = timed || (mask & HookSite::kWaiterDecisions) != 0;
+  node.enqueue_ns = time_wait ? MonotonicNowNs() : 0;
+  SlowLock(node);
+  Acquired(ctx, timed, TapStamps{timed ? node.enqueue_ns : 0, 0, 0, true});
+}
 
-  RecordAcquired(ctx, track_time ? MonotonicNowNs() : 0);
+inline void ShflLock::Acquired(ThreadContext& ctx, bool timed,
+                               TapStamps stamps) {
+  stamps.acquired_ns = timed ? MonotonicNowNs() : 0;
+  RecordAcquired(ctx, stamps.acquired_ns);
   TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquired);
-  hooks_.Tap(&HookTable::lock_acquired);
+  hooks_.Tap(&HookTable::lock_acquired, stamps);
 }
 
 bool ShflLock::TryLock() {
@@ -303,23 +311,35 @@ void ShflLock::Unlock() {
   // The thread that locked must unlock: the holder and per-thread counters
   // below have that thread as their only writer.
   CONCORD_DCHECK(holder == &Self());
-  if (holder_acquire_ns_ != 0) {
-    const std::uint64_t held_ns = MonotonicNowNs() - holder_acquire_ns_;
-    holder->UpdateCsEwma(held_ns);
-    SingleWriterAdd(holder->lock_hold_total_ns, held_ns);
-  }
+  const std::uint64_t acquired_ns = holder_acquire_ns_;
   SingleWriterAdd(holder->locks_held, -1u);  // wraps: subtracts one
   holder_ctx_ = nullptr;
 
   const std::uint32_t prev = locked_.exchange(0, std::memory_order_release);
+  if (acquired_ns != 0) [[unlikely]] {
+    ReleasedTimed(*holder, acquired_ns, prev);
+    return;
+  }
+  Released(prev, TapStamps{});
+}
+
+void ShflLock::ReleasedTimed(ThreadContext& holder, std::uint64_t acquired_ns,
+                             std::uint32_t prev) {
+  // Stamped once the word is free, so the clock read stays out of the next
+  // holder's way.
+  const std::uint64_t release_ns = MonotonicNowNs();
+  holder.UpdateCsEwma(release_ns - acquired_ns);
+  Released(prev, TapStamps{0, acquired_ns, release_ns, false});
+}
+
+inline void ShflLock::Released(std::uint32_t prev, TapStamps stamps) {
   TraceRecord(hooks_.lock_id(), TraceEventKind::kRelease);
   if (prev == 2) {
     // The queue head parked on the lock word; wake it.
     TraceRecord(hooks_.lock_id(), TraceEventKind::kWake);
     ParkingLot::UnparkOne(&locked_);
   }
-
-  hooks_.Tap(&HookTable::lock_release);
+  hooks_.Tap(&HookTable::lock_release, stamps);
 }
 
 }  // namespace concord

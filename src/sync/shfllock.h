@@ -120,6 +120,20 @@ class ShflLock {
   // Holder bookkeeping once the lock word is won; only the new holder runs it.
   void RecordAcquired(ThreadContext& ctx, std::uint64_t acquire_ns);
 
+  // Lock()'s end, once the word is won: stamps a timed acquisition's
+  // acquired time into `stamps`, records the holder and fires lock_acquired.
+  void Acquired(ThreadContext& ctx, bool timed, TapStamps stamps);
+
+  // Unlock()'s end, once the word is free (`prev` is its old value): wakes a
+  // parked head and fires lock_release with `stamps`. A timed acquisition
+  // first stamps its release and feeds the hold into the holder's EWMA; that
+  // path is a function of its own, so the untimed one saves no registers
+  // for it.
+  void Released(std::uint32_t prev, TapStamps stamps);
+  [[gnu::noinline]] void ReleasedTimed(ThreadContext& holder,
+                                       std::uint64_t acquired_ns,
+                                       std::uint32_t prev);
+
   // One shuffle round; only the queue head calls this. Returns the number of
   // waiters moved.
   std::uint32_t ShuffleRound(ShflQNode& head, const HookTable& hooks);

@@ -44,7 +44,6 @@ struct CONCORD_CACHE_ALIGNED ThreadContext {
   // read them.
   std::atomic<std::uint32_t> locks_held{0};     // nesting depth across all locks
   std::atomic<std::uint64_t> cs_length_ewma_ns{0};  // critical-section length estimate
-  std::atomic<std::uint64_t> lock_hold_total_ns{0}; // cumulative hold time (SCL accounting)
 
   TaskClass Class() const {
     return static_cast<TaskClass>(task_class.load(std::memory_order_relaxed));

@@ -14,7 +14,9 @@
 #include "src/concord/agent/shm_segment.h"
 #include "src/concord/concord.h"
 #include "src/concord/policies.h"
+#include "src/rcu/rcu.h"
 #include "src/sync/bravo.h"
+#include "src/sync/policy_hooks.h"
 #include "src/sync/shfllock.h"
 
 namespace concord {
@@ -32,25 +34,167 @@ class ProfilerTest : public ::testing::Test {
   BravoLock<NeutralRwLock> rw_;
 };
 
+// How many of a fresh thread's first `n` acquisitions of a profiled lock
+// are timed: the decisions HookSite makes for them, replayed on a thread of
+// its own (every thread's sampler starts from the same seed).
+std::uint64_t TimedOfFirst(int n) {
+  std::uint64_t timed = 0;
+  std::thread([&] {
+    for (int i = 0; i < n; ++i) {
+      timed += HookSite::TimeAcquisition(HookSite::kTimedTaps) ? 1 : 0;
+    }
+  }).join();
+  return timed;
+}
+
 TEST_F(ProfilerTest, CountsUncontendedAcquisitions) {
   ShflLock& lock = lock_;
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock, "l", "test");
   ASSERT_TRUE(concord.EnableProfiling(id).ok());
-
-  for (int i = 0; i < 50; ++i) {
-    ShflGuard guard(lock);
-    BurnNs(10'000);
-  }
-
   const ShardedLockProfileStats* stats = concord.Stats(id);
   ASSERT_NE(stats, nullptr);
+
+  // A fresh thread, so its sampler starts where TimedOfFirst's does.
+  std::uint64_t after_first = 0;
+  std::thread([&] {
+    for (int i = 0; i < 50; ++i) {
+      {
+        ShflGuard guard(lock);
+        BurnNs(10'000);
+      }
+      if (i == 0) {
+        after_first = stats->HoldNs().TotalCount();
+      }
+    }
+  }).join();
+
   EXPECT_EQ(stats->Acquisitions(), 50u);
   EXPECT_EQ(stats->Releases(), 50u);
   EXPECT_EQ(stats->Contentions(), 0u);
+  // Only timed acquisitions feed the histogram, the first one among them.
+  EXPECT_EQ(after_first, 1u);
+  EXPECT_EQ(stats->HoldNs().TotalCount(), TimedOfFirst(50));
   // Hold times around 10us must be visible in the histogram.
-  EXPECT_EQ(stats->HoldNs().TotalCount(), 50u);
   EXPECT_GE(stats->HoldNs().Percentile(50), 4'000u);
+}
+
+// A profiled lock times 1 acquisition in 16 per thread and counts every one;
+// a policy asking for hold accounting has every acquisition timed.
+TEST_F(ProfilerTest, ProfiledLockTimesOneAcquisitionInSixteen) {
+  constexpr int kAcquisitions = 3200;
+  ShflLock& lock = lock_;
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = concord.RegisterShflLock(lock, "l", "test");
+  ASSERT_TRUE(concord.EnableProfiling(id).ok());
+  const ShardedLockProfileStats* stats = concord.Stats(id);
+  EXPECT_EQ(stats->TimedOneIn(), HookSite::kTimedOneIn);
+
+  std::uint64_t after_first = 0;
+  std::thread([&] {
+    for (int i = 0; i < kAcquisitions; ++i) {
+      { ShflGuard guard(lock); }
+      if (i == 0) {
+        after_first = stats->HoldNs().TotalCount();
+      }
+    }
+  }).join();
+  EXPECT_EQ(stats->Acquisitions(), static_cast<std::uint64_t>(kAcquisitions));
+  EXPECT_EQ(stats->Releases(), static_cast<std::uint64_t>(kAcquisitions));
+  EXPECT_EQ(stats->Contentions(), 0u);
+  EXPECT_EQ(after_first, 1u);  // a thread's first acquisition is timed
+  const std::uint64_t samples = stats->HoldNs().TotalCount();
+  EXPECT_EQ(samples, TimedOfFirst(kAcquisitions));
+  // 3200 / 16 = 200 expected; gaps are uniform in [1, 31].
+  EXPECT_GE(samples, 150u);
+  EXPECT_LE(samples, 250u);
+  EXPECT_NE(concord.ProfileReport("*").find("timed_one_in=16"),
+            std::string::npos);
+
+  PolicySpec accounting;
+  accounting.name = "hold_accounting";
+  accounting.needs_hold_accounting = true;
+  ASSERT_TRUE(concord.Attach(id, std::move(accounting)).ok());
+  EXPECT_EQ(stats->TimedOneIn(), 1u);
+  std::thread([&] {
+    for (int i = 0; i < kAcquisitions; ++i) {
+      ShflGuard guard(lock);
+    }
+  }).join();
+  EXPECT_EQ(stats->Acquisitions(), 2u * kAcquisitions);
+  EXPECT_EQ(stats->HoldNs().TotalCount(), samples + kAcquisitions);
+  EXPECT_NE(concord.StatsJson("*").find("\"timed_one_in\":1"),
+            std::string::npos);
+}
+
+// One thread taking two profiled locks in strict turn times both: a fixed
+// period of 16 would time only the lock it took first.
+TEST_F(ProfilerTest, AlternatingLocksAreBothSampled) {
+  constexpr int kRounds = 1600;
+  Concord& concord = Concord::Global();
+  const std::uint64_t a = concord.RegisterShflLock(lock_, "a", "test");
+  const std::uint64_t b = concord.RegisterShflLock(lock2_, "b", "test");
+  ASSERT_TRUE(concord.EnableProfiling(a).ok());
+  ASSERT_TRUE(concord.EnableProfiling(b).ok());
+  std::thread([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      { ShflGuard guard(lock_); }
+      { ShflGuard guard(lock2_); }
+    }
+  }).join();
+  for (const std::uint64_t id : {a, b}) {
+    const ShardedLockProfileStats* stats = concord.Stats(id);
+    EXPECT_EQ(stats->Acquisitions(), static_cast<std::uint64_t>(kRounds));
+    // 1600 / 16 = 100 expected on each lock.
+    EXPECT_GE(stats->HoldNs().TotalCount(), 50u) << "lock " << id;
+    EXPECT_LE(stats->HoldNs().TotalCount(), 150u) << "lock " << id;
+  }
+  EXPECT_EQ(concord.Stats(a)->HoldNs().TotalCount() +
+                concord.Stats(b)->HoldNs().TotalCount(),
+            TimedOfFirst(2 * kRounds));
+}
+
+// Nested reads of a BravoLock under hold accounting: each keeps its
+// acquired stamp on the thread's token stack, so each release hands its
+// own acquisition's stamp to the tap (LIFO), with no table in the profiler.
+TEST_F(ProfilerTest, NestedBravoReadsEachReleaseTheirOwnStamp) {
+  struct Log {
+    std::vector<std::uint64_t> acquired;
+    std::vector<TapStamps> released;
+  } log;
+  HookTable table;
+  table.user_data = &log;
+  table.track_hold_time = true;
+  table.lock_acquired = [](void* ud, std::uint64_t, const TapStamps& stamps) {
+    static_cast<Log*>(ud)->acquired.push_back(stamps.acquired_ns);
+  };
+  table.lock_release = [](void* ud, std::uint64_t, const TapStamps& stamps) {
+    static_cast<Log*>(ud)->released.push_back(stamps);
+  };
+  rw_.hook_site().Install(&table);
+  for (int depth = 0; depth < 3; ++depth) {
+    rw_.ReadLock();
+    BurnNs(1'000);  // so that no two stamps are equal
+  }
+  for (int depth = 0; depth < 3; ++depth) {
+    rw_.ReadUnlock();
+  }
+  rw_.hook_site().Install(nullptr);
+  Rcu::Global().Synchronize();
+
+  ASSERT_EQ(log.acquired.size(), 3u);
+  ASSERT_EQ(log.released.size(), 3u);
+  for (int depth = 0; depth < 3; ++depth) {
+    SCOPED_TRACE(depth);
+    const TapStamps& release = log.released[2 - depth];
+    EXPECT_NE(log.acquired[depth], 0u);
+    EXPECT_EQ(release.acquired_ns, log.acquired[depth]);
+    EXPECT_GE(release.release_ns, release.acquired_ns);
+  }
+  // The outer read was taken first and released last.
+  EXPECT_LT(log.acquired[0], log.acquired[1]);
+  EXPECT_LT(log.acquired[1], log.acquired[2]);
+  EXPECT_GE(log.released[2].release_ns, log.released[0].release_ns);
 }
 
 TEST_F(ProfilerTest, RecordsContentionAndWaitTimes) {
@@ -181,94 +325,80 @@ TEST_F(ProfilerTest, ProfilingComposesWithPolicy) {
   EXPECT_EQ(concord.Stats(id)->Acquisitions(), 26u);
 }
 
-// --- tap-level regression tests ----------------------------------------------
+// --- tap-level tests -----------------------------------------------------------
 //
-// These drive ProfilerTaps directly (the unit under the trampolines) with a
-// FakeClock, so wait/hold samples are exact and the in-flight matching rules
-// are pinned down deterministically.
+// These drive ProfilerTaps directly (the unit under the trampolines) with
+// stamps of their own, so wait/hold samples are exact.
 
-TEST(ProfilerTapsTest, RecursiveSameLockMatchesNewestSlot) {
-  ScopedFakeClock fake(1'000);
-  ShardedLockProfileStats stats;
-  const std::uint64_t id = 7;
-
-  // Outer acquisition at t=1000, granted immediately.
-  ProfilerTaps::OnAcquire(stats, id);
-  ProfilerTaps::OnAcquired(stats, id);
-  fake.clock().AdvanceNs(1'000);  // t=2000
-  // Recursive re-acquisition of the SAME lock id, granted at t=2000,
-  // released at t=3000 → inner hold exactly 1000ns.
-  ProfilerTaps::OnAcquire(stats, id);
-  ProfilerTaps::OnAcquired(stats, id);
-  fake.clock().AdvanceNs(1'000);  // t=3000
-  ProfilerTaps::OnRelease(stats, id);
-  fake.clock().AdvanceNs(2'000);  // t=5000
-  // Outer release at t=5000 → outer hold exactly 4000ns.
-  ProfilerTaps::OnRelease(stats, id);
-
-  // Oldest-first matching (the old bug) pairs the inner acquired/release
-  // with the OUTER slot: the outer release then finds a slot that never saw
-  // OnAcquired and records nothing — one sample instead of two, and the
-  // 4000ns outer hold is lost.
-  const Log2Histogram hold = stats.HoldNs();
-  EXPECT_EQ(hold.TotalCount(), 2u);
-  EXPECT_EQ(hold.Sum(), 5'000u);  // 1000 (inner) + 4000 (outer)
-  EXPECT_EQ(hold.Max(), 4'000u);
-  EXPECT_EQ(stats.DroppedSamples(), 0u);
-}
-
-TEST(ProfilerTapsTest, DeepNestingCountsDroppedSamples) {
-  ScopedFakeClock fake(1'000);
-  ShardedLockProfileStats stats;
-  const std::uint64_t id = 9;
-  constexpr int kDepth = 20;  // kMaxInFlight is 16: 4 drops
-
-  for (int i = 0; i < kDepth; ++i) {
-    ProfilerTaps::OnAcquire(stats, id);
-    ProfilerTaps::OnAcquired(stats, id);
-    fake.clock().AdvanceNs(100);
-  }
-  for (int i = 0; i < kDepth; ++i) {
-    ProfilerTaps::OnRelease(stats, id);
-  }
-
-  EXPECT_EQ(stats.Acquisitions(), static_cast<std::uint64_t>(kDepth));
-  EXPECT_EQ(stats.Releases(), static_cast<std::uint64_t>(kDepth));
-  EXPECT_EQ(stats.DroppedSamples(), 4u);
-  // Only the 16 tracked acquisitions produced hold samples.
-  EXPECT_EQ(stats.HoldNs().TotalCount(), 16u);
-  // The drop count is surfaced, not silent.
-  EXPECT_NE(stats.Summary().find("dropped_samples=4"), std::string::npos);
-}
-
-TEST(ProfilerTapsTest, ReleaseWithoutSlotIsCountedButNotTimed) {
-  // Profiling attached mid-critical-section: the release tap fires with no
-  // matching in-flight slot. The release must count; no bogus hold sample.
-  ScopedFakeClock fake(1'000);
-  ShardedLockProfileStats stats;
-  ProfilerTaps::OnRelease(stats, 11);
-  EXPECT_EQ(stats.Releases(), 1u);
-  EXPECT_EQ(stats.HoldNs().TotalCount(), 0u);
-  EXPECT_EQ(stats.DroppedSamples(), 0u);
-}
-
-TEST(ProfilerTapsTest, ContendedWaitIsExactUnderFakeClock) {
-  ScopedFakeClock fake(10'000);
+TEST(ProfilerTapsTest, WaitAndHoldComeFromTheStamps) {
   ShardedLockProfileStats stats;
   const std::uint64_t id = 3;
 
   ProfilerTaps::OnAcquire(stats, id);
   ProfilerTaps::OnContended(stats, id);
-  fake.clock().AdvanceNs(6'000);  // waited 6000ns for the grant
-  ProfilerTaps::OnAcquired(stats, id);
-  fake.clock().AdvanceNs(500);
-  ProfilerTaps::OnRelease(stats, id);
+  ProfilerTaps::OnAcquired(stats, id, TapStamps{10'000, 16'000, 0, true});
+  ProfilerTaps::OnRelease(stats, id, TapStamps{0, 16'000, 16'500, false});
+  // An uncontended timed acquisition: a hold sample, no wait sample.
+  ProfilerTaps::OnAcquire(stats, id);
+  ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 20'000, 0, false});
+  ProfilerTaps::OnRelease(stats, id, TapStamps{0, 20'000, 21'500, false});
 
+  EXPECT_EQ(stats.Acquisitions(), 2u);
   EXPECT_EQ(stats.Contentions(), 1u);
+  EXPECT_EQ(stats.Releases(), 2u);
   const Log2Histogram wait = stats.WaitNs();
   EXPECT_EQ(wait.TotalCount(), 1u);
   EXPECT_EQ(wait.Sum(), 6'000u);
-  EXPECT_EQ(stats.HoldNs().Sum(), 500u);
+  const Log2Histogram hold = stats.HoldNs();
+  EXPECT_EQ(hold.TotalCount(), 2u);
+  EXPECT_EQ(hold.Sum(), 2'000u);  // 500 + 1500
+  EXPECT_EQ(hold.Max(), 1'500u);
+}
+
+TEST(ProfilerTapsTest, UntimedTapsCountButRecordNoSample) {
+  ShardedLockProfileStats stats;
+  const std::uint64_t id = 5;
+  for (const bool queued : {false, true}) {
+    ProfilerTaps::OnAcquire(stats, id);
+    if (queued) {
+      ProfilerTaps::OnContended(stats, id);
+    }
+    ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, queued});
+    ProfilerTaps::OnRelease(stats, id, TapStamps{});
+  }
+  EXPECT_EQ(stats.Acquisitions(), 2u);
+  EXPECT_EQ(stats.Contentions(), 1u);
+  EXPECT_EQ(stats.Releases(), 2u);
+  EXPECT_EQ(stats.WaitNs().TotalCount(), 0u);
+  EXPECT_EQ(stats.HoldNs().TotalCount(), 0u);
+}
+
+TEST(ProfilerTapsTest, ReleaseWithoutSlotIsCountedButNotTimed) {
+  // Profiling attached mid-critical-section: the release tap fires with no
+  // acquired stamp. The release must count; no bogus hold sample.
+  ShardedLockProfileStats stats;
+  ProfilerTaps::OnRelease(stats, 11);
+  EXPECT_EQ(stats.Releases(), 1u);
+  EXPECT_EQ(stats.HoldNs().TotalCount(), 0u);
+}
+
+TEST(ProfilerTapsTest, UntimedQueuedGrantCountsACrossSocketHandoff) {
+  ShardedLockProfileStats stats;
+  const std::uint64_t id = 13;
+  const std::uint32_t here = Self().socket;
+  // The previous queued grant went to another socket.
+  stats.ExchangeOwnerSocket(here + 1);
+  // A fast-path grant is no handoff and leaves the owner socket alone.
+  ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, false});
+  EXPECT_EQ(stats.CrossSocketHandoffs(), 0u);
+  // An untimed queued grant still counts.
+  ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, true});
+  EXPECT_EQ(stats.CrossSocketHandoffs(), 1u);
+  // The next queued grant on the same socket is no handoff.
+  ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, true});
+  EXPECT_EQ(stats.CrossSocketHandoffs(), 1u);
+  EXPECT_EQ(stats.ExchangeOwnerSocket(here), here);
+  EXPECT_EQ(stats.WaitNs().TotalCount(), 0u);
 }
 
 TEST(ShardedStatsTest, CountersAggregateAcrossShards) {

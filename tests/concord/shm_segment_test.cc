@@ -48,7 +48,6 @@ class ShmSegmentTest : public ::testing::Test {
     sample.snapshot.socket_acquisitions[0] = 60 * scale;
     sample.snapshot.socket_acquisitions[1] = 40 * scale;
     sample.snapshot.cross_socket_handoffs = 25 * scale;
-    sample.snapshot.dropped_samples = scale;
     sample.snapshot.budget_overruns = 2 * scale;
     sample.snapshot.quarantines = scale / 2;
     for (std::uint64_t i = 0; i < 40 * scale; ++i) {
@@ -74,7 +73,6 @@ class ShmSegmentTest : public ::testing::Test {
       EXPECT_EQ(g.snapshot.releases, w.snapshot.releases);
       EXPECT_EQ(g.snapshot.cross_socket_handoffs,
                 w.snapshot.cross_socket_handoffs);
-      EXPECT_EQ(g.snapshot.dropped_samples, w.snapshot.dropped_samples);
       EXPECT_EQ(g.snapshot.budget_overruns, w.snapshot.budget_overruns);
       EXPECT_EQ(g.snapshot.quarantines, w.snapshot.quarantines);
       for (std::size_t s = 0; s < kProfilerSocketSlots; ++s) {

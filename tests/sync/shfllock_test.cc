@@ -139,26 +139,28 @@ TEST(ShflLockTest, HoldTimeFeedsContextEwma) {
   hooks->track_hold_time = true;  // hold accounting is opt-in via the table
   lock.hook_site().Install(hooks.get());
   ThreadContext& ctx = Self();
-  const std::uint64_t before_total =
-      ctx.lock_hold_total_ns.load(std::memory_order_relaxed);
+  const std::uint64_t before =
+      ctx.cs_length_ewma_ns.load(std::memory_order_relaxed);
   {
     ShflGuard guard(lock);
     BurnNs(200'000);
   }
-  EXPECT_GE(ctx.lock_hold_total_ns.load(std::memory_order_relaxed),
-            before_total + 200'000);
+  // One EWMA step (alpha 1/8) towards a hold of at least 200us.
+  EXPECT_GE(ctx.cs_length_ewma_ns.load(std::memory_order_relaxed),
+            before - before / 8 + 200'000 / 8);
   lock.hook_site().Install(nullptr);
   Rcu::Global().Synchronize();
 
   // And without hooks, the accounting stays off.
   ShflLock plain;
   const std::uint64_t before_plain =
-      ctx.lock_hold_total_ns.load(std::memory_order_relaxed);
+      ctx.cs_length_ewma_ns.load(std::memory_order_relaxed);
   {
     ShflGuard guard(plain);
     BurnNs(100'000);
   }
-  EXPECT_EQ(ctx.lock_hold_total_ns.load(std::memory_order_relaxed), before_plain);
+  EXPECT_EQ(ctx.cs_length_ewma_ns.load(std::memory_order_relaxed),
+            before_plain);
 }
 
 TEST(ShflLockTest, ProfilingTapsFireInOrder) {
@@ -175,13 +177,16 @@ TEST(ShflLockTest, ProfilingTapsFireInOrder) {
 
   auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &log;
-  hooks->lock_acquire = [](void* ud, std::uint64_t id) {
+  hooks->lock_acquire = [](void* ud, std::uint64_t id,
+                         const TapStamps&) {
     static_cast<TapLog*>(ud)->Add("acquire", id);
   };
-  hooks->lock_acquired = [](void* ud, std::uint64_t id) {
+  hooks->lock_acquired = [](void* ud, std::uint64_t id,
+                         const TapStamps&) {
     static_cast<TapLog*>(ud)->Add("acquired", id);
   };
-  hooks->lock_release = [](void* ud, std::uint64_t id) {
+  hooks->lock_release = [](void* ud, std::uint64_t id,
+                         const TapStamps&) {
     static_cast<TapLog*>(ud)->Add("release", id);
   };
   lock.hook_site().Install(hooks.get());
@@ -221,7 +226,8 @@ TEST(ShflLockTest, ContendedTapFiresOnSlowPath) {
   std::atomic<int> contended{0};
   auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &contended;
-  hooks->lock_contended = [](void* ud, std::uint64_t) {
+  hooks->lock_contended = [](void* ud, std::uint64_t,
+                         const TapStamps&) {
     static_cast<std::atomic<int>*>(ud)->fetch_add(1);
   };
   lock.hook_site().Install(hooks.get());
@@ -252,7 +258,8 @@ TEST(ShflLockTest, ShuffleGroupsSameSocketWaiters) {
   auto hooks = std::make_unique<HookTable>();
   hooks->user_data = &contended;
   hooks->cmp_node = SameSocketCmp;
-  hooks->lock_contended = [](void* ud, std::uint64_t) {
+  hooks->lock_contended = [](void* ud, std::uint64_t,
+                         const TapStamps&) {
     static_cast<std::atomic<int>*>(ud)->fetch_add(1);
   };
   lock.hook_site().Install(hooks.get());
@@ -344,7 +351,8 @@ TEST(ShflLockTest, ScheduleWaiterHookControlsParking) {
   hooks->schedule_waiter = [](void*, const ShflWaiterView&, std::uint32_t) {
     return false;
   };
-  hooks->lock_contended = [](void* ud, std::uint64_t) {
+  hooks->lock_contended = [](void* ud, std::uint64_t,
+                         const TapStamps&) {
     static_cast<std::atomic<int>*>(ud)->fetch_add(1);
   };
   lock.hook_site().Install(hooks.get());
