@@ -57,7 +57,7 @@ void BM_LockUnlock_BpfProfiler(benchmark::State& state) {
     lock.Unlock();
   }
   state.counters["bpf_acquires"] =
-      static_cast<double>(counters->SumU64(0));
+      static_cast<double>(counters->AggregateU64(0));
   CONCORD_CHECK(concord.Unregister(id).ok());
 }
 BENCHMARK(BM_LockUnlock_BpfProfiler);

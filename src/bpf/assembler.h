@@ -68,10 +68,10 @@ StatusOr<Program> AssembleProgram(
     const ContextDescriptor* ctx_desc, std::vector<BpfMap*> maps = {},
     std::vector<std::shared_ptr<BpfMap>>* declared_maps = nullptr);
 
-// True when `source` carries `.map` directives. Hosts that inject a default
-// map for legacy sources (the RPC attach path, the CLIs) must skip the
-// injection for such sources — the author laid out the map table themselves,
-// and their indices start at 0.
+// True when `source` carries `.map` directives. LoadPolicy
+// (src/concord/policy_source.h), the one host that injects a default map
+// for legacy sources, skips the injection for such sources: the author laid
+// out the map table themselves, and their indices start at 0.
 bool SourceDeclaresMaps(const std::string& source);
 
 }  // namespace concord

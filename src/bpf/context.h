@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "src/base/check.h"
+
 namespace concord {
 
 struct ContextField {
@@ -25,9 +27,15 @@ struct ContextField {
 
 class ContextDescriptor {
  public:
+  // A set of fields is one word, bit i for fields()[i]
+  // (Program::ctx_fields_read).
+  static constexpr std::size_t kMaxFields = 64;
+
   ContextDescriptor(std::string name, std::uint32_t size,
                     std::vector<ContextField> fields)
-      : name_(std::move(name)), size_(size), fields_(std::move(fields)) {}
+      : name_(std::move(name)), size_(size), fields_(std::move(fields)) {
+    CONCORD_CHECK(fields_.size() <= kMaxFields);
+  }
 
   const std::string& name() const { return name_; }
   std::uint32_t size() const { return size_; }
@@ -37,15 +45,6 @@ class ContextDescriptor {
   const ContextField* FindField(std::uint32_t offset, std::uint32_t width) const {
     for (const auto& field : fields_) {
       if (field.offset == offset && field.width == width) {
-        return &field;
-      }
-    }
-    return nullptr;
-  }
-
-  const ContextField* FindFieldByName(const std::string& name) const {
-    for (const auto& field : fields_) {
-      if (field.name == name) {
         return &field;
       }
     }

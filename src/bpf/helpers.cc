@@ -153,21 +153,6 @@ HelperRegistry& HelperRegistry::Global() {
 
 HelperRegistry::HelperRegistry() { RegisterCoreHelpers(); }
 
-Status HelperRegistry::Register(HelperDef def) {
-  if (def.fn == nullptr) {
-    return InvalidArgumentError("helper '" + def.name + "' has no implementation");
-  }
-  if (Find(def.id) != nullptr) {
-    return InvalidArgumentError("helper id " + std::to_string(def.id) +
-                                " already registered");
-  }
-  if (FindByName(def.name) != nullptr) {
-    return InvalidArgumentError("helper name '" + def.name + "' already registered");
-  }
-  helpers_.push_back(std::move(def));
-  return Status::Ok();
-}
-
 const HelperDef* HelperRegistry::Find(std::uint32_t id) const {
   for (const auto& helper : helpers_) {
     if (helper.id == id) {
@@ -184,16 +169,6 @@ const HelperDef* HelperRegistry::FindByName(const std::string& name) const {
     }
   }
   return nullptr;
-}
-
-void HelperRegistry::ResetExtensionsForTest() {
-  std::vector<HelperDef> kept;
-  for (auto& helper : helpers_) {
-    if (helper.id < kFirstConcordHelper) {
-      kept.push_back(std::move(helper));
-    }
-  }
-  helpers_ = std::move(kept);
 }
 
 void HelperRegistry::RegisterCoreHelpers() {

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/status.h"
-
 namespace concord {
 
 struct Program;  // forward (program.h includes this header)
@@ -67,8 +65,7 @@ struct HelperDef {
   std::uint32_t capabilities = kCapRead;
 };
 
-// Well-known helper ids. Concord registers lock-specific helpers starting at
-// kFirstConcordHelper.
+// Well-known helper ids.
 enum WellKnownHelper : std::uint32_t {
   kHelperKtimeGetNs = 1,
   kHelperGetSmpProcessorId = 2,
@@ -84,7 +81,6 @@ enum WellKnownHelper : std::uint32_t {
   kHelperMapUpdateElem = 17,
   kHelperMapDeleteElem = 18,
   kHelperTracePrintk = 24,
-  kFirstConcordHelper = 64,
 };
 
 class HelperRegistry {
@@ -92,12 +88,8 @@ class HelperRegistry {
   // The global registry, pre-populated with the core helpers above.
   static HelperRegistry& Global();
 
-  Status Register(HelperDef def);
   const HelperDef* Find(std::uint32_t id) const;
   const HelperDef* FindByName(const std::string& name) const;
-
-  // Test-only: drops helpers with id >= kFirstConcordHelper.
-  void ResetExtensionsForTest();
 
  private:
   HelperRegistry();

@@ -48,7 +48,6 @@ class ExecutableCode {
     return static_cast<const std::uint8_t*>(base_);
   }
   std::size_t code_size() const { return code_len_; }
-  std::size_t mapped_size() const { return map_len_; }
 
  private:
   void Release();

@@ -32,7 +32,6 @@ class LoopAnalysis {
                               const std::vector<bool>& imm64_second);
 
   const std::vector<BackEdge>& back_edges() const { return back_edges_; }
-  bool HasLoops() const { return !back_edges_.empty(); }
 
   bool IsHeader(std::size_t pc) const {
     return pc < is_header_.size() && is_header_[pc];

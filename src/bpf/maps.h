@@ -181,9 +181,6 @@ class PerCpuArrayMap : public BpfMap {
   // relaxed atomics, so the sum is never torn against policy writers.
   std::uint64_t AggregateU64(std::uint32_t index);
 
-  // Back-compat spelling of AggregateU64 (pre-aggregation-API callers).
-  std::uint64_t SumU64(std::uint32_t index) { return AggregateU64(index); }
-
   // Visits (cpu, value bytes) for slot `index` on every CPU.
   using CpuVisitor = std::function<void(std::uint32_t cpu, const void* value)>;
   void DumpAllCpus(std::uint32_t index, const CpuVisitor& visit);

@@ -38,6 +38,13 @@ struct Program {
   // Filled in by the verifier: capability union of all helpers called.
   std::uint32_t used_capabilities = 0;
 
+  // Filled in by the verifier, and meaningful once `verified`: the context
+  // fields the program loads, bit i for ctx_desc->fields()[i], and whether
+  // it calls get_cs_ewma_ns. A precompiled program is opaque, so
+  // PolicySpec::AddNative sets every bit.
+  std::uint64_t ctx_fields_read = 0;
+  bool calls_get_cs_ewma_ns = false;
+
   // Filled in by the verifier: for each pc holding a map_lookup_elem call,
   // the constant map index every verified path passes in R1, or
   // kPolymorphicMapSite when different paths disagree. kNoMapSite

@@ -700,6 +700,8 @@ class VerifierImpl {
           return PermissionDeniedError(
               At(pc, insn, "context load does not match any declared field"));
         }
+        program_.ctx_fields_read |=
+            std::uint64_t{1} << (field - program_.ctx_desc->fields().data());
         state.regs[insn.dst] = RegState::Scalar();
         return Status::Ok();
       }
@@ -930,6 +932,9 @@ class VerifierImpl {
     }
 
     used_capabilities_ |= helper->capabilities;
+    if (static_cast<std::uint32_t>(insn.imm) == kHelperGetCsEwmaNs) {
+      program_.calls_get_cs_ewma_ns = true;
+    }
 
     // Record the constant map index each lookup site resolves to; the JIT
     // inlines per-CPU array lookups only for sites where every verified path
@@ -1118,6 +1123,8 @@ Status Verifier::Verify(Program& program, const Options& options,
                         Analysis* analysis) {
   program.verified = false;
   program.used_capabilities = 0;
+  program.ctx_fields_read = 0;
+  program.calls_get_cs_ewma_ns = false;
   program.map_lookup_sites.clear();
   VerifierImpl impl(program, options, analysis);
   CONCORD_RETURN_IF_ERROR(impl.Run());

@@ -111,10 +111,10 @@ class Verifier {
   };
 
   // On success marks program.verified = true, fills in
-  // program.used_capabilities and, if `analysis` is non-null, the proven
-  // facts above. On failure the program is left unverified and the status
-  // message pinpoints the offending instruction and the abstract path that
-  // reached it.
+  // program.used_capabilities, ctx_fields_read and calls_get_cs_ewma_ns and,
+  // if `analysis` is non-null, the proven facts above. On failure the
+  // program is left unverified and the status message pinpoints the
+  // offending instruction and the abstract path that reached it.
   static Status Verify(Program& program, const Options& options,
                        Analysis* analysis);
   static Status Verify(Program& program, const Options& options) {

@@ -50,17 +50,6 @@ struct ScalarValue {
     s.tnum = Tnum::Const(v);
     return s;
   }
-  // Any value representable in 32 bits (the ALU32 result set).
-  static ScalarValue Unknown32() {
-    ScalarValue s;
-    s.umin = 0;
-    s.umax = 0xffffffffull;
-    s.smin = 0;
-    s.smax = 0xffffffffll;
-    s.tnum = Tnum{0, 0xffffffffull};
-    return s;
-  }
-
   bool IsConst() const { return umin == umax && tnum.IsConst(); }
   std::uint64_t ConstValue() const { return umin; }
 
@@ -137,9 +126,6 @@ struct RegState {
   bool IsConstScalar() const {
     return type == RegType::kScalar && var.IsConst();
   }
-  // Pointer with no variable offset component.
-  bool HasFixedOffset() const { return var.IsConst() && var.ConstValue() == 0; }
-
   bool operator==(const RegState& other) const {
     return type == other.type && off == other.off &&
            map_index == other.map_index && var == other.var;

@@ -26,6 +26,8 @@ struct CompiledPolicy {
   // Budget accounting, owned by the entry; outlives this table (the entry
   // only swaps its budget after the RCU grace period retiring this table).
   HookBudgetState* budget = nullptr;
+  // Per hook kind: the chain reads ProfileCtx::now_ns (LockValue::kNowNs).
+  bool reads_now[kNumHookKinds] = {};
 
   HookTable table;
 
@@ -173,19 +175,21 @@ std::uint32_t RwModeTrampoline(void* user_data) {
 
 // The policy's tap chain runs first, under its own budget scope, then the
 // framework profiler: the budget bounds the *policy*. A program's now_ns is
-// the lock's stamp of this event on a timed acquisition, and a clock read
-// here otherwise.
+// the lock's stamp of this event on a timed acquisition. Otherwise it is a
+// clock read here if a program of the chain reads now_ns, and 0 if none does.
 template <HookKind kKind>
 void ProfileTapTrampoline(void* user_data, std::uint64_t lock_id,
                           const TapStamps& stamps) {
   auto* cp = static_cast<CompiledPolicy*>(user_data);
   if (cp->ChainFor(kKind) != nullptr) {
-    const std::uint64_t stamp =
+    std::uint64_t now_ns =
         kKind == HookKind::kLockAcquired  ? stamps.acquired_ns
         : kKind == HookKind::kLockRelease ? stamps.release_ns
                                           : 0;
-    ProfileCtx ctx{lock_id, stamp != 0 ? stamp : MonotonicNowNs(),
-                   static_cast<std::uint32_t>(kKind), 0};
+    if (now_ns == 0 && cp->reads_now[static_cast<int>(kKind)]) {
+      now_ns = MonotonicNowNs();
+    }
+    ProfileCtx ctx{lock_id, now_ns, static_cast<std::uint32_t>(kKind), 0};
     Dispatch(cp, kKind, &ctx);
   }
   if (cp->stats != nullptr) {
@@ -390,7 +394,14 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
     if (spec != nullptr) {
       t.max_shuffle_rounds = spec->max_shuffle_rounds;
       t.max_waiter_bypasses = spec->max_waiter_bypasses;
-      t.track_hold_time = spec->needs_hold_accounting;
+      // The lock produces what its programs read, and nothing else.
+      for (int k = 0; k < kNumHookKinds; ++k) {
+        for (const Program& program : spec->chains[k].programs) {
+          t.track_hold_time |= ReadsLockValue(program, LockValue::kCsEwmaNs);
+          t.track_wait_time |= ReadsLockValue(program, LockValue::kWaitNs);
+          fresh->reads_now[k] |= ReadsLockValue(program, LockValue::kNowNs);
+        }
+      }
     }
   }
 

@@ -3,11 +3,16 @@
 namespace concord {
 namespace {
 
+// The field carrying each LockValue, indexed by it: a waiter view's copies of
+// the first two ("curr_wait_ns"), and the profiling context's now_ns.
+constexpr const char* kLockValueFields[] = {"wait_ns", "cs_ewma_ns", "now_ns"};
+
 // Appends the ShflWaiterView fields at `base` with a name prefix.
 void AppendWaiterViewFields(std::vector<ContextField>& fields,
                             const std::string& prefix, std::uint32_t base) {
-  fields.push_back({prefix + "wait_ns", base + 0, 8, false});
-  fields.push_back({prefix + "cs_ewma_ns", base + 8, 8, false});
+  // wait_ns, then cs_ewma_ns.
+  fields.push_back({prefix + kLockValueFields[0], base + 0, 8, false});
+  fields.push_back({prefix + kLockValueFields[1], base + 8, 8, false});
   fields.push_back({prefix + "socket", base + 16, 4, false});
   fields.push_back({prefix + "vcpu", base + 20, 4, false});
   fields.push_back({prefix + "priority", base + 24, 4, false});
@@ -41,7 +46,7 @@ ContextDescriptor MakeScheduleWaiterDescriptor() {
 ContextDescriptor MakeProfileDescriptor() {
   std::vector<ContextField> fields;
   fields.push_back({"lock_id", 0, 8, false});
-  fields.push_back({"now_ns", 8, 8, false});
+  fields.push_back({kLockValueFields[2], 8, 8, false});
   fields.push_back({"hook", 16, 4, false});
   return ContextDescriptor("lock_profile", sizeof(ProfileCtx), std::move(fields));
 }
@@ -109,6 +114,21 @@ const ContextDescriptor& DescriptorFor(HookKind kind) {
       return rw_mode;
   }
   return profile;
+}
+
+bool ReadsLockValue(const Program& program, LockValue value) {
+  if (value == LockValue::kCsEwmaNs && program.calls_get_cs_ewma_ns) {
+    return true;
+  }
+  const std::string name = kLockValueFields[static_cast<int>(value)];
+  const std::vector<ContextField>& fields = program.ctx_desc->fields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if ((program.ctx_fields_read >> i & 1) != 0 &&
+        (fields[i].name == name || fields[i].name.ends_with("_" + name))) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::uint32_t CapabilitiesFor(HookKind kind) {

@@ -17,6 +17,7 @@
 #include "src/base/time.h"
 #include "src/bpf/context.h"
 #include "src/bpf/helpers.h"
+#include "src/bpf/program.h"
 #include "src/concord/profiler.h"
 #include "src/sync/policy_hooks.h"
 
@@ -65,8 +66,9 @@ struct ScheduleWaiterCtx {
 static_assert(sizeof(ScheduleWaiterCtx) == 48);
 
 // The four profiling hooks share one context. now_ns is the lock's stamp of
-// the event on a timed acquisition (lock_acquired, lock_release) and a clock
-// read in the trampoline otherwise.
+// the event on a timed acquisition (lock_acquired, lock_release). Otherwise
+// the trampoline reads the clock for it if a program of the chain reads
+// now_ns (LockValue::kNowNs), and passes 0 if none does.
 struct ProfileCtx {
   std::uint64_t lock_id;  // offset 0
   std::uint64_t now_ns;   // offset 8
@@ -80,6 +82,24 @@ struct RwModeCtx {
   std::uint64_t lock_id;
 };
 static_assert(sizeof(RwModeCtx) == 8);
+
+// --- what the lock produces only for programs that read it -------------------
+//
+// Three context values cost the lock work. Each time Concord installs a
+// table it derives the lock's timing from the verified facts on the
+// attached programs (Program::ctx_fields_read, calls_get_cs_ewma_ns):
+//   - kWaitNs, a waiter's *_wait_ns: the lock stamps each waiter at enqueue
+//     and reads the clock for each view (HookTable::track_wait_time);
+//   - kCsEwmaNs, a waiter's *_cs_ewma_ns or a get_cs_ewma_ns call: every
+//     acquisition is timed and feeds the holder's EWMA
+//     (HookTable::track_hold_time);
+//   - kNowNs, a tap's now_ns: the tap trampoline reads the clock on an event
+//     the lock did not stamp.
+enum class LockValue : std::uint8_t { kWaitNs, kCsEwmaNs, kNowNs };
+
+// Whether `program` reads `value`. A precompiled program counts as reading
+// every field of its context.
+bool ReadsLockValue(const Program& program, LockValue value);
 
 // --- hook runtime budgets ----------------------------------------------------
 //

@@ -115,13 +115,9 @@ StatusOr<TunablePolicy> MakeSclPolicy() {
     mov r0, 1
     exit
   )";
-  auto policy = MakeSingleProgramPolicy("scheduler_cooperative",
-                                        HookKind::kCmpNode, source,
-                                        MakeKnobMap("cs_ewma_limit_ns", 1'000'000));
-  if (policy.ok()) {
-    policy->spec.needs_hold_accounting = true;  // reads cs_ewma_ns
-  }
-  return policy;
+  return MakeSingleProgramPolicy("scheduler_cooperative", HookKind::kCmpNode,
+                                 source,
+                                 MakeKnobMap("cs_ewma_limit_ns", 1'000'000));
 }
 
 StatusOr<TunablePolicy> MakeAmpFastCorePolicy() {

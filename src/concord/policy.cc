@@ -52,6 +52,7 @@ void PolicySpec::AddNative(HookKind kind, std::string program_name,
   program.ctx_desc = &DescriptorFor(kind);
   program.native = fn;
   program.native_data = data;
+  program.ctx_fields_read = ~std::uint64_t{0};
   ChainFor(kind).programs.push_back(std::move(program));
 }
 
@@ -70,6 +71,7 @@ Status PolicySpec::VerifyAll(AdmissionReport* report) {
       r.budget_ns = hook_budget_ns;
       r.insns = program.insns.size();
       r.analysis = {};
+      r.reads.clear();
       r.lint = {};
       r.cert = {};
       // Lint and certification need the verifier's analysis facts (return
@@ -80,6 +82,12 @@ Status PolicySpec::VerifyAll(AdmissionReport* report) {
       r.stage = "verify";
       Status status = Verifier::Verify(program, options, &r.analysis);
       if (status.ok()) {
+        const std::vector<ContextField>& fields = program.ctx_desc->fields();
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+          if ((program.ctx_fields_read >> i & 1) != 0) {
+            r.reads.push_back(fields[i].name);
+          }
+        }
         r.stage = "lint";
         r.lint = LintPolicyProgram(kind, r.analysis);
         if (!r.lint.ok()) {

@@ -60,6 +60,9 @@ struct AdmissionReport {
   std::uint64_t budget_ns = 0;
   std::size_t insns = 0;
   Verifier::Analysis analysis;
+  // The context fields the program loads (Program::ctx_fields_read), in
+  // field order, once it verified.
+  std::vector<std::string> reads;
   LintReport lint;
   CertificationReport cert;
 
@@ -82,12 +85,6 @@ struct PolicySpec {
   std::uint32_t max_waiter_bypasses = 128;  // per-waiter starvation bound
   std::optional<bool> set_blocking;
 
-  // Request hold-time accounting: time every acquisition (two or three clock
-  // reads each) and feed each hold into the holder's cs_ewma_ns. Set this
-  // for policies that read cs_ewma_ns. Profiling does not set it; a
-  // profiled lock times 1 acquisition in HookSite::kTimedOneIn instead.
-  bool needs_hold_accounting = false;
-
   // Runtime budget per hook invocation (0 = no timing) and how many overruns
   // trip containment. See src/concord/containment.h.
   std::uint64_t hook_budget_ns = 0;
@@ -99,7 +96,9 @@ struct PolicySpec {
 
   // Adds a precompiled program to the chain for `kind`: `fn` runs with
   // `data` and the hook's context struct (CmpNodeCtx, SkipShuffleCtx,
-  // ScheduleWaiterCtx, ProfileCtx or RwModeCtx; src/concord/hooks.h).
+  // ScheduleWaiterCtx, ProfileCtx or RwModeCtx; src/concord/hooks.h). It
+  // counts as reading every field of that struct, so a lock produces every
+  // value it could read (LockValue).
   void AddNative(HookKind kind, std::string program_name, Program::NativeFn fn,
                  void* data = nullptr);
 

@@ -199,6 +199,11 @@ void WriteAdmissionJson(JsonWriter& json, const std::string& file,
   json.EndArray();
   json.Key("writes_map").Bool(r.analysis.writes_map);
   json.Key("writes_ctx").Bool(r.analysis.writes_ctx);
+  json.Key("reads").BeginArray();
+  for (const std::string& field : r.reads) {
+    json.String(field);
+  }
+  json.EndArray();
   if (r.analysis.has_exit) {
     json.Key("r0").BeginObject();
     json.NumberField("umin", r.analysis.r0_exit.umin);

@@ -5,9 +5,8 @@
 //     else (park/wake/shuffle/dispatch/budget/quarantine) as instants;
 //   - per-lock roll-up summaries for top-style "most contended" views.
 //
-// Matching is per (thread, lock) and LIFO, consistent with the profiler's
-// in-flight slot matching: on recursive acquisition the innermost acquire
-// pairs with the innermost acquired/release.
+// Matching is per (thread, lock) and LIFO: on recursive acquisition the
+// innermost acquire pairs with the innermost acquired/release.
 
 #ifndef SRC_CONCORD_TRACE_EXPORT_H_
 #define SRC_CONCORD_TRACE_EXPORT_H_

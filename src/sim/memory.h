@@ -35,7 +35,6 @@ class SimWord {
 
   // Unsimulated peek for harness/statistics code (no cost, no wakeups).
   std::uint64_t PeekValue() const { return value_; }
-  void PokeValue(std::uint64_t v) { value_ = v; }
 
   // --- awaitable operations ------------------------------------------------
   // All awaitables resolve after the modeled latency; mutations apply at

@@ -75,9 +75,6 @@ class [[nodiscard]] SimTask {
   T await_resume() { return std::move(handle_.promise().value); }
 
   std::coroutine_handle<> handle() const { return handle_; }
-  std::coroutine_handle<typename SimTask::promise_type> typed_handle() const {
-    return handle_;
-  }
   bool done() const { return handle_ == nullptr || handle_.done(); }
   // Detaches ownership (used by the engine for root tasks it tracks itself).
   std::coroutine_handle<promise_type> Release() {

@@ -39,7 +39,8 @@ namespace concord {
 // bearing: src/concord/hooks.cc declares the matching BPF context
 // descriptors against these exact offsets.
 struct ShflWaiterView {
-  std::uint64_t wait_ns = 0;       // off 0:  time spent waiting so far
+  std::uint64_t wait_ns = 0;       // off 0:  time spent waiting so far;
+                                   //         0 unless track_wait_time
   std::uint64_t cs_ewma_ns = 0;    // off 8:  waiter's critical-section EWMA
   std::uint32_t socket = 0;        // off 16: virtual socket
   std::uint32_t vcpu = 0;          // off 20: virtual CPU
@@ -110,11 +111,17 @@ struct HookTable {
 
   // Time every acquisition (HookSite::TimeAcquisition) and feed each hold
   // into the holder's cs_ewma_ns. Costs two or three clock reads per
-  // acquisition; needed by policies reading cs_ewma_ns (e.g.
-  // scheduler-cooperative locking). Without it a lock whose table fills a
-  // timed tap (a profiled lock) times 1 acquisition in
-  // HookSite::kTimedOneIn per thread and updates cs_ewma_ns from those.
+  // acquisition. Concord sets it iff a program on the lock reads cs_ewma_ns
+  // (e.g. scheduler-cooperative locking); a raw table opts in. Without it a
+  // lock whose table fills a timed tap (a profiled lock) times 1 acquisition
+  // in HookSite::kTimedOneIn per thread and updates cs_ewma_ns from those.
   bool track_hold_time = false;
+
+  // Stamp every waiter at enqueue and read the clock for each view, so the
+  // decision hooks see a real wait_ns. Concord sets it iff a decision
+  // program reads wait_ns; a raw table opts in. Without it a view's wait_ns
+  // is 0, as it is for a waiter that queued before a table set it.
+  bool track_wait_time = false;
 
   // Starvation bound per *waiter*: once a queued waiter has been overtaken
   // this many times by policy moves, no further waiter may be reordered past
@@ -149,7 +156,7 @@ struct HookTable {
 // lock_acquired and lock_release taps.
 class HookSite {
  public:
-  // Mask bits: one per hook slot, plus the hold-time accounting flag.
+  // Mask bits: one per hook slot, plus the hold and wait timing flags.
   static constexpr std::uint32_t kCmpNode = 1u << 0;
   static constexpr std::uint32_t kSkipShuffle = 1u << 1;
   static constexpr std::uint32_t kScheduleWaiter = 1u << 2;
@@ -159,9 +166,7 @@ class HookSite {
   static constexpr std::uint32_t kLockRelease = 1u << 6;
   static constexpr std::uint32_t kRwMode = 1u << 7;
   static constexpr std::uint32_t kTrackHoldTime = 1u << 8;
-  // The slots that read a waiter's view (and so its enqueue time).
-  static constexpr std::uint32_t kWaiterDecisions =
-      kCmpNode | kSkipShuffle | kScheduleWaiter;
+  static constexpr std::uint32_t kTrackWaitTime = 1u << 9;
   // The taps that receive a timed acquisition's stamps.
   static constexpr std::uint32_t kTimedTaps = kLockAcquired | kLockRelease;
 
@@ -282,7 +287,8 @@ class HookSite {
            (table->lock_acquired != nullptr ? kLockAcquired : 0) |
            (table->lock_release != nullptr ? kLockRelease : 0) |
            (table->rw_mode != nullptr ? kRwMode : 0) |
-           (table->track_hold_time ? kTrackHoldTime : 0);
+           (table->track_hold_time ? kTrackHoldTime : 0) |
+           (table->track_wait_time ? kTrackWaitTime : 0);
   }
 
   static constexpr std::uint32_t TapBit(HookTable::Tap HookTable::*slot) {

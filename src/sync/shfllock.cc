@@ -22,6 +22,12 @@ inline void SingleWriterAdd(std::atomic<T>& counter,
                 std::memory_order_relaxed);
 }
 
+// The `now_ns` for the views `hooks` sees: a clock read while it asks for
+// wait stamps, else 0 (every view's wait_ns is then 0).
+inline std::uint64_t ViewClockNs(const HookTable& hooks) {
+  return hooks.track_wait_time ? MonotonicNowNs() : 0;
+}
+
 }  // namespace
 
 ShflLock::~ShflLock() {
@@ -32,7 +38,11 @@ ShflLock::~ShflLock() {
 ShflWaiterView ShflLock::MakeView(const ShflQNode& node, std::uint64_t now_ns) {
   ShflWaiterView view;
   const ThreadContext& ctx = *node.ctx;
-  view.wait_ns = now_ns > node.enqueue_ns ? now_ns - node.enqueue_ns : 0;
+  // An unstamped waiter (one that queued before a table asked for wait
+  // stamps) has waited an unknown time: report 0, not the clock's epoch.
+  view.wait_ns = node.enqueue_ns != 0 && now_ns > node.enqueue_ns
+                     ? now_ns - node.enqueue_ns
+                     : 0;
   view.cs_ewma_ns = ctx.cs_length_ewma_ns.load(std::memory_order_relaxed);
   view.socket = ctx.socket;
   view.vcpu = ctx.vcpu;
@@ -49,9 +59,9 @@ void ShflLock::Lock() {
   // The clock is read only on a timed acquisition (HookSite decides which:
   // all under hold-time accounting, 1 in 16 on a profiled lock), which is
   // stamped at enqueue, acquired and release, and a waiter is stamped at
-  // enqueue also while a decision hook could read its wait time. So an
-  // unpatched lock reads no clock. (Enable profiling, or attach a policy
-  // that needs hold accounting, to warm the per-thread CS statistics.)
+  // enqueue also while the table asks for wait stamps. So an unpatched lock
+  // reads no clock. (Enable profiling, or attach a policy that reads
+  // cs_ewma_ns, to warm the per-thread CS statistics.)
   const std::uint32_t mask = hooks_.mask();
   const bool timed = HookSite::TimeAcquisition(mask);
   hooks_.Tap(mask, &HookTable::lock_acquire);
@@ -63,7 +73,7 @@ void ShflLock::Lock() {
   }
   ShflQNode node;
   node.ctx = &ctx;
-  const bool time_wait = timed || (mask & HookSite::kWaiterDecisions) != 0;
+  const bool time_wait = timed || (mask & HookSite::kTrackWaitTime) != 0;
   node.enqueue_ns = time_wait ? MonotonicNowNs() : 0;
   SlowLock(node);
   Acquired(ctx, timed, TapStamps{timed ? node.enqueue_ns : 0, 0, 0, true});
@@ -134,9 +144,9 @@ void ShflLock::SlowLock(ShflQNode& node) {
         }
       }
       if (blocking && hooks.schedule_waiter != nullptr) {
-        park_now = hooks.schedule_waiter(hooks.user_data,
-                                         MakeView(node, MonotonicNowNs()),
-                                         spin.iterations());
+        park_now = hooks.schedule_waiter(
+            hooks.user_data, MakeView(node, ViewClockNs(hooks)),
+            spin.iterations());
       }
     });
     if (park_now) {
@@ -182,9 +192,9 @@ void ShflLock::WaitUntilHead(ShflQNode& node) {
     if (blocking) {
       hooks_.Read(HookSite::kScheduleWaiter, [&](const HookTable& hooks) {
         if (hooks.schedule_waiter != nullptr) {
-          park_now = hooks.schedule_waiter(hooks.user_data,
-                                           MakeView(node, MonotonicNowNs()),
-                                           spin.iterations());
+          park_now = hooks.schedule_waiter(
+              hooks.user_data, MakeView(node, ViewClockNs(hooks)),
+              spin.iterations());
         }
       });
     }
@@ -215,7 +225,7 @@ void ShflLock::PromoteToHead(ShflQNode& node) {
 }
 
 std::uint32_t ShflLock::ShuffleRound(ShflQNode& head, const HookTable& hooks) {
-  const std::uint64_t now = MonotonicNowNs();
+  const std::uint64_t now = ViewClockNs(hooks);
   const ShflWaiterView head_view = MakeView(head, now);
   if (hooks.skip_shuffle != nullptr &&
       hooks.skip_shuffle(hooks.user_data, head_view)) {

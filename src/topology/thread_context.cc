@@ -32,8 +32,6 @@ ThreadContext& ThreadRegistry::Get(std::uint32_t task_id) {
   return slots_[task_id];
 }
 
-void ThreadRegistry::DetachCurrentForTest() { tls_context = nullptr; }
-
 ThreadContext& ThreadRegistry::RegisterOn(std::uint32_t vcpu) {
   const std::uint32_t id = next_id_.fetch_add(1, std::memory_order_acq_rel);
   CONCORD_CHECK(id < kMaxThreads);

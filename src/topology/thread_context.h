@@ -84,10 +84,6 @@ class ThreadRegistry {
   // Indexed access for monitors/profilers; id < num_registered().
   ThreadContext& Get(std::uint32_t task_id);
 
-  // Test-only: detaches the calling thread so it can re-register (e.g. with a
-  // different explicit vCPU). Slot is leaked by design.
-  void DetachCurrentForTest();
-
  private:
   ThreadRegistry() = default;
 

@@ -29,8 +29,10 @@ TEST(StatusTest, AllErrorConstructorsSetCodes) {
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
 }
 
+StatusOr<int> FortyTwo() { return 42; }
+
 TEST(StatusOrTest, HoldsValue) {
-  StatusOr<int> v = 42;
+  StatusOr<int> v = FortyTwo();
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, 42);
   EXPECT_TRUE(v.status().ok());

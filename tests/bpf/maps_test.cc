@@ -158,8 +158,8 @@ TEST(PerCpuArrayMapTest, SlotsIsolatedPerCpu) {
   std::uint64_t v2 = 32;
   std::memcpy(map.SlotAt(0, 0), &v1, sizeof(v1));
   std::memcpy(map.SlotAt(3, 0), &v2, sizeof(v2));
-  EXPECT_EQ(map.SumU64(0), 42u);
-  EXPECT_EQ(map.SumU64(1), 0u);
+  EXPECT_EQ(map.AggregateU64(0), 42u);
+  EXPECT_EQ(map.AggregateU64(1), 0u);
 }
 
 TEST(PerCpuArrayMapTest, LookupUsesCurrentVcpu) {
@@ -171,7 +171,7 @@ TEST(PerCpuArrayMapTest, LookupUsesCurrentVcpu) {
   std::uint64_t value = 0;
   ASSERT_TRUE(map.LookupTyped(std::uint32_t{0}, &value));
   EXPECT_EQ(value, 5u);
-  EXPECT_EQ(map.SumU64(0), 5u);  // exactly one CPU slot written
+  EXPECT_EQ(map.AggregateU64(0), 5u);  // exactly one CPU slot written
 }
 
 TEST(PerCpuArrayMapTest, ControlPlaneUpdateWritesAllCpus) {
@@ -184,11 +184,11 @@ TEST(PerCpuArrayMapTest, ControlPlaneUpdateWritesAllCpus) {
     std::memcpy(&v, map.SlotAt(cpu, 1), sizeof(v));
     EXPECT_EQ(v, 7u) << "cpu " << cpu;
   }
-  EXPECT_EQ(map.SumU64(1), 28u);
+  EXPECT_EQ(map.AggregateU64(1), 28u);
   // Delete likewise clears every CPU's slot.
   std::uint32_t key = 1;
   ASSERT_TRUE(map.Delete(&key).ok());
-  EXPECT_EQ(map.SumU64(1), 0u);
+  EXPECT_EQ(map.AggregateU64(1), 0u);
 }
 
 TEST(PerCpuArrayMapTest, ForEachVisitsEveryCpuSlot) {
@@ -234,7 +234,7 @@ TEST(PerCpuArrayMapTest, AggregateAndDumpAllCpus) {
 
 // TSan regression for the torn-read fix: per-CPU counter lanes are written
 // with atomic adds (the xadd the census policy uses) and stores while a
-// reader loops cross-CPU aggregation. Pre-fix, SumU64 did plain 64-bit loads
+// reader loops cross-CPU aggregation. Pre-fix, the sum did plain 64-bit loads
 // racing the writers — a data race under TSan and a torn read on paper.
 TEST(PerCpuArrayMapTest, ConcurrentAggregationIsRaceFree) {
   PerCpuArrayMap map("p", sizeof(std::uint64_t), 1, /*num_cpus=*/4);
@@ -253,7 +253,7 @@ TEST(PerCpuArrayMapTest, ConcurrentAggregationIsRaceFree) {
   std::thread reader([&map] {
     std::uint64_t last = 0;
     for (int i = 0; i < 1000; ++i) {
-      const std::uint64_t sum = map.SumU64(0);
+      const std::uint64_t sum = map.AggregateU64(0);
       EXPECT_GE(sum, last);  // counters only grow
       last = sum;
     }
@@ -262,7 +262,7 @@ TEST(PerCpuArrayMapTest, ConcurrentAggregationIsRaceFree) {
     writer.join();
   }
   reader.join();
-  EXPECT_EQ(map.SumU64(0), kWriters * kIncrements);
+  EXPECT_EQ(map.AggregateU64(0), kWriters * kIncrements);
 }
 
 TEST(PerCpuHashMapTest, ControlPlaneUpdateWritesAllCpus) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <ctime>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,6 +62,9 @@ struct Family<ShflLock> {
       HookKind::kLockContended,  HookKind::kLockAcquired,
       HookKind::kLockRelease};
   static constexpr HookKind kOneSlot = HookKind::kCmpNode;
+  // The timing bits its programs can ask for.
+  static constexpr std::uint32_t kTimingBits =
+      HookSite::kTrackHoldTime | HookSite::kTrackWaitTime;
 
   // One uncontended pair fires the acquire, acquired and release taps. Then
   // three waiters queue behind the held lock until `all_fired`: each fires
@@ -107,6 +111,8 @@ struct Family<Bravo> {
       HookKind::kRwMode, HookKind::kLockAcquire, HookKind::kLockAcquired,
       HookKind::kLockRelease};
   static constexpr HookKind kOneSlot = HookKind::kRwMode;
+  // No context it fills carries a wait_ns.
+  static constexpr std::uint32_t kTimingBits = HookSite::kTrackHoldTime;
 
   // One read pair fires every slot the lock consults.
   static void Exercise(Bravo& lock, std::uint32_t /*filled*/,
@@ -248,33 +254,67 @@ std::uint32_t BitOf(HookKind kind) {
   return 0;
 }
 
-// Calls per hook kind. Every program below returns 0: no move, no skip, no
+// Calls per hook kind, one map slot each, so BPF programs and raw table
+// functions count alike. Every program below returns 0: no move, no skip, no
 // park, neutral mode.
 struct Calls {
-  std::atomic<std::uint64_t> by_kind[kNumHookKinds] = {};
+  std::shared_ptr<ArrayMap> map =
+      std::make_shared<ArrayMap>("calls", sizeof(std::uint64_t), kNumHookKinds);
 
-  std::atomic<std::uint64_t>& operator[](HookKind kind) {
-    return by_kind[static_cast<int>(kind)];
+  std::atomic_ref<std::uint64_t> operator[](HookKind kind) {
+    return std::atomic_ref<std::uint64_t>(*static_cast<std::uint64_t*>(
+        map->SlotAt(static_cast<std::uint32_t>(kind))));
   }
   void Reset() {
-    for (auto& count : by_kind) {
-      count.store(0);
+    for (int k = 0; k < kNumHookKinds; ++k) {
+      (*this)[static_cast<HookKind>(k)].store(0);
     }
   }
 };
 
-// A spec with a counting precompiled program at every kind whose bit is in
-// `bits`, asking for hold-time accounting when kTrackHoldTime is.
+// A spec with a counting BPF program at every kind whose bit is in `bits`.
+// The programs read what the timing bits in `bits` are derived from: each
+// calls get_cs_ewma_ns under kTrackHoldTime, and each decision program
+// loads its waiter's wait_ns (offset 0 of every waiter context) under
+// kTrackWaitTime. A precompiled program would read everything.
 PolicySpec CountingSpec(Calls& calls, std::uint32_t bits) {
   PolicySpec spec;
   spec.name = "counting";
+  spec.maps.push_back(calls.map);
   for (int k = 0; k < kNumHookKinds; ++k) {
     const auto kind = static_cast<HookKind>(k);
-    if ((bits & BitOf(kind)) != 0) {
-      spec.AddNative(kind, HookKindName(kind), CountCalls, &calls[kind]);
+    if ((bits & BitOf(kind)) == 0) {
+      continue;
+    }
+    const bool decision = kind == HookKind::kCmpNode ||
+                          kind == HookKind::kSkipShuffle ||
+                          kind == HookKind::kScheduleWaiter;
+    std::string source;
+    if (decision && (bits & HookSite::kTrackWaitTime) != 0) {
+      source += "ldxdw r2, [r1+0]\n";
+    }
+    if ((bits & HookSite::kTrackHoldTime) != 0) {
+      source += "call get_cs_ewma_ns\n";
+    }
+    source += "stw [r10-4], " + std::to_string(k) + R"(
+      mov r1, 0
+      mov r2, r10
+      add r2, -4
+      call map_lookup_elem
+      jeq r0, 0, out
+      mov r2, 1
+      xadddw [r0+0], r2
+    out:
+      mov r0, 0
+      exit
+    )";
+    auto program = AssembleProgram(HookKindName(kind), source,
+                                   &DescriptorFor(kind), {calls.map.get()});
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    if (program.ok()) {
+      EXPECT_TRUE(spec.AddProgram(kind, std::move(*program)).ok());
     }
   }
-  spec.needs_hold_accounting = (bits & HookSite::kTrackHoldTime) != 0;
   return spec;
 }
 
@@ -330,6 +370,7 @@ HookTable CountingTable(Calls& calls, std::uint32_t bits) {
     };
   }
   table.track_hold_time = (bits & HookSite::kTrackHoldTime) != 0;
+  table.track_wait_time = (bits & HookSite::kTrackWaitTime) != 0;
   return table;
 }
 
@@ -343,7 +384,7 @@ TYPED_TEST(HookSiteTest, MaskHoldsExactlyTheFilledSlots) {
   HookSite& site = this->lock_.hook_site();
   Calls calls;
 
-  std::uint32_t every_slot = HookSite::kTrackHoldTime;
+  std::uint32_t every_slot = F::kTimingBits;
   for (HookKind kind : F::kFired) {
     every_slot |= BitOf(kind);
   }
@@ -367,7 +408,7 @@ TYPED_TEST(HookSiteTest, MaskHoldsExactlyTheFilledSlots) {
 
   EXPECT_EQ(site.mask(), 0u);
   ASSERT_TRUE(concord.Attach(id, CountingSpec(calls, every_slot)).ok());
-  check(every_slot, "every slot and hold-time accounting");
+  check(every_slot, "every slot and every timing bit");
 
   const std::uint32_t one_slot = BitOf(F::kOneSlot);
   ASSERT_TRUE(concord.Attach(id, CountingSpec(calls, one_slot)).ok());
@@ -377,6 +418,7 @@ TYPED_TEST(HookSiteTest, MaskHoldsExactlyTheFilledSlots) {
   check(0, "detached");
 
   // A raw table: every slot but lock_acquire, no hold-time accounting.
+  // (On ShflLock it keeps the wait stamps it asks for.)
   const std::uint32_t raw_bits =
       every_slot & ~(HookSite::kLockAcquire | HookSite::kTrackHoldTime);
   const HookTable raw = CountingTable(calls, raw_bits);

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -168,8 +169,14 @@ TEST_F(PolicyAdmissionTest, AttachLintsCodeBuiltSpecs) {
 // The certification contract over the shipped corpus, read back from the
 // JSON report concord_check --json writes: every file admitted and
 // certified, the certified bound consistent and within any budget, no race
-// findings, and the cost and race facts present.
+// findings, the cost and race facts present, and the context fields each
+// program reads (what decides the lock's timing).
 TEST(PolicyCorpusTest, ShippedPoliciesCertify) {
+  const std::map<std::string, std::vector<std::string>> kReads = {
+      {"batch_skip_shuffle", {}},
+      {"log2_backoff_skip_shuffle", {"shuffler_wait_ns"}},
+      {"numa_cmp_node", {"shuffler_socket", "curr_socket"}},
+  };
   JsonWriter json;
   json.BeginArray();
   for (const fs::path& file : CasmFiles(CONCORD_POLICY_DIR)) {
@@ -214,6 +221,20 @@ TEST(PolicyCorpusTest, ShippedPoliciesCertify) {
     if (budget != 0.0) {
       EXPECT_LE(certified_ns, budget);
     }
+
+    const JsonValue* analysis = entry.Find("analysis");
+    ASSERT_TRUE(analysis != nullptr && analysis->IsObject());
+    const JsonValue* reads = analysis->Find("reads");
+    ASSERT_TRUE(reads != nullptr && reads->IsArray());
+    std::vector<std::string> read_names;
+    for (const JsonValue& field : reads->array) {
+      ASSERT_TRUE(field.IsString());
+      read_names.push_back(field.string_value);
+    }
+    const auto expected =
+        kReads.find(fs::path(file->string_value).stem().string());
+    ASSERT_NE(expected, kReads.end()) << "no pinned reads for this file";
+    EXPECT_EQ(read_names, expected->second);
 
     const JsonValue* races = entry.Find("races");
     ASSERT_TRUE(races != nullptr && races->IsObject());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/base/time.h"
+#include "src/bpf/assembler.h"
 #include "src/concord/agent/shm_segment.h"
 #include "src/concord/concord.h"
 #include "src/concord/policies.h"
@@ -80,7 +81,7 @@ TEST_F(ProfilerTest, CountsUncontendedAcquisitions) {
 }
 
 // A profiled lock times 1 acquisition in 16 per thread and counts every one;
-// a policy asking for hold accounting has every acquisition timed.
+// a policy that reads cs_ewma_ns has every acquisition timed.
 TEST_F(ProfilerTest, ProfiledLockTimesOneAcquisitionInSixteen) {
   constexpr int kAcquisitions = 3200;
   ShflLock& lock = lock_;
@@ -113,7 +114,12 @@ TEST_F(ProfilerTest, ProfiledLockTimesOneAcquisitionInSixteen) {
 
   PolicySpec accounting;
   accounting.name = "hold_accounting";
-  accounting.needs_hold_accounting = true;
+  auto reads_ewma = AssembleProgram("reads_ewma",
+                                    "ldxdw r2, [r1+48]\nmov r0, 0\nexit\n",
+                                    &DescriptorFor(HookKind::kCmpNode));
+  ASSERT_TRUE(reads_ewma.ok()) << reads_ewma.status().ToString();
+  ASSERT_TRUE(
+      accounting.AddProgram(HookKind::kCmpNode, std::move(*reads_ewma)).ok());
   ASSERT_TRUE(concord.Attach(id, std::move(accounting)).ok());
   EXPECT_EQ(stats->TimedOneIn(), 1u);
   std::thread([&] {

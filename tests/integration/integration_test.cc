@@ -44,7 +44,10 @@ TEST_F(IntegrationTest, VfsRenameWithInheritancePolicyOnDirClass) {
     threads.emplace_back([t] {
       Xoshiro256 rng(t + 11);
       for (int i = 0; i < kIters; ++i) {
-        const std::string name = "x" + std::to_string(t) + "_" + std::to_string(i);
+        std::string name = "x";
+        name += std::to_string(t);
+        name += '_';
+        name += std::to_string(i);
         const auto src = static_cast<std::uint32_t>(rng.NextBounded(4));
         const auto dst = static_cast<std::uint32_t>(rng.NextBounded(4));
         ASSERT_TRUE(ns.Create(src, name, i).ok());
@@ -226,9 +229,9 @@ TEST_F(IntegrationTest, Table1FullAttachmentAllHooksLive) {
   }
   EXPECT_EQ(counter, 8'000u);
   // The BPF taps counted every acquisition and release.
-  EXPECT_EQ(counters->SumU64(0), 8'000u);  // lock_acquire
-  EXPECT_EQ(counters->SumU64(3), 8'000u);  // lock_release
-  EXPECT_EQ(counters->SumU64(2), 8'000u);  // lock_acquired
+  EXPECT_EQ(counters->AggregateU64(0), 8'000u);  // lock_acquire
+  EXPECT_EQ(counters->AggregateU64(3), 8'000u);  // lock_release
+  EXPECT_EQ(counters->AggregateU64(2), 8'000u);  // lock_acquired
   lock.SetBlocking(false);
 }
 

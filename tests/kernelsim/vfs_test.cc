@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 #include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/rcu/rcu.h"
@@ -14,6 +14,18 @@
 
 namespace concord {
 namespace {
+
+// `prefix` followed by `a`, and by "_" and `b` when `b` is not negative
+// ("t1_7"), built by appending to one string.
+std::string FileName(const char* prefix, int a, int b = -1) {
+  std::string name = prefix;
+  name += std::to_string(a);
+  if (b >= 0) {
+    name += '_';
+    name += std::to_string(b);
+  }
+  return name;
+}
 
 TEST(VfsTest, CreateLookupUnlink) {
   VfsNamespace ns(4);
@@ -92,7 +104,7 @@ TEST(VfsTest, RenameHoldsRenameLockWhileTakingDirLocks) {
     threads.emplace_back([&ns, &stop, t] {
       int i = 0;
       while (!stop.load()) {
-        const std::string name = "t" + std::to_string(t) + "_" + std::to_string(i++);
+        const std::string name = FileName("t", t, i++);
         if (ns.Create(0, name, 0).ok()) {
           ns.Unlink(0, name).ok();
         }
@@ -100,7 +112,7 @@ TEST(VfsTest, RenameHoldsRenameLockWhileTakingDirLocks) {
     });
   }
   for (int i = 0; i < 500; ++i) {
-    const std::string src = "r" + std::to_string(i);
+    const std::string src = FileName("r", i);
     if (ns.Create(1, src, 0).ok()) {
       ns.Rename(1, src, 0, src + "_moved").ok();
       ns.Unlink(0, src + "_moved").ok();
@@ -126,7 +138,7 @@ TEST(VfsTest, ConcurrentRenamesAndCreatesKeepNamespaceConsistent) {
     threads.emplace_back([&ns, t] {
       Xoshiro256 rng(static_cast<std::uint64_t>(t) + 1);
       for (int i = 0; i < kIters; ++i) {
-        const std::string name = "f" + std::to_string(t) + "_" + std::to_string(i);
+        const std::string name = FileName("f", t, i);
         const auto src = static_cast<std::uint32_t>(rng.NextBounded(8));
         const auto dst = static_cast<std::uint32_t>(rng.NextBounded(8));
         ASSERT_TRUE(ns.Create(src, name, i).ok());

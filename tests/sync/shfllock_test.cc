@@ -6,6 +6,7 @@
 #include <atomic>
 #include <barrier>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -511,6 +512,152 @@ TEST(ShflLockTest, BypassBoundProtectsVictimFromAdversarialPolicy) {
   const std::size_t bounded_pos = run_scenario(2);
   EXPECT_LE(bounded_pos, 4u);
   EXPECT_GE(bounded_pos, 2u);  // head still runs first
+}
+
+// The wait_ns each waiter's views carried, by task id, as recorded by a raw
+// table's hooks. The queue is built as in the bypass-bound test above: in
+// blocking mode every queued waiter consults schedule_waiter, which records
+// it and never parks, so each waiter is spawned once the previous one shows.
+struct WaitViews {
+  std::mutex mu;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> by_task;
+  std::uint64_t compared = 0;  // cmp_node calls
+
+  void Record(const ShflWaiterView& view) {
+    std::lock_guard<std::mutex> guard(mu);
+    by_task[view.task_id].push_back(view.wait_ns);
+  }
+  std::size_t waiters() {
+    std::lock_guard<std::mutex> guard(mu);
+    return by_task.size();
+  }
+  std::size_t views_of(std::uint32_t task_id) {
+    std::lock_guard<std::mutex> guard(mu);
+    return by_task[task_id].size();
+  }
+
+  static bool RecordWaiter(void* ud, const ShflWaiterView& waiter,
+                           std::uint32_t) {
+    static_cast<WaitViews*>(ud)->Record(waiter);
+    return false;  // never park
+  }
+};
+
+// Spawns `count` waiters on the held `lock` one after another, each once
+// `views` has seen the one before; returns their task ids in queue order.
+std::vector<std::uint32_t> QueueWaiters(ShflLock& lock, WaitViews& views,
+                                        int count,
+                                        std::vector<std::thread>& threads) {
+  std::vector<std::uint32_t> task_ids;
+  for (int i = 0; i < count; ++i) {
+    auto task_id = std::make_shared<std::atomic<std::uint32_t>>(~0u);
+    threads.emplace_back([&lock, task_id] {
+      task_id->store(Self().task_id);
+      ShflGuard guard(lock);
+    });
+    EXPECT_TRUE(AwaitCondition([&] {
+      return *task_id != ~0u && views.views_of(*task_id) > 0;
+    }));
+    task_ids.push_back(*task_id);
+  }
+  return task_ids;
+}
+
+// A table that leaves track_wait_time unset hands every decision hook a
+// wait_ns of 0, even for waiters its hold accounting stamped at enqueue.
+TEST(ShflLockTest, TableWithoutWaitStampsSeesZeroWait) {
+  ShflLock lock;
+  lock.SetBlocking(true);
+  WaitViews views;
+  HookTable hooks;
+  hooks.user_data = &views;
+  hooks.track_hold_time = true;  // every acquisition timed and stamped
+  hooks.schedule_waiter = WaitViews::RecordWaiter;
+  hooks.cmp_node = [](void* ud, const ShflWaiterView& shuffler,
+                      const ShflWaiterView& curr) {
+    auto& seen = *static_cast<WaitViews*>(ud);
+    seen.Record(shuffler);
+    seen.Record(curr);
+    std::lock_guard<std::mutex> guard(seen.mu);
+    ++seen.compared;
+    return false;
+  };
+  lock.hook_site().Install(&hooks);
+  EXPECT_EQ(lock.hook_site().mask() & HookSite::kTrackWaitTime, 0u);
+
+  lock.Lock();
+  std::vector<std::thread> threads;
+  QueueWaiters(lock, views, 3, threads);
+  // The head shuffles over the second waiter (the third is the tail).
+  EXPECT_TRUE(AwaitCondition([&] {
+    std::lock_guard<std::mutex> guard(views.mu);
+    return views.compared > 0;
+  }));
+  lock.Unlock();
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  lock.hook_site().Install(nullptr);
+  Rcu::Global().Synchronize();
+
+  EXPECT_EQ(views.by_task.size(), 3u);
+  for (const auto& [task_id, waits] : views.by_task) {
+    for (std::uint64_t wait_ns : waits) {
+      EXPECT_EQ(wait_ns, 0u) << "task " << task_id;
+    }
+  }
+}
+
+// Waiters that queued before a table asked for wait stamps were never
+// stamped: once it is installed their views carry wait_ns 0, not the clock's
+// epoch (the host's uptime), while a waiter that queues after it sees a real
+// wait.
+TEST(ShflLockTest, WaiterQueuedBeforeWaitStampsReportsZeroWait) {
+  ShflLock lock;
+  lock.SetBlocking(true);
+  WaitViews before;
+  HookTable unstamped;
+  unstamped.user_data = &before;
+  unstamped.schedule_waiter = WaitViews::RecordWaiter;
+  lock.hook_site().Install(&unstamped);
+
+  lock.Lock();
+  std::vector<std::thread> threads;
+  const std::vector<std::uint32_t> early =
+      QueueWaiters(lock, before, 2, threads);
+
+  WaitViews after;
+  HookTable stamped;
+  stamped.user_data = &after;
+  stamped.track_wait_time = true;
+  stamped.schedule_waiter = WaitViews::RecordWaiter;
+  lock.hook_site().Install(&stamped);
+  Rcu::Global().Synchronize();  // no waiter still runs `unstamped`
+  EXPECT_NE(lock.hook_site().mask() & HookSite::kTrackWaitTime, 0u);
+  const std::uint32_t late = QueueWaiters(lock, after, 1, threads)[0];
+  // Every waiter consults the new table, and the late one has waited.
+  EXPECT_TRUE(AwaitCondition([&] {
+    std::lock_guard<std::mutex> guard(after.mu);
+    return after.by_task[early[0]].size() > 1 &&
+           after.by_task[early[1]].size() > 1 &&
+           after.by_task[late].back() > 0;
+  }));
+  lock.Unlock();
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  lock.hook_site().Install(nullptr);
+  Rcu::Global().Synchronize();
+
+  for (const std::uint32_t task_id : early) {
+    ASSERT_FALSE(after.by_task[task_id].empty());
+    for (std::uint64_t wait_ns : after.by_task[task_id]) {
+      EXPECT_EQ(wait_ns, 0u) << "task " << task_id;
+    }
+  }
+  // A real wait: a second at most, far below any host's uptime.
+  EXPECT_GT(after.by_task[late].back(), 0u);
+  EXPECT_LT(after.by_task[late].back(), 1'000'000'000u);
 }
 
 TEST(ShflLockTest, MaxShuffleRoundsBoundsWork) {
