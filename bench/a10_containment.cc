@@ -3,9 +3,9 @@
 // its budget; this quantifies what that accounting adds to the dispatch
 // path:
 //   - Stock:       no policy, no accounting.
-//   - BudgetOff:   null precompiled release tap, hook_budget_ns = 0 — the
-//                  DispatchScope skips both clock reads, so this is the
-//                  policy-dispatch baseline.
+//   - BudgetOff:   null precompiled release tap, hook_budget_ns = 0 — no
+//                  budget state, so the DispatchScope skips both clock reads
+//                  and all accounting: the policy-dispatch baseline.
 //   - BudgetOn:    same tap with a budget that never trips — adds two
 //                  ClockNowNs() reads plus the per-hook counters, the full
 //                  accounting cost.
@@ -15,8 +15,7 @@
 // when enabled — is on the *contended* path, where each acquisition pays a
 // queue handoff plus the critical section: the Contended_* pair holds the
 // lock for ~2us of real work with 4 hammering threads so the denominator is
-// a realistic contended op, not an empty lock/unlock. With fault injection
-// compiled out (Release), BudgetOff carries no budget state at all.
+// a realistic contended op, not an empty lock/unlock.
 
 #include <benchmark/benchmark.h>
 

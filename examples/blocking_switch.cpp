@@ -4,8 +4,8 @@
 // wait-event code for the cases that should sleep. C3's answer is to make
 // blocking-ness itself a policy: the same ShflLock runs as an rwlock-style
 // spinner during short-CS phases and as an rwsem-style sleeper during long-CS
-// phases, switched live by attaching a policy (set_blocking + a tunable
-// adaptive-parking program).
+// phases, switched live: the lock's blocking regime plus an attached,
+// tunable adaptive-parking policy.
 //
 //   build/examples/blocking_switch
 
@@ -74,14 +74,14 @@ int main() {
   }
 
   // Phase 2: the workload shifts to long critical sections. Spinning now
-  // burns cycles other threads need; attach a policy that turns the same
-  // lock into a sleeper with an aggressive park threshold.
+  // burns cycles other threads need; switch the same lock into its blocking
+  // (rwsem) regime and attach a policy with an aggressive park threshold.
   g_cs_ns.store(200'000);  // 200us holds
   {
     auto parking = MakeAdaptiveParkingPolicy();
     CONCORD_CHECK(parking.ok());
     CONCORD_CHECK(parking->SetKnob(0, 64).ok());  // park after 64 spins
-    parking->spec.set_blocking = true;            // rwsem regime
+    g_lock.SetBlocking(true);
     CONCORD_CHECK(concord.Attach(id, std::move(parking->spec)).ok());
     const PhaseStats stats = RunPhase(300);
     std::printf("%-42s %12.1f %10llu\n",

@@ -67,12 +67,12 @@ int main() {
                                                              : "no (zero cost)");
 
   // Detailed histograms for the hot lock.
-  const ShardedLockProfileStats* stats = concord.Stats(page_id);
+  const LockProfileSnapshot page = concord.Stats(page_id)->Snapshot();
   std::printf("\npage_lock hold-time histogram (ns buckets):\n%s",
-              stats->HoldNs().ToString().c_str());
-  if (stats->WaitNs().TotalCount() > 0) {
+              page.hold_ns.ToString().c_str());
+  if (page.wait_ns.TotalCount() > 0) {
     std::printf("\npage_lock wait-time histogram (ns buckets):\n%s",
-                stats->WaitNs().ToString().c_str());
+                page.wait_ns.ToString().c_str());
   }
 
   for (std::uint64_t id : concord.Select("*")) {

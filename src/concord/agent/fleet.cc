@@ -25,15 +25,7 @@ namespace {
 // system-wide CLOCK_MONOTONIC).
 void MergeWindow(const LockProfileSnapshot& delta,
                  LockProfileSnapshot& merged) {
-  merged.acquisitions += delta.acquisitions;
-  merged.contentions += delta.contentions;
-  merged.releases += delta.releases;
-  for (std::size_t i = 0; i < kProfilerSocketSlots; ++i) {
-    merged.socket_acquisitions[i] += delta.socket_acquisitions[i];
-  }
-  merged.cross_socket_handoffs += delta.cross_socket_handoffs;
-  merged.budget_overruns += delta.budget_overruns;
-  merged.quarantines += delta.quarantines;
+  merged.Add(delta);
   merged.wait_ns.MergeFrom(delta.wait_ns);
   merged.hold_ns.MergeFrom(delta.hold_ns);
   if (merged.window_start_ns == 0 ||

@@ -103,22 +103,14 @@ std::size_t ShmSegmentBytes(std::uint32_t capacity) {
 }
 
 void ShmEncodeRecord(const ShmLockSample& sample, ShmLockRecord& out) {
-  std::memset(&out, 0, sizeof(out));
+  out = ShmLockRecord{};
   out.lock_id = sample.lock_id;
   const std::size_t copy =
       sample.name.size() < kShmMaxLockName - 1 ? sample.name.size()
                                                : kShmMaxLockName - 1;
   std::memcpy(out.name, sample.name.data(), copy);
   const LockProfileSnapshot& snap = sample.snapshot;
-  out.acquisitions = snap.acquisitions;
-  out.contentions = snap.contentions;
-  out.releases = snap.releases;
-  for (std::size_t i = 0; i < kProfilerSocketSlots; ++i) {
-    out.socket_acquisitions[i] = snap.socket_acquisitions[i];
-  }
-  out.cross_socket_handoffs = snap.cross_socket_handoffs;
-  out.budget_overruns = snap.budget_overruns;
-  out.quarantines = snap.quarantines;
+  out.counters = snap;
   EncodeHistogram(snap.wait_ns, out.wait_buckets, out.wait_sum, out.wait_max);
   EncodeHistogram(snap.hold_ns, out.hold_buckets, out.hold_sum, out.hold_max);
 }
@@ -130,15 +122,7 @@ void ShmDecodeRecord(const ShmLockRecord& record, std::uint64_t published_ns,
   LockProfileSnapshot& snap = out.snapshot;
   snap = LockProfileSnapshot{};
   snap.taken_at_ns = published_ns;
-  snap.acquisitions = record.acquisitions;
-  snap.contentions = record.contentions;
-  snap.releases = record.releases;
-  for (std::size_t i = 0; i < kProfilerSocketSlots; ++i) {
-    snap.socket_acquisitions[i] = record.socket_acquisitions[i];
-  }
-  snap.cross_socket_handoffs = record.cross_socket_handoffs;
-  snap.budget_overruns = record.budget_overruns;
-  snap.quarantines = record.quarantines;
+  static_cast<LockProfileCounters&>(snap) = record.counters;
   DecodeHistogram(record.wait_buckets, record.wait_sum, record.wait_max,
                   snap.wait_ns);
   DecodeHistogram(record.hold_buckets, record.hold_sum, record.hold_max,

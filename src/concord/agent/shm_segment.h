@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/status.h"
@@ -46,21 +47,15 @@ inline constexpr std::uint32_t kShmSegmentVersion = 2;
 inline constexpr std::uint32_t kShmSegmentDefaultCapacity = 64;
 inline constexpr std::size_t kShmMaxLockName = 56;
 
-// Fixed-size POD record for one lock's cumulative counters. Field-for-field
-// mirror of LockProfileSnapshot with the histograms flattened to raw buckets.
+// Fixed-size, trivially copyable record for one lock's cumulative counters:
+// the snapshot's counter block, and its histograms flattened to raw buckets.
 // Every field is a u64 multiple so the whole record is copied word-by-word
 // with relaxed atomics.
 struct ShmLockRecord {
   std::uint64_t lock_id;
   char name[kShmMaxLockName];  // NUL-padded; truncated if longer
 
-  std::uint64_t acquisitions;
-  std::uint64_t contentions;
-  std::uint64_t releases;
-  std::uint64_t socket_acquisitions[kProfilerSocketSlots];
-  std::uint64_t cross_socket_handoffs;
-  std::uint64_t budget_overruns;
-  std::uint64_t quarantines;
+  LockProfileCounters counters;
 
   std::uint64_t wait_buckets[Log2Histogram::kBuckets];
   std::uint64_t wait_sum;
@@ -70,6 +65,7 @@ struct ShmLockRecord {
   std::uint64_t hold_max;
 };
 static_assert(sizeof(ShmLockRecord) % sizeof(std::uint64_t) == 0);
+static_assert(std::is_trivially_copyable_v<ShmLockRecord>);
 
 // Segment header. The geometry fields (magic..capacity, pid) are written
 // once at Create(); the publish fields (sequence..lock_count, checksum) are

@@ -23,9 +23,14 @@ struct CompiledPolicy {
   std::uint64_t lock_id = 0;
   std::shared_ptr<const PolicySpec> spec;    // nullable
   ShardedLockProfileStats* stats = nullptr;  // nullable; owned by the entry
-  // Budget accounting, owned by the entry; outlives this table (the entry
-  // only swaps its budget after the RCU grace period retiring this table).
-  HookBudgetState* budget = nullptr;
+  // Budget accounting, iff the spec sets a budget (hook_budget_ns != 0).
+  std::unique_ptr<HookBudgetState> budget;
+  // Faults observed inside policy dispatch (injected or real helper/map
+  // failures), attributed via FaultRegistry::ThreadFires() deltas.
+  std::atomic<std::uint64_t> dispatch_faults{0};
+  // Raised by a dispatch fault or once the budget's overruns reach its trip
+  // threshold; harvested (and cleared) by Concord::HarvestBudgetTrips().
+  std::atomic<std::uint32_t> tripped{0};
   // Per hook kind: the chain reads ProfileCtx::now_ns (LockValue::kNowNs).
   bool reads_now[kNumHookKinds] = {};
 
@@ -44,47 +49,48 @@ namespace {
 
 // --- dispatch accounting -----------------------------------------------------
 //
-// Times one policy invocation against its runtime budget and attributes any
-// fault-injection fires on this thread to the policy. The destructor only
-// flags (HookBudgetState::tripped); it never detaches — trampolines run
-// inside an RCU read section where waiting out a grace period would
-// deadlock. ContainmentRegistry::Poll() harvests the flag asynchronously.
+// Times one policy invocation against its runtime budget, if the policy set
+// one, and (in a fault-injection build) attributes any fault fires on this
+// thread to the table. The destructor only raises CompiledPolicy::tripped; it
+// never detaches — trampolines run inside an RCU read section where waiting
+// out a grace period would deadlock. ContainmentRegistry::Poll() harvests the
+// flag asynchronously. Without a budget or fault injection the scope is one
+// null test.
 
 class DispatchScope {
  public:
   DispatchScope(CompiledPolicy* cp, HookKind kind)
-      : budget_(cp->budget), stats_(cp->stats), kind_(kind) {
-    if (budget_ == nullptr) {
-      return;
-    }
-    if (budget_->budget_ns != 0) {
-      start_ns_ = ClockNowNs();
-    }
+      : cp_(cp), budget_(cp->budget.get()), kind_(kind) {
 #if CONCORD_FAULT_INJECTION
     fires_before_ = FaultRegistry::ThreadFires();
 #endif
+    if (budget_ != nullptr) {
+      start_ns_ = ClockNowNs();
+    }
   }
 
   ~DispatchScope() {
+#if CONCORD_FAULT_INJECTION
+    if (FaultRegistry::ThreadFires() != fires_before_) {
+      cp_->dispatch_faults.fetch_add(1, std::memory_order_relaxed);
+      cp_->tripped.store(1, std::memory_order_release);
+    }
+#endif
     if (budget_ == nullptr) {
       return;
     }
-#if CONCORD_FAULT_INJECTION
-    if (FaultRegistry::ThreadFires() != fires_before_) {
-      budget_->AccountFault();
+    if (budget_->AccountDispatch(kind_, ElapsedSinceNs(start_ns_),
+                                 cp_->stats)) {
+      cp_->tripped.store(1, std::memory_order_release);
     }
-#endif
-    const std::uint64_t elapsed_ns =
-        budget_->budget_ns != 0 ? ElapsedSinceNs(start_ns_) : 0;
-    budget_->AccountDispatch(kind_, elapsed_ns, stats_);
   }
 
   DispatchScope(const DispatchScope&) = delete;
   DispatchScope& operator=(const DispatchScope&) = delete;
 
  private:
+  CompiledPolicy* cp_;
   HookBudgetState* budget_;
-  ShardedLockProfileStats* stats_;
   HookKind kind_;
   std::uint64_t start_ns_ = 0;
 #if CONCORD_FAULT_INJECTION
@@ -214,20 +220,19 @@ Concord& Concord::Global() {
 
 std::uint64_t Concord::RegisterShflLock(ShflLock& lock, std::string name,
                                         std::string lock_class) {
-  return Register(lock.hook_site(), &lock, std::move(name),
+  return Register(lock.hook_site(), LockKind::kShfl, std::move(name),
                   std::move(lock_class));
 }
 
-std::uint64_t Concord::Register(HookSite& site, ShflLock* shfl,
+std::uint64_t Concord::Register(HookSite& site, LockKind kind,
                                 std::string name, std::string lock_class) {
   std::lock_guard<std::mutex> guard(mu_);
   CONCORD_CHECK(entries_.size() < kMaxLocks);
   auto entry = std::make_unique<Entry>();
-  entry->kind = shfl != nullptr ? LockKind::kShfl : LockKind::kRw;
+  entry->kind = kind;
   entry->name = std::move(name);
   entry->lock_class = std::move(lock_class);
   entry->site = &site;
-  entry->shfl = shfl;
   entries_.push_back(std::move(entry));
   const std::uint64_t id = entries_.size();
   site.SetLockId(id);
@@ -263,9 +268,7 @@ Status Concord::Unregister(std::uint64_t lock_id) {
     TraceRegistry::Global().DisableLock(lock_id);
     entry->kind = LockKind::kNone;
     entry->site = nullptr;
-    entry->shfl = nullptr;
     entry->quarantined = nullptr;
-    entry->budget.reset();
   }
   // Outside mu_: containment may hold its own mutex while calling into this
   // registry, never the other way around.
@@ -340,24 +343,18 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
 
   const PolicySpec* spec = entry->attached.get();
   std::shared_ptr<CompiledPolicy> fresh;
-  std::unique_ptr<HookBudgetState> fresh_budget;
   if (spec != nullptr || entry->profiling) {
     fresh = std::make_shared<CompiledPolicy>();
     fresh->lock_id = lock_id;
     fresh->spec = entry->attached;
     fresh->stats = entry->profiling ? entry->stats.get() : nullptr;
 
-    // Budget accounting rides along whenever a policy is attached and either
-    // a budget is configured or fault injection is compiled in (the latter
-    // needs the state purely for fault attribution). Profiling-only tables
-    // carry no budget — there is no policy to contain.
-    if (spec != nullptr &&
-        (spec->hook_budget_ns != 0 || CONCORD_FAULT_INJECTION)) {
-      fresh_budget = std::make_unique<HookBudgetState>();
-      fresh_budget->budget_ns = spec->hook_budget_ns;
-      fresh_budget->trip_overruns =
+    // Budget accounting exists iff the policy sets a budget.
+    if (spec != nullptr && spec->hook_budget_ns != 0) {
+      fresh->budget = std::make_unique<HookBudgetState>();
+      fresh->budget->budget_ns = spec->hook_budget_ns;
+      fresh->budget->trip_overruns =
           spec->hook_budget_trip == 0 ? 1 : spec->hook_budget_trip;
-      fresh->budget = fresh_budget.get();
     }
 
     // The attach-time kind check keeps slots the lock never consults empty,
@@ -408,10 +405,6 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
   // Publish, wait a grace period, then let the old table die.
   std::shared_ptr<CompiledPolicy> old = entry->current;
   entry->site->Install(fresh != nullptr ? &fresh->table : nullptr);
-  if (entry->shfl != nullptr && spec != nullptr &&
-      spec->set_blocking.has_value()) {
-    entry->shfl->SetBlocking(*spec->set_blocking);
-  }
   if (fresh != nullptr && fresh->stats != nullptr) {
     fresh->stats->SetTimedOneIn(HookSite::TimedOneIn(entry->site->mask()));
   }
@@ -419,10 +412,7 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
   if (old != nullptr || fresh != nullptr) {
     Rcu::Global().Synchronize();
   }
-  // Only after the grace period may the previous budget die: the retiring
-  // table's trampolines could still have been accounting into it.
-  entry->budget = std::move(fresh_budget);
-  // `old` destructs here (after the grace period).
+  // `old`, with its budget, destructs here (after the grace period).
   return Status::Ok();
 }
 
@@ -539,19 +529,19 @@ std::vector<Concord::BudgetTrip> Concord::HarvestBudgetTrips() {
   std::lock_guard<std::mutex> guard(mu_);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry* entry = entries_[i].get();
-    if (entry->kind == LockKind::kNone || entry->budget == nullptr) {
-      continue;
-    }
-    if (entry->budget->tripped.exchange(0, std::memory_order_acq_rel) == 0) {
+    CompiledPolicy* cp = entry->current.get();
+    if (entry->kind == LockKind::kNone || cp == nullptr ||
+        cp->tripped.exchange(0, std::memory_order_acq_rel) == 0) {
       continue;
     }
     BudgetTrip trip;
     trip.lock_id = i + 1;
     trip.policy_name = entry->attached != nullptr ? entry->attached->name : "";
-    trip.overruns = entry->budget->overruns.load(std::memory_order_relaxed);
-    trip.dispatch_faults =
-        entry->budget->dispatch_faults.load(std::memory_order_relaxed);
-    trip.max_observed_ns = entry->budget->max_ns.load(std::memory_order_relaxed);
+    trip.dispatch_faults = cp->dispatch_faults.load(std::memory_order_relaxed);
+    if (cp->budget != nullptr) {
+      trip.overruns = cp->budget->overruns.load(std::memory_order_relaxed);
+      trip.max_observed_ns = cp->budget->max_ns.load(std::memory_order_relaxed);
+    }
     TraceRecord(trip.lock_id, TraceEventKind::kBudgetTrip, trip.overruns);
     trips.push_back(std::move(trip));
   }
@@ -561,7 +551,9 @@ std::vector<Concord::BudgetTrip> Concord::HarvestBudgetTrips() {
 const HookBudgetState* Concord::BudgetState(std::uint64_t lock_id) const {
   std::lock_guard<std::mutex> guard(mu_);
   const Entry* entry = EntryFor(lock_id);
-  return entry == nullptr ? nullptr : entry->budget.get();
+  return entry == nullptr || entry->current == nullptr
+             ? nullptr
+             : entry->current->budget.get();
 }
 
 Status Concord::EnableProfiling(std::uint64_t lock_id) {
@@ -621,7 +613,7 @@ std::string Concord::ProfileReport(const std::string& selector) const {
       continue;
     }
     report += entry->name + " [" + entry->lock_class + "]: " +
-              entry->stats->Summary() + "\n";
+              entry->stats->Snapshot().Summary() + "\n";
   }
   return report;
 }
@@ -648,7 +640,7 @@ std::string Concord::StatsJson(const std::string& selector) const {
       writer.NumberField("end_ns", now_ns);
       writer.EndObject();
       writer.Key("stats");
-      entry->stats->AppendJson(writer);
+      entry->stats->Snapshot().AppendJson(writer);
       const PolicySpec* spec = entry->attached.get();
       if (spec != nullptr && !spec->maps.empty()) {
         writer.Key("policy_maps").BeginArray();

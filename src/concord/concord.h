@@ -50,7 +50,7 @@ class Concord {
   template <typename RwLockT>
   std::uint64_t RegisterRwLock(RwLockT& lock, std::string name,
                                std::string lock_class) {
-    return Register(lock.hook_site(), nullptr, std::move(name),
+    return Register(lock.hook_site(), LockKind::kRw, std::move(name),
                     std::move(lock_class));
   }
 
@@ -106,9 +106,10 @@ class Concord {
   // Name of the attached (or quarantine-parked) policy, "" if none.
   std::string AttachedPolicyName(std::uint64_t lock_id) const;
 
-  // A policy whose HookBudgetState crossed its trip threshold (or observed a
-  // dispatch fault). Harvested — and the trip flag cleared — by
-  // ContainmentRegistry::Poll().
+  // A policy whose installed table tripped: its budget's overruns reached
+  // the trip threshold, or a dispatch fault was observed. Harvested — and
+  // the trip flag cleared — by ContainmentRegistry::Poll(). overruns and
+  // max_observed_ns are 0 for a policy without a budget.
   struct BudgetTrip {
     std::uint64_t lock_id = 0;
     std::string policy_name;
@@ -118,8 +119,9 @@ class Concord {
   };
   std::vector<BudgetTrip> HarvestBudgetTrips();
 
-  // Budget accounting for the attached policy, nullptr when absent (no
-  // policy, or no budget set and fault injection compiled out).
+  // Budget accounting for the attached policy, nullptr unless the policy
+  // sets a budget (PolicySpec::hook_budget_ns). It lives in the installed
+  // table, so counters restart at every reinstall.
   const HookBudgetState* BudgetState(std::uint64_t lock_id) const;
 
   // --- dynamic profiling ------------------------------------------------------
@@ -195,7 +197,6 @@ class Concord {
     std::string name;
     std::string lock_class;
     HookSite* site = nullptr;
-    ShflLock* shfl = nullptr;  // kShfl only: the spec's set_blocking target
 
     // Current attachment state (control plane, guarded by mu_).
     std::shared_ptr<struct CompiledPolicy> current;
@@ -207,18 +208,12 @@ class Concord {
     // Window boundary reported by StatsJson: ClockNowNs() at the most recent
     // EnableProfiling call (counters are cumulative since then).
     std::uint64_t profile_window_start_ns = 0;
-
-    // Budget accounting shared with the live CompiledPolicy. Replaced (after
-    // the RCU grace period) on every reinstall, so counters restart per
-    // attachment epoch.
-    std::unique_ptr<HookBudgetState> budget;
   };
 
   Concord() = default;
 
-  // Adds a registry entry for a lock's hook site; `shfl` is null for a
-  // readers-writer lock.
-  std::uint64_t Register(HookSite& site, ShflLock* shfl, std::string name,
+  // Adds a registry entry for a lock's hook site.
+  std::uint64_t Register(HookSite& site, LockKind kind, std::string name,
                          std::string lock_class);
 
   // Rebuilds the hook table from entry state and hot-swaps it in.

@@ -103,12 +103,14 @@ bool ReadsLockValue(const Program& program, LockValue value);
 
 // --- hook runtime budgets ----------------------------------------------------
 //
-// One HookBudgetState is owned by the Concord registry entry for an attached
-// policy (src/concord/concord.cc) and shared with the live CompiledPolicy
-// trampoline table. Trampolines account each policy invocation here; the
-// containment registry's Poll() harvests trips asynchronously — the hot path
+// A HookBudgetState exists iff the attached policy sets a budget
+// (PolicySpec::hook_budget_ns != 0), owned by the installed CompiledPolicy
+// table (src/concord/concord.cc), which dies only after the grace period that
+// retires it. Trampolines account each policy invocation here; when the
+// overruns reach the trip threshold the table raises its trip flag, which
+// the containment registry's Poll() harvests asynchronously — the hot path
 // never detaches (it runs inside an RCU read section where a synchronize
-// would deadlock), it only raises the `tripped` flag.
+// would deadlock).
 
 // Elapsed nanoseconds since `start_ns`, clamped at zero. The clock contract
 // (src/base/time.h) is monotonic, but a test FakeClock can be stepped
@@ -123,7 +125,7 @@ inline std::uint64_t ElapsedSinceNs(std::uint64_t start_ns) {
 
 struct HookBudgetState {
   // Configuration, fixed at attach time.
-  std::uint64_t budget_ns = 0;      // per-invocation budget; 0 = no timing
+  std::uint64_t budget_ns = 0;      // per-invocation budget
   std::uint32_t trip_overruns = 8;  // overruns before the trip flag raises
 
   // Accounting (per hook kind: invocation count and summed execution time).
@@ -131,14 +133,10 @@ struct HookBudgetState {
   std::atomic<std::uint64_t> spent_ns[8] = {};
   std::atomic<std::uint64_t> overruns{0};
   std::atomic<std::uint64_t> max_ns{0};
-  // Faults observed inside policy dispatch (injected or real helper/map
-  // failures), attributed via FaultRegistry::ThreadFires() deltas.
-  std::atomic<std::uint64_t> dispatch_faults{0};
-  // Raised once the trip threshold is crossed; harvested (and cleared) by
-  // Concord::HarvestBudgetTrips().
-  std::atomic<std::uint32_t> tripped{0};
 
-  void AccountDispatch(HookKind kind, std::uint64_t elapsed_ns,
+  // Accounts one invocation; true when its overrun reaches the trip
+  // threshold (the caller raises its trip flag).
+  bool AccountDispatch(HookKind kind, std::uint64_t elapsed_ns,
                        ShardedLockProfileStats* stats) {
     const auto k = static_cast<std::size_t>(kind);
     calls[k].fetch_add(1, std::memory_order_relaxed);
@@ -148,21 +146,15 @@ struct HookBudgetState {
            !max_ns.compare_exchange_weak(prev_max, elapsed_ns,
                                          std::memory_order_relaxed)) {
     }
-    if (budget_ns != 0 && elapsed_ns > budget_ns) {
-      const std::uint64_t total =
-          overruns.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (stats != nullptr) {
-        stats->Shard().budget_overruns.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (total >= trip_overruns) {
-        tripped.store(1, std::memory_order_release);
-      }
+    if (elapsed_ns <= budget_ns) {
+      return false;
     }
-  }
-
-  void AccountFault() {
-    dispatch_faults.fetch_add(1, std::memory_order_relaxed);
-    tripped.store(1, std::memory_order_release);
+    const std::uint64_t total =
+        overruns.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (stats != nullptr) {
+      stats->Shard().budget_overruns.fetch_add(1, std::memory_order_relaxed);
+    }
+    return total >= trip_overruns;
   }
 
   std::uint64_t TotalCalls() const {

@@ -16,7 +16,6 @@
 #define SRC_CONCORD_POLICY_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,10 +82,9 @@ struct PolicySpec {
   // ShflLock knobs applied at attach.
   std::uint32_t max_shuffle_rounds = 64;
   std::uint32_t max_waiter_bypasses = 128;  // per-waiter starvation bound
-  std::optional<bool> set_blocking;
 
-  // Runtime budget per hook invocation (0 = no timing) and how many overruns
-  // trip containment. See src/concord/containment.h.
+  // Runtime budget per hook invocation (0 = none, and no budget accounting)
+  // and how many overruns trip containment. See src/concord/containment.h.
   std::uint64_t hook_budget_ns = 0;
   std::uint32_t hook_budget_trip = 8;
 

@@ -4,8 +4,9 @@
 // attaches profiling taps per lock instance / class / pattern. Stats live in
 // per-CPU-style shards behind the registry lock id so the taps are wait-free
 // AND do not ping-pong one cache line between every acquiring core: each
-// thread records into its own shard, and readers sum across shards on
-// demand (sums are monotonic, so pollers can watch counters live).
+// thread records into its own shard, and a reader takes one snapshot across
+// the shards on demand (counters are monotonic, so pollers can diff
+// snapshots live).
 
 #ifndef SRC_CONCORD_PROFILER_H_
 #define SRC_CONCORD_PROFILER_H_
@@ -30,64 +31,65 @@ inline constexpr std::size_t kProfilerSocketSlots = 8;
 // Sentinel for "no previous owner socket observed yet".
 inline constexpr std::uint32_t kNoOwnerSocket = ~0u;
 
-// One shard of profiling state. Also usable standalone as a plain stats
-// block (tests, merged snapshots).
+// The profile record's counters, listed once. LockProfileSnapshot, the shm
+// segment's record (src/concord/agent/shm_segment.h) and the fleet's merged
+// window hold this block, and add, diff and copy it whole. Every counter is a
+// u64, so the block is also an array of words.
+struct LockProfileCounters {
+  std::uint64_t acquisitions = 0;
+  std::uint64_t contentions = 0;
+  std::uint64_t releases = 0;
+  // NUMA signal for the autotune control plane: which virtual sockets the
+  // acquiring threads sit on, and how often a queued grant moved the lock to
+  // a different socket than the previous queued grant's.
+  std::uint64_t socket_acquisitions[kProfilerSocketSlots] = {};
+  std::uint64_t cross_socket_handoffs = 0;
+  // Containment counters (src/concord/containment.h): hook invocations that
+  // blew their runtime budget, and how often this lock's policy was
+  // quarantined as a result of any fault class.
+  std::uint64_t budget_overruns = 0;
+  std::uint64_t quarantines = 0;
+
+  // Adds `other` counter by counter.
+  void Add(const LockProfileCounters& other);
+
+  // The counts recorded since `earlier`, counter by counter, each clamped
+  // at 0.
+  LockProfileCounters ClampedDelta(const LockProfileCounters& earlier) const;
+};
+
+// One shard: the atomic form of LockProfileCounters, which the taps write,
+// and the two histograms. Read only through ShardedLockProfileStats; a new
+// counter goes here, in LockProfileCounters and in Snapshot()'s load
+// (profiler.cc checks that the sizes agree).
 struct LockProfileStats {
   std::atomic<std::uint64_t> acquisitions{0};
   std::atomic<std::uint64_t> contentions{0};
   std::atomic<std::uint64_t> releases{0};
-  // NUMA signal for the autotune control plane: which virtual sockets the
-  // acquiring threads sit on, and how often a queued grant moved the lock to
-  // a different socket than the previous queued grant's.
   std::atomic<std::uint64_t> socket_acquisitions[kProfilerSocketSlots] = {};
   std::atomic<std::uint64_t> cross_socket_handoffs{0};
-  // Containment counters (src/concord/containment.h): hook invocations that
-  // blew their runtime budget, and how often this lock's policy was
-  // quarantined as a result of any fault class.
   std::atomic<std::uint64_t> budget_overruns{0};
   std::atomic<std::uint64_t> quarantines{0};
   // Timed acquisitions only (HookSite::TimeAcquisition): 1 in
   // HookSite::kTimedOneIn, or all under hold-time accounting.
   Log2Histogram wait_ns;  // queued acquisitions: time from enqueue to grant
   Log2Histogram hold_ns;  // critical-section lengths
-
-  void Reset() {
-    acquisitions.store(0, std::memory_order_relaxed);
-    contentions.store(0, std::memory_order_relaxed);
-    releases.store(0, std::memory_order_relaxed);
-    for (auto& slot : socket_acquisitions) {
-      slot.store(0, std::memory_order_relaxed);
-    }
-    cross_socket_handoffs.store(0, std::memory_order_relaxed);
-    budget_overruns.store(0, std::memory_order_relaxed);
-    quarantines.store(0, std::memory_order_relaxed);
-    wait_ns.Reset();
-    hold_ns.Reset();
-  }
-
-  // Adds `other`'s counters and histograms into this block (shard
-  // aggregation; relaxed reads, statistically consistent).
-  void MergeFrom(const LockProfileStats& other);
 };
 
-// A point-in-time copy of one lock's merged profiling state. The live
-// counters are cumulative since profiling was enabled; control planes that
-// need *windowed* behaviour (the autotune controller, trend tooling) take a
-// snapshot per tick and diff consecutive snapshots with DeltaSince.
-struct LockProfileSnapshot {
+// A point-in-time copy of one lock's profiling state, and the profiler's only
+// read form: every report renders one. The counters are cumulative since
+// profiling was enabled; control planes that need *windowed* behaviour (the
+// autotune controller, trend tooling) take a snapshot per tick and diff
+// consecutive snapshots with DeltaSince.
+struct LockProfileSnapshot : LockProfileCounters {
   // ClockNowNs() when the snapshot (or, for a delta, its newer endpoint) was
   // taken; window_start_ns is 0 for a cumulative snapshot and the older
   // endpoint's taken_at_ns for a delta.
   std::uint64_t taken_at_ns = 0;
   std::uint64_t window_start_ns = 0;
-
-  std::uint64_t acquisitions = 0;
-  std::uint64_t contentions = 0;
-  std::uint64_t releases = 0;
-  std::uint64_t socket_acquisitions[kProfilerSocketSlots] = {};
-  std::uint64_t cross_socket_handoffs = 0;
-  std::uint64_t budget_overruns = 0;
-  std::uint64_t quarantines = 0;
+  // One timed acquisition in this many fed wait_ns and hold_ns
+  // (ShardedLockProfileStats::TimedOneIn).
+  std::uint32_t timed_one_in = HookSite::kTimedOneIn;
   Log2Histogram wait_ns;
   Log2Histogram hold_ns;
 
@@ -114,20 +116,21 @@ struct LockProfileSnapshot {
   // The samples recorded between `earlier` and this snapshot. Both must come
   // from the same lock, `earlier` first; counter deltas clamp at 0.
   LockProfileSnapshot DeltaSince(const LockProfileSnapshot& earlier) const;
+
+  // The one-line form Concord::ProfileReport prints, and the "stats" object
+  // of Concord::StatsJson.
+  std::string Summary() const;
+  void AppendJson(JsonWriter& writer) const;
 };
 
 // The per-lock profiling unit the registry owns: kShards cache-aligned
-// LockProfileStats written by the hot taps, plus read-side aggregation.
+// LockProfileStats written by the hot taps, read through Snapshot().
 //
 // Writers: Shard() hashes the calling thread onto a shard; one acquisition's
 // whole lifecycle (acquire/contended/acquired/release) runs on one thread,
 // so its samples land in one shard: both lock families require the
 // acquiring thread to release. Counters would total correctly even if a
 // release landed elsewhere, because every read sums all shards.
-//
-// Readers: the counter accessors are live and monotonic (safe to poll from
-// a watcher thread while workers record). Histogram accessors return merged
-// snapshot copies.
 class ShardedLockProfileStats {
  public:
   static constexpr std::size_t kShards = 8;
@@ -141,30 +144,23 @@ class ShardedLockProfileStats {
   // into every aggregate like any other shard; the name documents intent.
   LockProfileStats& ControlShard() { return shards_[0].stats; }
 
-  // --- live monotonic cross-shard counters ----------------------------------
-  std::uint64_t Acquisitions() const { return Sum(&LockProfileStats::acquisitions); }
-  std::uint64_t Contentions() const { return Sum(&LockProfileStats::contentions); }
-  std::uint64_t Releases() const { return Sum(&LockProfileStats::releases); }
-  std::uint64_t BudgetOverruns() const {
-    return Sum(&LockProfileStats::budget_overruns);
-  }
-  std::uint64_t Quarantines() const { return Sum(&LockProfileStats::quarantines); }
-  std::uint64_t CrossSocketHandoffs() const {
-    return Sum(&LockProfileStats::cross_socket_handoffs);
-  }
-  std::uint64_t SocketAcquisitions(std::size_t socket_slot) const;
-
-  // Cross-shard merged copy of everything, stamped with ClockNowNs().
+  // Every counter and both histograms from one pass over the shards, stamped
+  // with ClockNowNs(). Reports read this and nothing else.
   //
-  // Consistency bound: the copy is taken in a single pass over the shards
-  // while writers keep recording, so counters from one call may straddle the
-  // handful of operations in flight during the merge — but each counter is
+  // Consistency bound: writers keep recording during the pass, so the copy
+  // may straddle the handful of operations in flight — but each counter is
   // individually monotonic across calls, and the cross-field invariants
   // contentions <= acquisitions, releases <= acquisitions (and therefore
   // ContentionRate() <= 1) are enforced by clamping. DeltaSince of two such
   // snapshots can attribute an in-flight op to either window, never to both
   // and never to neither.
   LockProfileSnapshot Snapshot() const;
+
+  // Live, monotonic single-counter sums (each one sweeps the shards, so two
+  // of them are not one cut; a report reads Snapshot()).
+  std::uint64_t Acquisitions() const { return Sum(&LockProfileStats::acquisitions); }
+  std::uint64_t Contentions() const { return Sum(&LockProfileStats::contentions); }
+  std::uint64_t Releases() const { return Sum(&LockProfileStats::releases); }
 
   // Last socket a queued grant landed on (cross-socket handoff tracking);
   // returns the previous value. Only a mutex holder calls it
@@ -186,24 +182,6 @@ class ShardedLockProfileStats {
   void SetTimedOneIn(std::uint32_t one_in) {
     timed_one_in_.store(one_in, std::memory_order_relaxed);
   }
-
-  double ContentionRate() const {
-    const std::uint64_t acq = Acquisitions();
-    return acq == 0 ? 0.0
-                    : static_cast<double>(Contentions()) /
-                          static_cast<double>(acq);
-  }
-
-  // --- merged histogram snapshots -------------------------------------------
-  Log2Histogram WaitNs() const;
-  Log2Histogram HoldNs() const;
-
-  // Adds every shard into `out`.
-  void MergeInto(LockProfileStats& out) const;
-
-  std::string Summary() const;
-  void AppendJson(JsonWriter& writer) const;
-  void Reset();
 
  private:
   struct CONCORD_CACHE_ALIGNED AlignedStats {

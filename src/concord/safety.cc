@@ -21,7 +21,8 @@ Status FairnessWatchdog::Watch(std::uint64_t lock_id) {
   state.lock_id = lock_id;
   // Baseline: violations are only raised for waits observed from now on.
   const ShardedLockProfileStats* stats = Concord::Global().Stats(lock_id);
-  state.last_flagged_max_ns = stats != nullptr ? stats->WaitNs().Max() : 0;
+  state.last_flagged_max_ns =
+      stats != nullptr ? stats->Snapshot().wait_ns.Max() : 0;
   watched_.push_back(state);
   return Status::Ok();
 }
@@ -49,7 +50,7 @@ std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
       if (stats == nullptr) {
         continue;
       }
-      const Log2Histogram wait_ns = stats->WaitNs();
+      const Log2Histogram wait_ns = stats->Snapshot().wait_ns;
       const std::uint64_t max_wait = wait_ns.Max();
       if (max_wait > config_.max_wait_ns &&
           max_wait > state.last_flagged_max_ns) {

@@ -1,22 +1,17 @@
-// Readers-writer locks.
+// Readers-writer lock.
 //
 // NeutralRwLock is the "stock" centralized readers-writer lock (one counter
 // word, writer preference to avoid writer starvation) — the baseline in the
-// paper's Figure 2(a). PerSocketRwLock is the distributed flavour the BRAVO
-// and lock-switching use cases upgrade to for read-mostly workloads: readers
-// touch only their own socket's counter line; writers pay a scan of all
-// sockets.
+// paper's Figure 2(a), and the lock BravoLock wraps.
 
 #ifndef SRC_SYNC_RW_LOCK_H_
 #define SRC_SYNC_RW_LOCK_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "src/base/cacheline.h"
 #include "src/base/spinwait.h"
-#include "src/topology/thread_context.h"
 
 namespace concord {
 
@@ -82,65 +77,6 @@ class CONCORD_CACHE_ALIGNED NeutralRwLock {
  private:
   std::atomic<std::int32_t> state_{0};  // >0 readers, -1 writer
   std::atomic<std::uint32_t> writers_waiting_{0};
-};
-
-// Distributed ("big-reader") readers-writer lock: one reader counter per
-// virtual socket. Reader cost is a CAS-free increment on a socket-local line;
-// writer cost is O(sockets).
-class PerSocketRwLock {
- public:
-  PerSocketRwLock()
-      : num_sockets_(MachineTopology::Global().num_sockets()),
-        counters_(std::make_unique<CacheLinePadded<std::atomic<std::int32_t>>[]>(
-            num_sockets_)) {}
-  PerSocketRwLock(const PerSocketRwLock&) = delete;
-  PerSocketRwLock& operator=(const PerSocketRwLock&) = delete;
-
-  void ReadLock() {
-    auto& counter = *counters_[Self().socket % num_sockets_];
-    SpinWait spin;
-    while (true) {
-      counter.fetch_add(1, std::memory_order_acquire);
-      if (writer_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-      counter.fetch_sub(1, std::memory_order_release);
-      while (writer_.load(std::memory_order_acquire) != 0) {
-        spin.Once();
-      }
-    }
-  }
-
-  void ReadUnlock() {
-    counters_[Self().socket % num_sockets_]->fetch_sub(1,
-                                                       std::memory_order_release);
-  }
-
-  void WriteLock() {
-    // Serialize writers first, then block out readers.
-    SpinWait spin;
-    std::uint32_t expected = 0;
-    while (!writer_.compare_exchange_weak(expected, 1, std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-      expected = 0;
-      spin.Once();
-    }
-    for (std::uint32_t s = 0; s < num_sockets_; ++s) {
-      SpinWait drain;
-      while (counters_[s]->load(std::memory_order_acquire) != 0) {
-        drain.Once();
-      }
-    }
-  }
-
-  void WriteUnlock() { writer_.store(0, std::memory_order_release); }
-
-  std::uint32_t num_sockets() const { return num_sockets_; }
-
- private:
-  const std::uint32_t num_sockets_;
-  std::unique_ptr<CacheLinePadded<std::atomic<std::int32_t>>[]> counters_;
-  CONCORD_CACHE_ALIGNED std::atomic<std::uint32_t> writer_{0};
 };
 
 }  // namespace concord

@@ -94,7 +94,12 @@ bool ShflLock::TryLock() {
   if (!TryAcquireWord()) {
     return false;
   }
-  RecordAcquired(Self(), 0);  // TryLock fires no hooks; see class comment
+  // Won: from here on, a fast-path acquisition.
+  const std::uint32_t mask = hooks_.mask();
+  const bool timed = HookSite::TimeAcquisition(mask);
+  TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquire);
+  hooks_.Tap(mask, &HookTable::lock_acquire);
+  Acquired(Self(), timed, TapStamps{});
   return true;
 }
 

@@ -71,10 +71,10 @@ class ShflLock {
 
   void Lock();
   void Unlock();
-  // TryLock succeeds only when the lock is free AND unqueued. It fires no
-  // policy/profiling hooks and maintains no hold-time accounting (matching
-  // the kernel, where trylock fast paths bypass the slow-path
-  // instrumentation points).
+  // TryLock succeeds only when the lock is free AND unqueued. A successful
+  // TryLock is a fast-path acquisition to every hook, timing and trace event
+  // (lock_acquire, then lock_acquired, then lock_release at Unlock), so the
+  // profiler counts it; a failed one fires nothing.
   bool TryLock();
 
   // --- Concord integration -------------------------------------------------

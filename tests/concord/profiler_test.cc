@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/json.h"
+#include "src/base/spinwait.h"
 #include "src/base/time.h"
 #include "src/bpf/assembler.h"
 #include "src/concord/agent/shm_segment.h"
@@ -19,6 +21,7 @@
 #include "src/sync/bravo.h"
 #include "src/sync/policy_hooks.h"
 #include "src/sync/shfllock.h"
+#include "src/topology/thread_context.h"
 
 namespace concord {
 namespace {
@@ -65,7 +68,7 @@ TEST_F(ProfilerTest, CountsUncontendedAcquisitions) {
         BurnNs(10'000);
       }
       if (i == 0) {
-        after_first = stats->HoldNs().TotalCount();
+        after_first = stats->Snapshot().hold_ns.TotalCount();
       }
     }
   }).join();
@@ -75,9 +78,9 @@ TEST_F(ProfilerTest, CountsUncontendedAcquisitions) {
   EXPECT_EQ(stats->Contentions(), 0u);
   // Only timed acquisitions feed the histogram, the first one among them.
   EXPECT_EQ(after_first, 1u);
-  EXPECT_EQ(stats->HoldNs().TotalCount(), TimedOfFirst(50));
+  EXPECT_EQ(stats->Snapshot().hold_ns.TotalCount(), TimedOfFirst(50));
   // Hold times around 10us must be visible in the histogram.
-  EXPECT_GE(stats->HoldNs().Percentile(50), 4'000u);
+  EXPECT_GE(stats->Snapshot().hold_ns.Percentile(50), 4'000u);
 }
 
 // A profiled lock times 1 acquisition in 16 per thread and counts every one;
@@ -96,7 +99,7 @@ TEST_F(ProfilerTest, ProfiledLockTimesOneAcquisitionInSixteen) {
     for (int i = 0; i < kAcquisitions; ++i) {
       { ShflGuard guard(lock); }
       if (i == 0) {
-        after_first = stats->HoldNs().TotalCount();
+        after_first = stats->Snapshot().hold_ns.TotalCount();
       }
     }
   }).join();
@@ -104,7 +107,7 @@ TEST_F(ProfilerTest, ProfiledLockTimesOneAcquisitionInSixteen) {
   EXPECT_EQ(stats->Releases(), static_cast<std::uint64_t>(kAcquisitions));
   EXPECT_EQ(stats->Contentions(), 0u);
   EXPECT_EQ(after_first, 1u);  // a thread's first acquisition is timed
-  const std::uint64_t samples = stats->HoldNs().TotalCount();
+  const std::uint64_t samples = stats->Snapshot().hold_ns.TotalCount();
   EXPECT_EQ(samples, TimedOfFirst(kAcquisitions));
   // 3200 / 16 = 200 expected; gaps are uniform in [1, 31].
   EXPECT_GE(samples, 150u);
@@ -128,7 +131,7 @@ TEST_F(ProfilerTest, ProfiledLockTimesOneAcquisitionInSixteen) {
     }
   }).join();
   EXPECT_EQ(stats->Acquisitions(), 2u * kAcquisitions);
-  EXPECT_EQ(stats->HoldNs().TotalCount(), samples + kAcquisitions);
+  EXPECT_EQ(stats->Snapshot().hold_ns.TotalCount(), samples + kAcquisitions);
   EXPECT_NE(concord.StatsJson("*").find("\"timed_one_in\":1"),
             std::string::npos);
 }
@@ -152,11 +155,11 @@ TEST_F(ProfilerTest, AlternatingLocksAreBothSampled) {
     const ShardedLockProfileStats* stats = concord.Stats(id);
     EXPECT_EQ(stats->Acquisitions(), static_cast<std::uint64_t>(kRounds));
     // 1600 / 16 = 100 expected on each lock.
-    EXPECT_GE(stats->HoldNs().TotalCount(), 50u) << "lock " << id;
-    EXPECT_LE(stats->HoldNs().TotalCount(), 150u) << "lock " << id;
+    EXPECT_GE(stats->Snapshot().hold_ns.TotalCount(), 50u) << "lock " << id;
+    EXPECT_LE(stats->Snapshot().hold_ns.TotalCount(), 150u) << "lock " << id;
   }
-  EXPECT_EQ(concord.Stats(a)->HoldNs().TotalCount() +
-                concord.Stats(b)->HoldNs().TotalCount(),
+  EXPECT_EQ(concord.Stats(a)->Snapshot().hold_ns.TotalCount() +
+                concord.Stats(b)->Snapshot().hold_ns.TotalCount(),
             TimedOfFirst(2 * kRounds));
 }
 
@@ -229,8 +232,84 @@ TEST_F(ProfilerTest, RecordsContentionAndWaitTimes) {
 
   EXPECT_TRUE(waiter_contended.load());
   EXPECT_GE(stats->Contentions(), 1u);
-  EXPECT_GE(stats->WaitNs().TotalCount(), 1u);
-  EXPECT_GT(stats->WaitNs().Max(), 0u);
+  EXPECT_GE(stats->Snapshot().wait_ns.TotalCount(), 1u);
+  EXPECT_GT(stats->Snapshot().wait_ns.Max(), 0u);
+}
+
+// Every report is one cut of the shards: its counts keep Snapshot()'s clamps
+// and its rate is its own contentions over its own acquisitions, exactly,
+// while two threads on sockets 0 and 1 contend on the lock.
+TEST_F(ProfilerTest, ReportsAreOneCutUnderContention) {
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = concord.RegisterShflLock(lock_, "cut", "test");
+  ASSERT_TRUE(concord.EnableProfiling(id).ok());
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (const std::uint32_t vcpu : {0u, 10u}) {
+    workers.emplace_back([this, &stop, vcpu] {
+      ThreadRegistry::Global().RegisterCurrent(vcpu);
+      // Pauses inside and outside the critical section, so that each
+      // arrives while the other holds the lock, and queues.
+      while (!stop.load(std::memory_order_relaxed)) {
+        {
+          ShflGuard guard(lock_);
+          for (int i = 0; i < 8; ++i) {
+            CpuRelax();
+          }
+        }
+        for (int i = 0; i < 8; ++i) {
+          CpuRelax();
+        }
+      }
+    });
+  }
+
+  const auto check_reports = [&] {
+    for (int i = 0; i < 5'000; ++i) {
+      SCOPED_TRACE(i);
+      auto json = ParseJson(concord.StatsJson("cut"));
+      ASSERT_TRUE(json.ok()) << json.status().ToString();
+      const JsonValue* locks = json->Find("locks");
+      ASSERT_NE(locks, nullptr);
+      ASSERT_EQ(locks->array.size(), 1u);
+      for (const JsonValue& lock : locks->array) {
+        const JsonValue& stats = *lock.Find("stats");
+        const double acquisitions = stats.Find("acquisitions")->number_value;
+        const double contentions = stats.Find("contentions")->number_value;
+        ASSERT_LE(contentions, acquisitions);
+        ASSERT_LE(stats.Find("releases")->number_value, acquisitions);
+        ASSERT_EQ(stats.Find("contention_rate")->number_value,
+                  acquisitions == 0 ? 0.0 : contentions / acquisitions);
+      }
+
+      // "acq=A contended=C (P%) rel=R ...", P printed as %.1f of 100*C/A.
+      const std::string report = concord.ProfileReport("cut");
+      unsigned long long acq = 0;
+      unsigned long long contended = 0;
+      unsigned long long rel = 0;
+      char percent[32] = {};
+      ASSERT_EQ(std::sscanf(report.c_str(),
+                            "cut [test]: acq=%llu contended=%llu "
+                            "(%31[^%]%%) rel=%llu",
+                            &acq, &contended, percent, &rel),
+                4)
+          << report;
+      ASSERT_LE(contended, acq) << report;
+      ASSERT_LE(rel, acq) << report;
+      char expected[32];
+      std::snprintf(expected, sizeof(expected), "%.1f",
+                    acq == 0 ? 0.0
+                             : 100.0 * (static_cast<double>(contended) /
+                                        static_cast<double>(acq)));
+      ASSERT_STREQ(percent, expected) << report;
+    }
+  };
+  check_reports();
+  stop.store(true);
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_GT(concord.Stats(id)->Contentions(), 0u);
 }
 
 TEST_F(ProfilerTest, PerLockGranularity) {
@@ -352,10 +431,10 @@ TEST(ProfilerTapsTest, WaitAndHoldComeFromTheStamps) {
   EXPECT_EQ(stats.Acquisitions(), 2u);
   EXPECT_EQ(stats.Contentions(), 1u);
   EXPECT_EQ(stats.Releases(), 2u);
-  const Log2Histogram wait = stats.WaitNs();
+  const Log2Histogram wait = stats.Snapshot().wait_ns;
   EXPECT_EQ(wait.TotalCount(), 1u);
   EXPECT_EQ(wait.Sum(), 6'000u);
-  const Log2Histogram hold = stats.HoldNs();
+  const Log2Histogram hold = stats.Snapshot().hold_ns;
   EXPECT_EQ(hold.TotalCount(), 2u);
   EXPECT_EQ(hold.Sum(), 2'000u);  // 500 + 1500
   EXPECT_EQ(hold.Max(), 1'500u);
@@ -375,8 +454,8 @@ TEST(ProfilerTapsTest, UntimedTapsCountButRecordNoSample) {
   EXPECT_EQ(stats.Acquisitions(), 2u);
   EXPECT_EQ(stats.Contentions(), 1u);
   EXPECT_EQ(stats.Releases(), 2u);
-  EXPECT_EQ(stats.WaitNs().TotalCount(), 0u);
-  EXPECT_EQ(stats.HoldNs().TotalCount(), 0u);
+  EXPECT_EQ(stats.Snapshot().wait_ns.TotalCount(), 0u);
+  EXPECT_EQ(stats.Snapshot().hold_ns.TotalCount(), 0u);
 }
 
 TEST(ProfilerTapsTest, ReleaseWithoutSlotIsCountedButNotTimed) {
@@ -385,7 +464,7 @@ TEST(ProfilerTapsTest, ReleaseWithoutSlotIsCountedButNotTimed) {
   ShardedLockProfileStats stats;
   ProfilerTaps::OnRelease(stats, 11);
   EXPECT_EQ(stats.Releases(), 1u);
-  EXPECT_EQ(stats.HoldNs().TotalCount(), 0u);
+  EXPECT_EQ(stats.Snapshot().hold_ns.TotalCount(), 0u);
 }
 
 TEST(ProfilerTapsTest, UntimedQueuedGrantCountsACrossSocketHandoff) {
@@ -396,40 +475,42 @@ TEST(ProfilerTapsTest, UntimedQueuedGrantCountsACrossSocketHandoff) {
   stats.ExchangeOwnerSocket(here + 1);
   // A fast-path grant is no handoff and leaves the owner socket alone.
   ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, false});
-  EXPECT_EQ(stats.CrossSocketHandoffs(), 0u);
+  EXPECT_EQ(stats.Snapshot().cross_socket_handoffs, 0u);
   // An untimed queued grant still counts.
   ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, true});
-  EXPECT_EQ(stats.CrossSocketHandoffs(), 1u);
+  EXPECT_EQ(stats.Snapshot().cross_socket_handoffs, 1u);
   // The next queued grant on the same socket is no handoff.
   ProfilerTaps::OnAcquired(stats, id, TapStamps{0, 0, 0, true});
-  EXPECT_EQ(stats.CrossSocketHandoffs(), 1u);
+  EXPECT_EQ(stats.Snapshot().cross_socket_handoffs, 1u);
   EXPECT_EQ(stats.ExchangeOwnerSocket(here), here);
-  EXPECT_EQ(stats.WaitNs().TotalCount(), 0u);
+  EXPECT_EQ(stats.Snapshot().wait_ns.TotalCount(), 0u);
 }
 
 TEST(ShardedStatsTest, CountersAggregateAcrossShards) {
+  constexpr std::uint64_t kShards = ShardedLockProfileStats::kShards;
   ShardedLockProfileStats stats;
-  // Write to two distinct shards directly (ControlShard is shard 0; pick a
-  // second one through MergeFrom of a standalone block).
   stats.ControlShard().acquisitions.fetch_add(3);
   stats.ControlShard().quarantines.fetch_add(1);
-  LockProfileStats extra;
-  extra.acquisitions.fetch_add(4);
-  extra.wait_ns.Record(1'000);
-  stats.ControlShard().MergeFrom(extra);
+  // kShards fresh threads take every shard between them (round-robin).
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 0; t < kShards; ++t) {
+    workers.emplace_back([&stats] {
+      LockProfileStats& shard = stats.Shard();
+      shard.acquisitions.fetch_add(1);
+      shard.socket_acquisitions[2].fetch_add(1);
+      shard.wait_ns.Record(1'000);
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
 
-  EXPECT_EQ(stats.Acquisitions(), 7u);
-  EXPECT_EQ(stats.Quarantines(), 1u);
-  EXPECT_EQ(stats.WaitNs().TotalCount(), 1u);
-
-  LockProfileStats merged;
-  stats.MergeInto(merged);
-  EXPECT_EQ(merged.acquisitions.load(), 7u);
-  EXPECT_EQ(merged.wait_ns.TotalCount(), 1u);
-
-  stats.Reset();
-  EXPECT_EQ(stats.Acquisitions(), 0u);
-  EXPECT_EQ(stats.WaitNs().TotalCount(), 0u);
+  const LockProfileSnapshot snapshot = stats.Snapshot();
+  EXPECT_EQ(snapshot.acquisitions, 3 + kShards);
+  EXPECT_EQ(stats.Acquisitions(), 3 + kShards);
+  EXPECT_EQ(snapshot.quarantines, 1u);
+  EXPECT_EQ(snapshot.socket_acquisitions[2], kShards);
+  EXPECT_EQ(snapshot.wait_ns.TotalCount(), kShards);
 }
 
 TEST(ShardedStatsTest, ConcurrentWritersLandOnTheirOwnShards) {
@@ -502,14 +583,17 @@ TEST(SnapshotTest, DeltaSinceIsolatesTheWindow) {
 }
 
 TEST(SnapshotTest, DeltaClampsWhenCountersReset) {
-  ShardedLockProfileStats stats;
-  stats.ControlShard().acquisitions.fetch_add(100);
-  const LockProfileSnapshot before = stats.Snapshot();
-  stats.Reset();
-  stats.ControlShard().acquisitions.fetch_add(5);
-  const LockProfileSnapshot after = stats.Snapshot();
-  // A reset between snapshots must not produce underflowed garbage.
-  EXPECT_EQ(after.DeltaSince(before).acquisitions, 0u);
+  // A counter below its earlier value (a worker restarted between two shm
+  // reads) must not produce underflowed garbage; the others still diff.
+  LockProfileSnapshot before;
+  before.acquisitions = 100;
+  before.quarantines = 2;
+  LockProfileSnapshot after;
+  after.acquisitions = 5;
+  after.quarantines = 3;
+  const LockProfileSnapshot delta = after.DeltaSince(before);
+  EXPECT_EQ(delta.acquisitions, 0u);
+  EXPECT_EQ(delta.quarantines, 1u);
 }
 
 TEST(SnapshotTest, ActiveSocketsIgnoresTraceTraffic) {

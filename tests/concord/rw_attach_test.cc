@@ -1,5 +1,5 @@
-// Readers-writer lock attachment paths: precompiled rw_mode programs, BPF
-// rw_mode on both BravoLock instantiations, and registry edge cases.
+// Readers-writer lock attachment paths: precompiled and BPF rw_mode
+// programs on BravoLock, and registry edge cases.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@ class RwAttachTest : public ::testing::Test {
   void TearDown() override { Concord::Global().ResetForTest(); }
 
   BravoLock<NeutralRwLock> neutral_bravo_;
-  BravoLock<PerSocketRwLock> percpu_bravo_;
   ShflLock shfl_;
 };
 
@@ -76,19 +75,19 @@ TEST_F(RwAttachTest, NativeShflAttachRejectedOnRwLock) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(RwAttachTest, BpfRwSwitchWorksOnPerSocketBravo) {
+TEST_F(RwAttachTest, BpfRwSwitchReaderBiasGivesFastReads) {
   Concord& concord = Concord::Global();
-  const std::uint64_t id = concord.RegisterRwLock(percpu_bravo_, "rw2", "t");
+  const std::uint64_t id = concord.RegisterRwLock(neutral_bravo_, "rw2", "t");
   auto policy = MakeRwSwitchPolicy(RwMode::kReaderBias);
   ASSERT_TRUE(policy.ok());
   ASSERT_TRUE(concord.Attach(id, std::move(policy->spec)).ok());
   for (int i = 0; i < 10; ++i) {
-    percpu_bravo_.ReadLock();
-    percpu_bravo_.ReadUnlock();
+    neutral_bravo_.ReadLock();
+    neutral_bravo_.ReadUnlock();
   }
-  EXPECT_GT(percpu_bravo_.fast_reads(), 0u);
-  percpu_bravo_.WriteLock();
-  percpu_bravo_.WriteUnlock();
+  EXPECT_GT(neutral_bravo_.fast_reads(), 0u);
+  neutral_bravo_.WriteLock();
+  neutral_bravo_.WriteUnlock();
   ASSERT_TRUE(concord.Detach(id).ok());
 }
 

@@ -233,7 +233,7 @@ TEST_F(SafetyTest, ViolationFeedsContainmentQuarantine) {
     }
   }
   EXPECT_TRUE(saw_quarantine);
-  EXPECT_GE(stats->Quarantines(), 1u);
+  EXPECT_GE(stats->Snapshot().quarantines, 1u);
 }
 
 TEST_F(SafetyTest, UnwatchStopsDetection) {

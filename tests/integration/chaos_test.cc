@@ -139,8 +139,9 @@ TEST_F(ChaosTest, SlowReleaseTapQuarantinedAndNeverFiresAgain) {
 
   const ShardedLockProfileStats* stats = concord.Stats(id);
   ASSERT_NE(stats, nullptr);
-  EXPECT_GE(stats->BudgetOverruns(), 8u);
-  EXPECT_GE(stats->Quarantines(), 1u);
+  const LockProfileSnapshot snapshot = stats->Snapshot();
+  EXPECT_GE(snapshot.budget_overruns, 8u);
+  EXPECT_GE(snapshot.quarantines, 1u);
 }
 
 // Hostile parking decision: burns time on every consult and never lets a

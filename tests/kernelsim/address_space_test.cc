@@ -16,8 +16,7 @@ class AddressSpaceTest : public ::testing::Test {
   AddressSpace<LockType> aspace_;
 };
 
-using MmapSemTypes = ::testing::Types<NeutralRwLock, PerSocketRwLock,
-                                      BravoLock<NeutralRwLock>>;
+using MmapSemTypes = ::testing::Types<NeutralRwLock, BravoLock<NeutralRwLock>>;
 TYPED_TEST_SUITE(AddressSpaceTest, MmapSemTypes);
 
 TYPED_TEST(AddressSpaceTest, MmapCreatesVma) {

@@ -21,9 +21,7 @@ class RwPropertyTest : public ::testing::Test {
   LockType lock_;
 };
 
-using RwTypes =
-    ::testing::Types<NeutralRwLock, PerSocketRwLock, BravoLock<NeutralRwLock>,
-                     BravoLock<PerSocketRwLock>>;
+using RwTypes = ::testing::Types<NeutralRwLock, BravoLock<NeutralRwLock>>;
 TYPED_TEST_SUITE(RwPropertyTest, RwTypes);
 
 TYPED_TEST(RwPropertyTest, UncontendedReadAndWrite) {
@@ -147,11 +145,6 @@ TEST(NeutralRwLockTest, ReaderCountIntrospection) {
   lock.WriteLock();
   EXPECT_TRUE(lock.write_locked());
   lock.WriteUnlock();
-}
-
-TEST(PerSocketRwLockTest, UsesConfiguredSocketCount) {
-  PerSocketRwLock lock;
-  EXPECT_EQ(lock.num_sockets(), MachineTopology::Global().num_sockets());
 }
 
 }  // namespace

@@ -115,12 +115,12 @@ TEST(ShflLockTest, SingleWriterCountersStayExactUnderContention) {
       tried += c.tried[k];
     }
     EXPECT_EQ(locks[k]->acquisitions(), locked + tried) << "lock " << k;
-    // TryLock fires no hooks, so the profiler counts only Lock() among the
-    // acquisitions, but every Unlock() among the releases.
+    // A successful TryLock fires the fast path's taps, so the profiler
+    // counts every acquisition and every release.
     const ShardedLockProfileStats* stats = concord.Stats(ids[k]);
     EXPECT_NE(stats, nullptr);
     if (stats != nullptr) {
-      EXPECT_EQ(stats->Acquisitions(), locked) << "lock " << k;
+      EXPECT_EQ(stats->Acquisitions(), locked + tried) << "lock " << k;
       EXPECT_EQ(stats->Releases(), locked + tried) << "lock " << k;
     }
   }
@@ -130,6 +130,32 @@ TEST(ShflLockTest, SingleWriterCountersStayExactUnderContention) {
   }
   EXPECT_TRUE(concord.Unregister(ids[0]).ok());
   EXPECT_TRUE(concord.Unregister(ids[1]).ok());
+}
+
+TEST(ShflLockTest, ProfilerCountsSuccessfulTryLocks) {
+  ShflLock lock;
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = concord.RegisterShflLock(lock, "try", "try");
+  ASSERT_TRUE(concord.EnableProfiling(id).ok());
+  const std::uint64_t before = lock.acquisitions();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(lock.TryLock());
+    lock.Unlock();
+  }
+  const LockProfileSnapshot tried = concord.Stats(id)->Snapshot();
+  EXPECT_EQ(lock.acquisitions() - before, 100u);
+  EXPECT_EQ(tried.acquisitions, 100u);
+  EXPECT_EQ(tried.releases, 100u);
+
+  // A failed TryLock fires nothing.
+  lock.Lock();
+  std::thread([&] { EXPECT_FALSE(lock.TryLock()); }).join();
+  lock.Unlock();
+  const LockProfileSnapshot after = concord.Stats(id)->Snapshot();
+  EXPECT_EQ(after.acquisitions, 101u);
+  EXPECT_EQ(after.releases, 101u);
+  EXPECT_EQ(lock.acquisitions() - before, 101u);
+  EXPECT_TRUE(concord.Unregister(id).ok());
 }
 
 TEST(ShflLockTest, HoldTimeFeedsContextEwma) {
