@@ -2,9 +2,9 @@
 // Breaks the "Concord overhead" down into its parts: BPF execution per
 // program (interpreted and JIT-compiled), hook-table dispatch, the
 // end-to-end uncontended lock/unlock with nothing / native hooks /
-// interpreted BPF hooks / JIT'd BPF hooks attached, and the uncontended
+// interpreted BPF hooks / JIT'd BPF hooks attached, the uncontended
 // BravoLock read pair with nothing / a native rw_mode / a JIT'd rw_mode
-// policy attached.
+// policy attached, and read pairs on one BravoLock from 1-3 threads at once.
 //
 // Every BM_Bpf* case has a BM_Jit* counterpart running the same program as
 // native code; the ratio between the pair is the JIT speedup the ISSUE's
@@ -204,6 +204,34 @@ void BM_UncontendedReadPair_JitRwModePolicy(benchmark::State& state) {
   CONCORD_CHECK(concord.Unregister(id).ok());
 }
 BENCHMARK(BM_UncontendedReadPair_JitRwModePolicy);
+
+// Read pairs on one BravoLock from 1, 2 and 3 threads at once (never more),
+// with no hooks. Each read counts in the line of its thread's
+// visible-readers slot, so threads on different slots share no line under
+// reader bias, and only the underlying lock's word in neutral mode.
+// items_per_second is reads per second over all threads.
+void ConcurrentReadPairs(benchmark::State& state, BravoLock<NeutralRwLock>& lock) {
+  for (auto _ : state) {
+    lock.ReadLock();
+    lock.ReadUnlock();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ConcurrentReadPair_ReaderBias(benchmark::State& state) {
+  static BravoLock<NeutralRwLock> lock;  // never write-locked: stays biased
+  lock.SetDefaultMode(RwMode::kReaderBias);
+  ConcurrentReadPairs(state, lock);
+}
+BENCHMARK(BM_ConcurrentReadPair_ReaderBias)
+    ->Threads(1)->Threads(2)->Threads(3)->UseRealTime();
+
+void BM_ConcurrentReadPair_Neutral(benchmark::State& state) {
+  static BravoLock<NeutralRwLock> lock;
+  ConcurrentReadPairs(state, lock);
+}
+BENCHMARK(BM_ConcurrentReadPair_Neutral)
+    ->Threads(1)->Threads(2)->Threads(3)->UseRealTime();
 
 void BM_RwModeDecision_Bpf(benchmark::State& state) {
   const TunablePolicy policy = VerifiedPolicy(MakeRwSwitchPolicy(RwMode::kReaderBias));

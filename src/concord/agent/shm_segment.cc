@@ -28,20 +28,24 @@ std::uint64_t HashWords(std::uint64_t seed, const std::uint64_t* words,
   return hash;
 }
 
-// Relaxed per-word copies in and out of the shared mapping. The surrounding
-// seqlock fences provide ordering; per-word atomicity keeps concurrent
-// in-process reader/writer pairs TSan-clean.
+// Per-word copies in and out of the shared mapping, ordered without fences
+// (Boehm's seqlock recipe). The writer stores each word with release after
+// the odd sequence, so a reader that sees any word of a publish also sees
+// that publish's odd sequence on its re-check; the reader loads each word
+// with acquire, so the re-check cannot move above the copy. Per-word atomic
+// accesses keep concurrent in-process reader/writer pairs TSan-clean, and
+// TSan models the whole ordering.
 void CopyWordsFromShared(std::uint64_t* dst, const std::uint64_t* shared,
                          std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
-    dst[i] = __atomic_load_n(&shared[i], __ATOMIC_RELAXED);
+    dst[i] = __atomic_load_n(&shared[i], __ATOMIC_ACQUIRE);
   }
 }
 
 void CopyWordsToShared(std::uint64_t* shared, const std::uint64_t* src,
                        std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
-    __atomic_store_n(&shared[i], src[i], __ATOMIC_RELAXED);
+    __atomic_store_n(&shared[i], src[i], __ATOMIC_RELEASE);
   }
 }
 
@@ -220,11 +224,9 @@ Status ShmSegmentWriter::Publish(const std::vector<ShmLockSample>& locks,
       staged, reinterpret_cast<const std::uint64_t*>(records.data()),
       staged.lock_count);
 
-  // Seqlock write side: odd sequence, full fence, payload, fence, even
-  // sequence. seq_cst fences keep the relaxed payload stores inside the
-  // odd/even window on weakly-ordered hardware.
+  // Seqlock write side: odd sequence, payload and header words by release
+  // stores, then the even sequence by a release store.
   __atomic_store_n(&shared_header->sequence, seq + 1, __ATOMIC_RELAXED);
-  __atomic_thread_fence(__ATOMIC_SEQ_CST);
   if (!records.empty()) {
     CopyWordsToShared(RecordBase(base_),
                       reinterpret_cast<const std::uint64_t*>(records.data()),
@@ -236,10 +238,9 @@ Status ShmSegmentWriter::Publish(const std::vector<ShmLockSample>& locks,
       offsetof(ShmSegmentHeader, sequence) / sizeof(std::uint64_t);
   for (std::size_t i = 0; i < kHeaderWords; ++i) {
     if (i != kSequenceWord) {
-      __atomic_store_n(&shared_words[i], staged_words[i], __ATOMIC_RELAXED);
+      __atomic_store_n(&shared_words[i], staged_words[i], __ATOMIC_RELEASE);
     }
   }
-  __atomic_thread_fence(__ATOMIC_SEQ_CST);
   __atomic_store_n(&shared_header->sequence, seq + 2, __ATOMIC_RELEASE);
   return Status::Ok();
 }
@@ -357,7 +358,6 @@ StatusOr<ShmSegmentSample> ShmSegmentReader::Read(int max_retries) const {
     ShmSegmentHeader header;
     CopyWordsFromShared(reinterpret_cast<std::uint64_t*>(&header),
                         shared_words, kHeaderWords);
-    __atomic_thread_fence(__ATOMIC_ACQUIRE);
     if (__atomic_load_n(&shared_header->sequence, __ATOMIC_RELAXED) !=
         seq_before) {
       last_error = FailedPreconditionError(
@@ -394,7 +394,6 @@ StatusOr<ShmSegmentSample> ShmSegmentReader::Read(int max_retries) const {
                           RecordBase(base_),
                           records.size() * kRecordWords);
     }
-    __atomic_thread_fence(__ATOMIC_ACQUIRE);
     if (__atomic_load_n(&shared_header->sequence, __ATOMIC_RELAXED) !=
         seq_before) {
       last_error = FailedPreconditionError(

@@ -17,9 +17,11 @@
 //   A reader accepts a sample only if the sequence is even, unchanged across
 //   the copy, and the checksum matches — so torn reads, truncated files and
 //   corrupted bytes all fail cleanly instead of producing plausible garbage.
-// - All shared words are copied with relaxed per-u64 atomic accesses; the
-//   seqlock fences order them. This keeps cross-thread readers (tests, the
-//   in-process chaos suite) ThreadSanitizer-clean.
+// - All shared words are copied with per-u64 atomic accesses: release
+//   stores after the odd sequence, acquire loads before each sequence
+//   re-check, and no fences. This keeps cross-thread readers (tests, the
+//   in-process chaos suite) ThreadSanitizer-clean, and TSan checks the
+//   ordering itself.
 //
 // Failure philosophy: Read() never crashes and never returns a half-valid
 // snapshot. Every anomaly maps to a Status the agent can act on —

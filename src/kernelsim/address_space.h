@@ -23,10 +23,12 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/cacheline.h"
 #include "src/base/check.h"
 #include "src/base/status.h"
 #include "src/sync/lock.h"
 #include "src/sync/rw_lock.h"
+#include "src/topology/thread_context.h"
 
 namespace concord {
 
@@ -35,6 +37,11 @@ inline constexpr std::uint64_t kPageSize = 4096;
 template <SharedLockable MmapSem = NeutralRwLock>
 class AddressSpace {
  public:
+  // Installed pages are counted per vCPU lane, as the kernel counts faults
+  // per CPU (count_vm_event), so faulting threads write no shared line
+  // besides mmap_sem's.
+  static constexpr std::uint32_t kFaultLanes = 16;
+
   AddressSpace() = default;
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
@@ -98,7 +105,10 @@ class AddressSpace {
                                         std::memory_order_acquire)) {
         delete[] page;  // lost the race; another faulting thread installed
       } else {
-        faults_served_.fetch_add(1, std::memory_order_relaxed);
+        // Threads on one vCPU, or on vCPUs that share a lane, add to one
+        // lane, so this stays an RMW.
+        fault_lanes_[Self().vcpu % kFaultLanes]->fetch_add(
+            1, std::memory_order_relaxed);
       }
     }
     // The store itself. Relaxed atomic byte store: concurrent faulters may
@@ -115,8 +125,14 @@ class AddressSpace {
     return FindVmaLocked(addr) != nullptr;
   }
 
+  // Pages installed, summed over the lanes; exact once the counted faults
+  // have returned.
   std::uint64_t faults_served() const {
-    return faults_served_.load(std::memory_order_relaxed);
+    std::uint64_t served = 0;
+    for (const auto& lane : fault_lanes_) {
+      served += lane->load(std::memory_order_relaxed);
+    }
+    return served;
   }
   std::size_t vma_count() {
     ReadGuard<MmapSem> guard(mmap_sem_);
@@ -151,9 +167,11 @@ class AddressSpace {
   }
 
   MmapSem mmap_sem_;
+  // Read by every fault, written only under mmap_sem's write side.
   std::map<std::uint64_t, std::unique_ptr<Vma>> vmas_;
   std::uint64_t next_addr_ = 0x7f0000000000ull;
-  std::atomic<std::uint64_t> faults_served_{0};
+  // Pages installed by the threads of each vCPU lane (vcpu % kFaultLanes).
+  CacheLinePadded<std::atomic<std::uint64_t>> fault_lanes_[kFaultLanes];
 };
 
 }  // namespace concord

@@ -18,6 +18,12 @@
 // right for create-heavy directory workloads, §3.1.1(i)). This is the paper's
 // Figure 2(a) "Concord-BRAVO": the same switch the precompiled BRAVO makes,
 // but decided by a user-installed (possibly BPF) policy at runtime.
+//
+// Statistics: every read acquisition is counted once, as a fast read (the
+// BRAVO fast path) or a slow read (the underlying read lock, or its write
+// lock in writer-only mode), in the line of the reader's visible-readers
+// slot. No reader writes a counter line that a reader hashing elsewhere
+// writes, so counting keeps readers off shared lines as the table does.
 
 #ifndef SRC_SYNC_BRAVO_H_
 #define SRC_SYNC_BRAVO_H_
@@ -48,46 +54,50 @@ class BravoLock {
   BravoLock& operator=(const BravoLock&) = delete;
 
   ~BravoLock() {
-    for (auto& slot : visible_) {
-      CONCORD_CHECK(slot->load(std::memory_order_relaxed) == 0);
+    for (const ReaderSlot& slot : visible_) {
+      CONCORD_CHECK(slot.held.load(std::memory_order_relaxed) == 0);
     }
   }
 
   void ReadLock() {
     hooks_.Tap(&HookTable::lock_acquire);
     const std::uint32_t mode = CurrentMode();
+    TokenStack& stack = Tokens();
+    ReaderSlot& slot = visible_[stack.slot];
     if (mode == static_cast<std::uint32_t>(RwMode::kWriterOnly)) {
       underlying_.WriteLock();
-      ReadAcquired(kTokenWriterOnly);
+      slot.slow_reads.fetch_add(1, std::memory_order_relaxed);
+      ReadAcquired(stack, kTokenWriterOnly);
       return;
     }
     const bool reader_bias =
         mode == static_cast<std::uint32_t>(RwMode::kReaderBias);
     if (reader_bias && bias_.load(std::memory_order_acquire) != 0) {
-      const std::uint64_t index = SlotIndexFor(Self().task_id);
-      std::atomic<std::uint32_t>& slot = *visible_[index];
       std::uint32_t expected = 0;
-      if (slot.compare_exchange_strong(expected, 1, std::memory_order_seq_cst,
-                                       std::memory_order_relaxed)) {
+      if (slot.held.compare_exchange_strong(expected, 1,
+                                            std::memory_order_seq_cst,
+                                            std::memory_order_relaxed)) {
         // Publish-then-recheck: a racing writer either sees our slot or we
         // see the cleared bias. This is the store-buffering pattern against
         // Revoke's bias store and slot scan, so all four accesses are
         // seq_cst: with acquire/release alone the model lets both sides miss
         // each other and a fast-path reader run beside the writer.
         if (bias_.load(std::memory_order_seq_cst) != 0) {
-          fast_reads_.fetch_add(1, std::memory_order_relaxed);
-          ReadAcquired(index);
+          slot.fast_reads.store(
+              slot.fast_reads.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+          ReadAcquired(stack, stack.slot);
           return;
         }
-        slot.store(0, std::memory_order_release);
+        slot.held.store(0, std::memory_order_release);
       }
     }
     underlying_.ReadLock();
     if (reader_bias) {
       MaybeReenableBias();  // under the read lock, so no writer is inside
     }
-    slow_reads_.fetch_add(1, std::memory_order_relaxed);
-    ReadAcquired(kTokenUnderlying);
+    slot.slow_reads.fetch_add(1, std::memory_order_relaxed);
+    ReadAcquired(stack, kTokenUnderlying);
   }
 
   void ReadUnlock() {
@@ -102,7 +112,7 @@ class BravoLock {
       underlying_.WriteUnlock();
       return;
     }
-    visible_[token]->store(0, std::memory_order_release);
+    visible_[token].held.store(0, std::memory_order_release);
   }
 
   void WriteLock() {
@@ -143,18 +153,23 @@ class BravoLock {
   }
 
   // --- introspection ---------------------------------------------------------
-  std::uint64_t fast_reads() const {
-    return fast_reads_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_reads() const {
-    return slow_reads_.load(std::memory_order_relaxed);
-  }
+  // Sums over the visible-readers lines; exact once the counted reads have
+  // returned.
+  std::uint64_t fast_reads() const { return SumReads(&ReaderSlot::fast_reads); }
+  std::uint64_t slow_reads() const { return SumReads(&ReaderSlot::slow_reads); }
   std::uint64_t revocations() const {
     return revocations_.load(std::memory_order_relaxed);
   }
   bool bias_active() const { return bias_.load(std::memory_order_relaxed) != 0; }
 
   Underlying& underlying() { return underlying_; }
+
+  // The visible-readers slot of the thread with `task_id`. Mixes the id so
+  // consecutive ids do not collide in one stripe.
+  static std::uint32_t SlotIndexFor(std::uint32_t task_id) {
+    const std::uint64_t h = task_id * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::uint32_t>((h >> 32) % kTableSlots);
+  }
 
  private:
   // A read's token: its visible-readers slot, or one of the two values
@@ -164,13 +179,29 @@ class BravoLock {
   static constexpr std::uint64_t kTokenTimed = 1ull << 32;
   static constexpr int kMaxNestedReads = 16;
 
-  // The calling thread's reads in progress, LIFO. A timed read keeps its
-  // acquired stamp beside its token, so a nested read's release pairs with
-  // its own acquisition.
+  // One visible-readers slot and the read counts of the threads that hash to
+  // it, on a line of its own.
+  struct CONCORD_CACHE_ALIGNED ReaderSlot {
+    // 1 while a fast-path reader holds the slot; a revoking writer scans it.
+    std::atomic<std::uint32_t> held{0};
+    // Written only by the slot's holder, with a relaxed load and store. The
+    // CAS that takes the slot acquires the release store that freed it, so
+    // each holder sees the previous holder's count.
+    std::atomic<std::uint64_t> fast_reads{0};
+    // Relaxed RMWs by the slow-path and writer-only reads of the threads
+    // that hash here.
+    std::atomic<std::uint64_t> slow_reads{0};
+  };
+
+  // The calling thread's reads in progress, LIFO, and its visible-readers
+  // slot. A timed read keeps its acquired stamp beside its token, so a
+  // nested read's release pairs with its own acquisition.
   struct TokenStack {
     std::uint64_t tokens[kMaxNestedReads];
     std::uint64_t acquired_ns[kMaxNestedReads];  // written for timed reads
     int depth = 0;
+    // Set once per thread: a task id is fixed once the thread is registered.
+    std::uint32_t slot = SlotIndexFor(Self().task_id);
   };
 
   static TokenStack& Tokens() {
@@ -178,8 +209,8 @@ class BravoLock {
     return stack;
   }
 
-  void PushToken(std::uint64_t token, std::uint64_t acquired_ns) {
-    TokenStack& stack = Tokens();
+  static void PushToken(TokenStack& stack, std::uint64_t token,
+                        std::uint64_t acquired_ns) {
     CONCORD_CHECK(stack.depth < kMaxNestedReads);
     if (acquired_ns != 0) {
       stack.acquired_ns[stack.depth] = acquired_ns;
@@ -209,10 +240,10 @@ class BravoLock {
 
   // A read is held: stamps it if timed, records its token and fires
   // lock_acquired.
-  void ReadAcquired(std::uint64_t token) {
+  void ReadAcquired(TokenStack& stack, std::uint64_t token) {
     const std::uint32_t mask = hooks_.mask();
     const std::uint64_t acquired_ns = StampIfTimed(mask);
-    PushToken(token, acquired_ns);
+    PushToken(stack, token, acquired_ns);
     hooks_.Tap(mask, &HookTable::lock_acquired,
                TapStamps{0, acquired_ns, 0, false});
   }
@@ -235,10 +266,12 @@ class BravoLock {
     return mode;
   }
 
-  static std::uint64_t SlotIndexFor(std::uint32_t task_id) {
-    // Mix the task id so consecutive ids do not collide in one stripe.
-    const std::uint64_t h = task_id * 0x9e3779b97f4a7c15ull;
-    return (h >> 32) % kTableSlots;
+  std::uint64_t SumReads(std::atomic<std::uint64_t> ReaderSlot::*count) const {
+    std::uint64_t sum = 0;
+    for (const ReaderSlot& slot : visible_) {
+      sum += (slot.*count).load(std::memory_order_relaxed);
+    }
+    return sum;
   }
 
   void MaybeReenableBias() {
@@ -253,16 +286,17 @@ class BravoLock {
   void Revoke() {
     const std::uint64_t start = MonotonicNowNs();
     bias_.store(0, std::memory_order_seq_cst);
-    for (auto& slot : visible_) {
+    for (const ReaderSlot& slot : visible_) {
       SpinWait spin;
-      while (slot->load(std::memory_order_seq_cst) != 0) {
+      while (slot.held.load(std::memory_order_seq_cst) != 0) {
         spin.Once();
       }
     }
     const std::uint64_t cost = MonotonicNowNs() - start;
     inhibit_until_.store(MonotonicNowNs() + cost * kInhibitMultiplier,
                          std::memory_order_relaxed);
-    revocations_.fetch_add(1, std::memory_order_relaxed);
+    revocations_.store(revocations_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
   }
 
   // The wrapped lock: taken by slow-path readers and by every writer.
@@ -270,23 +304,20 @@ class BravoLock {
   // The write holder's acquired stamp when its acquisition is timed, else 0.
   // Written and read only under the underlying write lock.
   std::uint64_t writer_acquired_ns_ = 0;
-  // Visible readers: each fast-path reader writes its own slot; a revoking
-  // writer reads them all.
-  CacheLinePadded<std::atomic<std::uint32_t>> visible_[kTableSlots];
+  // Visible readers and the read counts: a reader writes only the line of
+  // its own slot; a revoking writer reads every slot.
+  ReaderSlot visible_[kTableSlots];
 
   // Read by every reader. The bias is written by revoking writers and by
-  // slow-path readers re-arming it, the rest by the control plane.
+  // slow-path readers re-arming it, inhibit_until_ and revocations_ by
+  // revoking writers only (under the underlying write lock, so
+  // revocations_ takes a relaxed load and store), the rest by the control
+  // plane.
   CONCORD_CACHE_ALIGNED std::atomic<std::uint32_t> bias_{1};
   std::atomic<std::uint64_t> inhibit_until_{0};
   HookSite hooks_;
   std::atomic<std::uint32_t> default_mode_{
       static_cast<std::uint32_t>(RwMode::kNeutral)};
-
-  // Statistics: the read counts are written by every reader, revocations_ by
-  // revoking writers. Their own line, so counting a read does not invalidate
-  // the line above for the other readers.
-  CONCORD_CACHE_ALIGNED std::atomic<std::uint64_t> fast_reads_{0};
-  std::atomic<std::uint64_t> slow_reads_{0};
   std::atomic<std::uint64_t> revocations_{0};
 };
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "src/sync/bravo.h"
+#include "src/topology/thread_context.h"
 
 namespace concord {
 namespace {
@@ -84,6 +86,48 @@ TYPED_TEST(AddressSpaceTest, ConcurrentFaultersOnSharedVma) {
   }
   // Every page installed exactly once despite racing faulters.
   EXPECT_EQ(this->aspace_.faults_served(), kPages);
+}
+
+TYPED_TEST(AddressSpaceTest, FaultCountStaysExactAcrossVcpuLanes) {
+  // Installed pages are counted per vCPU lane. Three threads fault every page
+  // of one VMA in step, so they race to install each page and the losers
+  // count nothing; then each faults a VMA of its own. The threads run once
+  // on different vCPUs (two of them sharing a lane) and once on one vCPU.
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kSharedPages = 128;
+  constexpr std::uint64_t kOwnPages = 16;
+  constexpr std::uint32_t kLanes = AddressSpace<TypeParam>::kFaultLanes;
+  const std::uint32_t placements[2][kThreads] = {{1, 2, 1 + kLanes}, {5, 5, 5}};
+  std::uint64_t expected = 0;
+  for (const auto& vcpus : placements) {
+    const std::uint64_t shared = this->aspace_.Mmap(kSharedPages * kPageSize);
+    std::atomic<std::uint64_t> arrived{0};
+    std::vector<std::thread> threads;
+    for (std::uint32_t vcpu : vcpus) {
+      threads.emplace_back([this, vcpu, shared, &arrived] {
+        ThreadRegistry::Global().RegisterCurrent(vcpu);
+        for (std::uint64_t p = 0; p < kSharedPages; ++p) {
+          // A spin barrier per page, so the threads fault it together.
+          arrived.fetch_add(1);
+          while (arrived.load() < (p + 1) * kThreads) {
+            std::this_thread::yield();
+          }
+          EXPECT_TRUE(this->aspace_.HandlePageFault(shared + p * kPageSize).ok());
+        }
+        const std::uint64_t own = this->aspace_.Mmap(kOwnPages * kPageSize);
+        for (std::uint64_t p = 0; p < kOwnPages; ++p) {
+          EXPECT_TRUE(this->aspace_.HandlePageFault(own + p * kPageSize).ok());
+        }
+        EXPECT_TRUE(this->aspace_.Munmap(own).ok());
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    expected += kSharedPages + kThreads * kOwnPages;
+    EXPECT_EQ(this->aspace_.faults_served(), expected);
+    ASSERT_TRUE(this->aspace_.Munmap(shared).ok());
+  }
 }
 
 TYPED_TEST(AddressSpaceTest, ConcurrentMmapMunmapAndFaults) {

@@ -5,12 +5,14 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/base/time.h"
 #include "src/rcu/rcu.h"
+#include "src/topology/thread_context.h"
 
 namespace concord {
 namespace {
@@ -89,13 +91,14 @@ TEST(BravoTest, ReaderBiasNeverAdmitsAReaderPastAnActiveWriter) {
   EXPECT_EQ(lock.slow_reads(), 1u);
 }
 
-TEST(BravoTest, ReadCountersStayExactUnderConcurrentReaders) {
-  // Every read acquisition is counted exactly once, as fast or slow, while
-  // readers race each other and a writer that revokes the bias. The first
-  // phase has no writer, so it takes the fast path; every reader reads again
-  // after the writer's last revocation, so some read takes the slow path.
+// Every read acquisition is counted exactly once, as fast or slow, while
+// readers race each other and a writer that revokes the bias. The first
+// phase has no writer, so under reader bias it takes the fast path; every
+// reader reads again after the writer's last revocation, so some read takes
+// the slow path. In neutral mode every read is slow.
+void ExpectExactReadCountsUnderConcurrentReaders(RwMode mode) {
   BravoLock<NeutralRwLock> lock;
-  lock.SetDefaultMode(RwMode::kReaderBias);
+  lock.SetDefaultMode(mode);
   constexpr int kReaders = 3;
   constexpr std::uint64_t kReadsPerPhase = 10'000;
   std::barrier start_writer(kReaders + 1);
@@ -137,9 +140,121 @@ TEST(BravoTest, ReadCountersStayExactUnderConcurrentReaders) {
     thread.join();
   }
   EXPECT_EQ(lock.fast_reads() + lock.slow_reads(), reads.load());
-  EXPECT_GT(lock.fast_reads(), 0u);
-  EXPECT_GT(lock.slow_reads(), 0u);
-  EXPECT_GT(lock.revocations(), 0u);
+  if (mode == RwMode::kReaderBias) {
+    EXPECT_GT(lock.fast_reads(), 0u);
+    EXPECT_GT(lock.slow_reads(), 0u);
+  } else {
+    EXPECT_EQ(lock.fast_reads(), 0u);
+  }
+  EXPECT_GT(lock.revocations(), 0u);  // a fresh lock starts biased
+}
+
+TEST(BravoTest, ReadCountersStayExactUnderConcurrentReaders) {
+  ExpectExactReadCountsUnderConcurrentReaders(RwMode::kReaderBias);
+}
+
+TEST(BravoTest, ReadCountersStayExactUnderConcurrentReadersInNeutralMode) {
+  ExpectExactReadCountsUnderConcurrentReaders(RwMode::kNeutral);
+}
+
+// Runs body(0) and body(1) at once on two threads whose task ids hash to one
+// visible-readers slot. Ids are handed out in registration order and the
+// slot hash spreads consecutive ids, so the calling thread first registers
+// short-lived threads (about 70) until the ids it needs come up.
+template <typename Body>
+void RunOnTwoThreadsSharingASlot(Body body) {
+  using Lock = BravoLock<NeutralRwLock>;
+  ThreadRegistry& registry = ThreadRegistry::Global();
+  Self();  // the calling thread takes its id before the ids are planned
+  std::uint32_t planned[2] = {0, 0};
+  std::map<std::uint32_t, std::uint32_t> first_id_of_slot;
+  for (std::uint32_t id = registry.num_registered();; ++id) {
+    const auto [it, fresh] = first_id_of_slot.emplace(Lock::SlotIndexFor(id), id);
+    if (!fresh) {
+      planned[0] = it->second;
+      planned[1] = id;
+      break;
+    }
+  }
+  std::atomic<bool> go{false};
+  std::uint32_t ids[2] = {0, 0};
+  std::vector<std::thread> readers;
+  while (registry.num_registered() <= planned[1]) {
+    const std::uint32_t next = registry.num_registered();
+    if (next != planned[0] && next != planned[1]) {
+      std::thread([] { Self(); }).join();
+      continue;
+    }
+    const int index = static_cast<int>(readers.size());
+    std::atomic<bool> registered{false};
+    readers.emplace_back([&, index] {
+      ids[index] = Self().task_id;
+      registered.store(true);
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      body(index);
+    });
+    while (!registered.load()) {
+      std::this_thread::yield();
+    }
+  }
+  const bool shared = readers.size() == 2 && ids[0] == planned[0] &&
+                      ids[1] == planned[1];
+  go.store(true);
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  ASSERT_TRUE(shared) << "another thread registered while the ids were planned";
+  ASSERT_EQ(Lock::SlotIndexFor(ids[0]), Lock::SlotIndexFor(ids[1]));
+}
+
+TEST(BravoTest, ThreadsSharingASlotCountEveryReadOnce) {
+  // Two readers hash to one visible-readers slot, so they count in one line.
+  // In lockstep, one holds the slot through a fast-path read while the other
+  // reads; that read finds the slot taken and goes to the slow path. The
+  // roles swap every round, so each thread alternates fast and slow reads
+  // and the slot's fast count passes from holder to holder. Then both read
+  // freely at once.
+  BravoLock<NeutralRwLock> lock;
+  lock.SetDefaultMode(RwMode::kReaderBias);
+  constexpr std::uint64_t kRounds = 200;
+  constexpr std::uint64_t kFreeReads = 10'000;
+  std::atomic<std::uint64_t> step{0};
+  auto await = [&](std::uint64_t value) {
+    while (step.load() != value) {
+      std::this_thread::yield();
+    }
+  };
+  RunOnTwoThreadsSharingASlot([&](int index) {
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      if (round % 2 == static_cast<std::uint64_t>(index)) {
+        await(3 * round);
+        lock.ReadLock();  // fast: the slot is free and the bias is on
+        step.store(3 * round + 1);
+        await(3 * round + 2);
+        lock.ReadUnlock();
+        step.store(3 * round + 3);
+      } else {
+        await(3 * round + 1);
+        lock.ReadLock();  // slow: the other thread holds the shared slot
+        lock.ReadUnlock();
+        step.store(3 * round + 2);
+      }
+    }
+  });
+  EXPECT_EQ(lock.fast_reads(), kRounds);
+  EXPECT_EQ(lock.slow_reads(), kRounds);
+
+  RunOnTwoThreadsSharingASlot([&](int) {
+    for (std::uint64_t i = 0; i < kFreeReads; ++i) {
+      lock.ReadLock();
+      lock.ReadUnlock();
+    }
+  });
+  EXPECT_EQ(lock.fast_reads() + lock.slow_reads(), 2 * kRounds + 2 * kFreeReads);
+  EXPECT_GE(lock.slow_reads(), kRounds);
+  EXPECT_EQ(lock.revocations(), 0u);
 }
 
 TEST(BravoTest, WriterOnlyModeSerializesReaders) {
@@ -164,6 +279,9 @@ TEST(BravoTest, WriterOnlyModeSerializesReaders) {
     thread.join();
   }
   EXPECT_FALSE(overlapped.load());
+  // A writer-only read holds the underlying write lock and counts as slow.
+  EXPECT_EQ(lock.slow_reads(), 4u * 300u);
+  EXPECT_EQ(lock.fast_reads(), 0u);
 }
 
 TEST(BravoTest, RwModeHookSwitchesRegimesLive) {
