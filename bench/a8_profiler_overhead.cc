@@ -4,10 +4,9 @@
 // and the all-BPF per-CPU-map profiler.
 //
 // Also the flight recorder's overhead budget: TraceRuntimeOff measures a
-// registered lock with the recorder compiled in but not enabled (the
-// always-paid gate branch; compare against a -DCONCORD_ENABLE_TRACE=OFF
-// build of BM_LockUnlock_NoProfiling for the compile-out delta), and
-// TraceEnabled measures full per-event recording.
+// registered lock with the recorder not enabled (the always-paid gate
+// branch; compare against BM_LockUnlock_NoProfiling), and TraceEnabled
+// measures full per-event recording.
 
 #include <benchmark/benchmark.h>
 
@@ -77,7 +76,6 @@ void BM_LockUnlock_TraceRuntimeOff(benchmark::State& state) {
 }
 BENCHMARK(BM_LockUnlock_TraceRuntimeOff);
 
-#if CONCORD_TRACE
 void BM_LockUnlock_TraceEnabled(benchmark::State& state) {
   static ShflLock lock;
   Concord& concord = Concord::Global();
@@ -93,7 +91,6 @@ void BM_LockUnlock_TraceEnabled(benchmark::State& state) {
   CONCORD_CHECK(concord.Unregister(id).ok());
 }
 BENCHMARK(BM_LockUnlock_TraceEnabled);
-#endif
 
 }  // namespace
 }  // namespace concord

@@ -8,8 +8,12 @@
 // but the Concord-vs-precompiled *ratio* (the paper's claim: negligible
 // overhead) is host-independent.
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -76,29 +80,91 @@ double RunRealWorkload(AS& aspace, std::uint32_t threads, std::uint64_t ms) {
   return static_cast<double>(ops.load()) / static_cast<double>(ms);
 }
 
+// One real cell's repetitions: median, min and max.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread SpreadOf(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return {runs[runs.size() / 2], runs.front(), runs.back()};
+}
+
+constexpr char kRealTable[] =
+    "Fig 2(a) page_fault2 [real threads on host, faults/msec]";
+
+// Prints "median [min-max]" per cell and reports the median under the
+// column's name, the min and max under the same name with a "stat" label.
+void PrintSpreadRow(std::uint32_t threads, const std::vector<Spread>& cells,
+                    const std::vector<std::string>& cols) {
+  std::printf("%8u", threads);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Spread& cell = cells[i];
+    const bool ratio = cols[i] == "Concord/BRAVO";
+    char text[64];
+    std::snprintf(text, sizeof(text),
+                  ratio ? "%.2f [%.2f-%.2f]" : "%.0f [%.0f-%.0f]",
+                  cell.median, cell.min, cell.max);
+    std::printf(" %22s", text);
+    const char* unit = ratio ? "ratio" : "ops_per_msec";
+    const std::map<std::string, std::string> labels = {
+        {"table", kRealTable}, {"threads", std::to_string(threads)}};
+    bench::ReportMetric(cols[i], unit, cell.median, labels);
+    for (const auto& [stat, value] :
+         {std::pair<const char*, double>{"min", cell.min}, {"max", cell.max}}) {
+      auto stat_labels = labels;
+      stat_labels["stat"] = stat;
+      bench::ReportMetric(cols[i], unit, value, stat_labels);
+    }
+  }
+  std::printf("\n");
+}
+
+// One 400-ms cell spread by about +-14% from run to run, so each cell runs
+// kReps shorter times, the three flavours interleaved within a repetition,
+// and the table shows the median with its min-max. Concord/BRAVO is the
+// median of the per-repetition ratios.
 void RunRealPart() {
-  constexpr std::uint64_t kMs = 400;
-  bench::PrintHeader("Fig 2(a) page_fault2 [real threads on host, faults/msec]",
-                     {"Stock", "BRAVO", "Concord-BRAVO"});
+  constexpr std::uint64_t kMs = 80;
+  constexpr int kReps = 5;
+  const std::vector<std::string> cols = {"Stock", "BRAVO", "Concord-BRAVO",
+                                         "Concord/BRAVO"};
+  std::printf("\n=== %s, median [min-max] of %d x %llu ms ===\n",
+              kRealTable, kReps, static_cast<unsigned long long>(kMs));
+  std::printf("%8s", "threads");
+  for (const std::string& col : cols) {
+    std::printf(" %22s", col.c_str());
+  }
+  std::printf("\n");
   for (std::uint32_t threads : {1u, 2u, 4u}) {
-    AddressSpace<NeutralRwLock> stock_as;
-    const double stock = RunRealWorkload(stock_as, threads, kMs);
+    std::vector<std::vector<double>> runs(cols.size());
+    for (int rep = 0; rep < kReps; ++rep) {
+      AddressSpace<NeutralRwLock> stock_as;
+      runs[0].push_back(RunRealWorkload(stock_as, threads, kMs));
 
-    AddressSpace<BravoLock<NeutralRwLock>> bravo_as;
-    bravo_as.mmap_sem().SetDefaultMode(RwMode::kReaderBias);
-    const double bravo = RunRealWorkload(bravo_as, threads, kMs);
+      AddressSpace<BravoLock<NeutralRwLock>> bravo_as;
+      bravo_as.mmap_sem().SetDefaultMode(RwMode::kReaderBias);
+      runs[1].push_back(RunRealWorkload(bravo_as, threads, kMs));
 
-    AddressSpace<BravoLock<NeutralRwLock>> concord_as;
-    Concord& concord = Concord::Global();
-    const std::uint64_t id =
-        concord.RegisterRwLock(concord_as.mmap_sem(), "mmap_sem", "vm");
-    auto policy = MakeRwSwitchPolicy(RwMode::kReaderBias);
-    CONCORD_CHECK(policy.ok());
-    CONCORD_CHECK(concord.Attach(id, std::move(policy->spec)).ok());
-    const double concord_bravo = RunRealWorkload(concord_as, threads, kMs);
-    CONCORD_CHECK(concord.Unregister(id).ok());
+      AddressSpace<BravoLock<NeutralRwLock>> concord_as;
+      Concord& concord = Concord::Global();
+      const std::uint64_t id =
+          concord.RegisterRwLock(concord_as.mmap_sem(), "mmap_sem", "vm");
+      auto policy = MakeRwSwitchPolicy(RwMode::kReaderBias);
+      CONCORD_CHECK(policy.ok());
+      CONCORD_CHECK(concord.Attach(id, std::move(policy->spec)).ok());
+      runs[2].push_back(RunRealWorkload(concord_as, threads, kMs));
+      CONCORD_CHECK(concord.Unregister(id).ok());
 
-    bench::PrintRow(threads, {stock, bravo, concord_bravo});
+      runs[3].push_back(runs[2].back() / runs[1].back());
+    }
+    std::vector<Spread> cells;
+    for (const std::vector<double>& cell : runs) {
+      cells.push_back(SpreadOf(cell));
+    }
+    PrintSpreadRow(threads, cells, cols);
   }
   std::printf("(ratio Concord-BRAVO / BRAVO is the paper's overhead claim)\n");
 }

@@ -150,12 +150,10 @@ void TraceRegistry::ResetForTest() {
   ClearEvents();
 }
 
-#if CONCORD_TRACE
 void TraceRecordSlow(std::uint64_t lock_id, TraceEventKind kind,
                      std::uint64_t arg) {
   TraceRegistry::Global().ThisThreadRing().Append(ClockNowNs(), lock_id, kind,
                                                   arg);
 }
-#endif
 
 }  // namespace concord

@@ -8,13 +8,10 @@
 // off, four relaxed stores plus a release increment when on — so the hooks
 // in src/sync and src/concord can call TraceRecord() unconditionally.
 //
-// Two gates:
-//   - compile time: -DCONCORD_ENABLE_TRACE=OFF defines CONCORD_TRACE=0 and
-//     TraceRecord() compiles to nothing;
-//   - runtime: a per-lock-id enable bitmap (TraceRegistry::EnableLock), so a
-//     production build can carry the recorder and light it up for exactly
-//     one suspect lock instance — the same granularity argument as the
-//     dynamic lock profiler (§3.2).
+// One gate, at runtime: a per-lock-id enable bitmap
+// (TraceRegistry::EnableLock), so a production build carries the recorder
+// and lights it up for exactly one suspect lock instance — the same
+// granularity argument as the dynamic lock profiler (§3.2).
 //
 // Snapshots merge all rings into one time-sorted event list. Readers never
 // stop writers: a ring slot concurrently overwritten during a snapshot is
@@ -30,10 +27,6 @@
 #include <vector>
 
 #include "src/base/cacheline.h"
-
-#ifndef CONCORD_TRACE
-#define CONCORD_TRACE 1
-#endif
 
 namespace concord {
 
@@ -115,7 +108,6 @@ extern std::atomic<std::uint32_t> g_enabled_locks;
 
 // True if events for `lock_id` should be recorded right now.
 inline bool TraceEnabled(std::uint64_t lock_id) {
-#if CONCORD_TRACE
   if (trace_internal::g_enabled_locks.load(std::memory_order_relaxed) == 0) {
     return false;
   }
@@ -125,10 +117,6 @@ inline bool TraceEnabled(std::uint64_t lock_id) {
   return (trace_internal::g_lock_bits[lock_id / 64].load(
               std::memory_order_relaxed) &
           (1ull << (lock_id % 64))) != 0;
-#else
-  (void)lock_id;
-  return false;
-#endif
 }
 
 class TraceRegistry {
@@ -162,28 +150,20 @@ class TraceRegistry {
   std::vector<std::unique_ptr<TraceRing>> rings_;  // index = tid - 1
 };
 
-// Records one event into the calling thread's ring iff tracing is compiled
-// in and enabled for `lock_id`. This is THE hot-path entry point: when
-// tracing is off it costs the TraceEnabled() branch and nothing else — the
-// timestamp is only read once the gate passes. Out-of-line so the disabled
-// branch stays small at every call site.
-#if CONCORD_TRACE
+// Records one event into the calling thread's ring iff tracing is enabled
+// for `lock_id`. This is THE hot-path entry point: when tracing is off it
+// costs the TraceEnabled() branch and nothing else — the timestamp is only
+// read once the gate passes. Out-of-line so the disabled branch stays small
+// at every call site.
 void TraceRecordSlow(std::uint64_t lock_id, TraceEventKind kind,
                      std::uint64_t arg);
-#endif
 
 inline void TraceRecord(std::uint64_t lock_id, TraceEventKind kind,
                         std::uint64_t arg = 0) {
-#if CONCORD_TRACE
   if (!TraceEnabled(lock_id)) {
     return;
   }
   TraceRecordSlow(lock_id, kind, arg);
-#else
-  (void)lock_id;
-  (void)kind;
-  (void)arg;
-#endif
 }
 
 }  // namespace concord

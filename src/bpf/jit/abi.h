@@ -47,13 +47,9 @@
 
 #include "src/bpf/insn.h"
 
-// The CMake option CONCORD_ENABLE_JIT compiles the backend out entirely
-// (Jit::Supported() becomes false and every Compile() fails cleanly).
-#ifndef CONCORD_ENABLE_JIT
-#define CONCORD_ENABLE_JIT 1
-#endif
-
-#if defined(__x86_64__) && CONCORD_ENABLE_JIT
+// The backend exists only on x86-64; elsewhere Jit::Supported() is false and
+// every Compile() fails cleanly.
+#if defined(__x86_64__)
 #define CONCORD_JIT_SUPPORTED 1
 #else
 #define CONCORD_JIT_SUPPORTED 0

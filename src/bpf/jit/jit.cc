@@ -903,7 +903,7 @@ StatusOr<std::shared_ptr<const JitProgram>> Jit::Compile(
 #else
   (void)program;
   return FailedPreconditionError(
-      "JIT backend not built (non-x86-64 target or CONCORD_ENABLE_JIT=OFF)");
+      "JIT backend not built (non-x86-64 target)");
 #endif
 }
 

@@ -15,8 +15,8 @@
 // lives in a W^X code cache (see code_cache.h).
 //
 // Fallback rules, in order:
-//   - non-x86-64 build or -DCONCORD_ENABLE_JIT=OFF: Jit::Supported() is
-//     false, Compile() fails, every program interprets;
+//   - non-x86-64 build: Jit::Supported() is false, Compile() fails, every
+//     program interprets;
 //   - CONCORD_JIT=off|0|false in the environment (or a SetEnabledOverride):
 //     attach-time compilation is skipped, programs interpret;
 //   - Compile() fails for an individual program (unsupported instruction,

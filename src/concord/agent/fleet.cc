@@ -2,17 +2,13 @@
 
 #include <signal.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <utility>
 
 #include "src/base/fault.h"
 #include "src/base/json.h"
 #include "src/base/time.h"
-#include "src/concord/autotune/candidates.h"
 #include "src/concord/control_loop.h"
-#include "src/concord/hooks.h"
-#include "src/concord/policy_source.h"
 #include "src/concord/rpc/client.h"
 
 namespace concord {
@@ -48,15 +44,7 @@ FleetAgent& FleetAgent::Global() {
 FleetAgent::FleetAgent()
     : engine_({[this](const CanaryEngine::Lock& lock, ContentionRegime regime,
                       const std::vector<std::string>& skip) {
-                 for (const Candidate& candidate : candidates_) {
-                   if (candidate.regime == regime &&
-                       candidate.for_rw == lock.is_rw &&
-                       std::find(skip.begin(), skip.end(), candidate.name) ==
-                           skip.end()) {
-                     return candidate.name;
-                   }
-                 }
-                 return std::string(kPlainCandidateName);
+                 return registry_.CandidateFor(regime, lock.is_rw, skip).name;
                },
                [this](const CanaryEngine::Lock& lock, const std::string& name,
                       std::uint64_t now_ns,
@@ -65,19 +53,15 @@ FleetAgent::FleetAgent()
                }}) {}
 
 Status FleetAgent::Configure(const FleetAgentConfig& config) {
-  std::string policy_dir;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (running_.load(std::memory_order_acquire)) {
-      return FailedPreconditionError(
-          "fleet agent: cannot reconfigure while running");
-    }
-    config_ = config;
-    engine_.set_config(config.canary);
-    policy_dir = config.policy_dir;
+  std::lock_guard<std::mutex> guard(mu_);
+  if (running_.load(std::memory_order_acquire)) {
+    return FailedPreconditionError(
+        "fleet agent: cannot reconfigure while running");
   }
-  if (!policy_dir.empty()) {
-    (void)SeedCandidatesFromDir(policy_dir);
+  config_ = config;
+  engine_.set_config(config.canary);
+  if (!config.policy_dir.empty()) {
+    (void)registry_.SeedFromPolicyDir(config.policy_dir);
   }
   return Status::Ok();
 }
@@ -85,42 +69,6 @@ Status FleetAgent::Configure(const FleetAgentConfig& config) {
 FleetAgentConfig FleetAgent::config() const {
   std::lock_guard<std::mutex> guard(mu_);
   return config_;
-}
-
-Status FleetAgent::AddCandidate(const FleetCandidate& candidate) {
-  if (candidate.name.empty() || candidate.name == kPlainCandidateName) {
-    return InvalidArgumentError("fleet candidate needs a non-reserved name");
-  }
-  StatusOr<PolicySpec> loaded = LoadPolicy(candidate.name, candidate.source);
-  CONCORD_RETURN_IF_ERROR(loaded.status());
-  Candidate admitted{candidate, !loaded->ChainFor(HookKind::kRwMode).empty()};
-  std::lock_guard<std::mutex> guard(mu_);
-  for (Candidate& existing : candidates_) {
-    if (existing.name == candidate.name) {
-      existing = std::move(admitted);
-      return Status::Ok();
-    }
-  }
-  candidates_.push_back(std::move(admitted));
-  return Status::Ok();
-}
-
-int FleetAgent::SeedCandidatesFromDir(const std::string& dir) {
-  return ForEachPolicyFile(
-      dir, [this](const std::string& stem, ContentionRegime regime,
-                  const std::string& source) {
-        return AddCandidate({stem, regime, source});
-      });
-}
-
-std::vector<std::string> FleetAgent::CandidateNames() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  std::vector<std::string> names;
-  names.reserve(candidates_.size());
-  for (const Candidate& candidate : candidates_) {
-    names.push_back(candidate.name);
-  }
-  return names;
 }
 
 Status FleetAgent::RegisterWorker(std::uint64_t pid,
@@ -271,54 +219,37 @@ Status FleetAgent::PushToWorkerLocked(Worker& worker,
                                       const std::string& name,
                                       bool* transport_failed) {
   *transport_failed = false;
-  RpcClientOptions options;
-  options.socket_path = worker.control_socket;
-  options.timeout_ms = config_.push_timeout_ms;
-  options.max_attempts = 1;
-  RpcClient client(options);
-
-  if (name == kPlainCandidateName) {
-    JsonWriter params;
-    params.BeginObject();
-    params.Field("selector", lock_name);
-    params.EndObject();
-    auto response = client.CallOnce("policy.detach", params.TakeString());
-    if (!response.ok()) {
-      *transport_failed = true;
-      return response.status();
-    }
-    if (!response->ok && response->error_code != "not_found") {
-      // not_found = the worker has no such lock (or nothing attached);
-      // reverting to plain there is already a fact, not a failure.
-      return InternalError("policy.detach rejected: " +
-                           response->error_message);
-    }
-    return Status::Ok();
-  }
-
-  const Candidate* candidate = nullptr;
-  for (const Candidate& entry : candidates_) {
-    if (entry.name == name) {
-      candidate = &entry;
-      break;
-    }
-  }
-  if (candidate == nullptr) {
-    return NotFoundError("no fleet candidate named '" + name + "'");
-  }
+  const bool plain = name == kPlainCandidateName;
   JsonWriter params;
   params.BeginObject();
   params.Field("selector", lock_name);
-  params.Field("name", candidate->name);
-  params.Field("source", candidate->source);
+  if (!plain) {
+    auto candidate = registry_.FindByName(name);
+    CONCORD_RETURN_IF_ERROR(candidate.status());
+    if (candidate->source.empty()) {
+      return FailedPreconditionError("candidate '" + name +
+                                     "' is built in: no source to push");
+    }
+    params.Field("name", name);
+    params.Field("source", candidate->source);
+  }
   params.EndObject();
-  auto response = client.CallOnce("policy.attach", params.TakeString());
+
+  RpcClientOptions options;
+  options.socket_path = worker.control_socket;
+  options.timeout_ms = kPushTimeoutMs;
+  options.max_attempts = 1;
+  RpcClient client(options);
+  const std::string verb = plain ? "policy.detach" : "policy.attach";
+  auto response = client.CallOnce(verb, params.TakeString());
   if (!response.ok()) {
     *transport_failed = true;
     return response.status();
   }
-  if (!response->ok) {
-    return InternalError("policy.attach rejected (" + response->error_code +
+  // A detach's not_found means the worker has no such lock (or nothing
+  // attached): plain is already a fact there, not a failure.
+  if (!response->ok && !(plain && response->error_code == "not_found")) {
+    return InternalError(verb + " rejected (" + response->error_code +
                          "): " + response->error_message);
   }
   return Status::Ok();
@@ -474,57 +405,11 @@ std::string FleetAgent::StatusJson() const {
     json.EndObject();
   }
   json.EndArray();
-  json.Key("locks").BeginArray();
+  std::vector<const CanaryEngine::Lock*> locks;
   for (const auto& [name, state] : locks_) {
-    json.BeginObject();
-    json.Field("name", name);
-    json.Field("regime", ContentionRegimeName(state->hysteresis.stable()));
-    const bool canary = state->mode == CanaryEngine::Mode::kCanary;
-    json.Field("mode", canary ? "canary" : "observing");
-    json.Field("incumbent", state->incumbent);
-    json.NumberField("cooldown", state->cooldown);
-    if (state->have_baseline) {
-      json.NumberField("baseline_p50_ns", state->baseline_p50_ns);
-      json.NumberField("baseline_p99_ns", state->baseline_p99_ns);
-    }
-    if (canary) {
-      json.Key("canary").BeginObject();
-      json.Field("candidate", state->canary_candidate);
-      json.NumberField("scored", state->canary_scored);
-      json.NumberField("total", state->canary_total);
-      json.EndObject();
-    }
-    json.EndObject();
+    locks.push_back(state.get());
   }
-  json.EndArray();
-  json.Key("candidates").BeginArray();
-  for (const Candidate& candidate : candidates_) {
-    json.BeginObject();
-    json.Field("name", candidate.name);
-    json.Field("regime", ContentionRegimeName(candidate.regime));
-    json.Key("for_rw").Bool(candidate.for_rw);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("events").BeginArray();
-  for (const AutotuneEvent& event : engine_.events()) {
-    json.BeginObject();
-    json.NumberField("ts_ns", event.ts_ns);
-    if (event.worker_pid != 0) {
-      json.NumberField("pid", event.worker_pid);
-    }
-    if (!event.lock_name.empty()) {
-      json.Field("lock", event.lock_name);
-    }
-    json.Field("kind", AutotuneEventKindName(event.kind));
-    json.Field("regime", ContentionRegimeName(event.regime));
-    if (!event.candidate.empty()) {
-      json.Field("candidate", event.candidate);
-    }
-    json.Field("detail", event.detail);
-    json.EndObject();
-  }
-  json.EndArray();
+  engine_.AppendStatusJson(json, registry_, locks);
   json.EndObject();
   return json.TakeString();
 }
@@ -539,7 +424,7 @@ void FleetAgent::ResetForTest() {
   std::lock_guard<std::mutex> guard(mu_);
   workers_.clear();
   locks_.clear();
-  candidates_.clear();
+  registry_.Clear();
   engine_.ClearEvents();
   config_ = FleetAgentConfig{};
   engine_.set_config(config_.canary);

@@ -14,6 +14,12 @@
 //            one lock per name, and pushes its choice to every worker
 //            through the worker's certifier-gated policy.attach verb
 //
+// The agent chooses from its own PolicyCandidateRegistry
+// (src/concord/autotune/candidates.h), never the controller's: it pushes a
+// candidate's .casm source, and only text candidates have one. A chosen
+// candidate without source fails its push; the engine reports `error` and
+// the fleet stays on its incumbent.
+//
 // Aggregating across workers is the point: per-process windows are noisy,
 // the merged window is what makes a promotion trustworthy — and a promotion
 // applies to the whole fleet at once, including workers that join later.
@@ -45,42 +51,18 @@
 #include "src/base/status.h"
 #include "src/concord/agent/shm_segment.h"
 #include "src/concord/autotune/canary.h"
+#include "src/concord/autotune/candidates.h"
 
 namespace concord {
 
-// A policy the agent may push to the fleet. Unlike in-process
-// PolicyCandidates (factories for PolicySpecs), fleet candidates are .casm
-// *sources*: they cross the process boundary through policy.attach, where
-// every worker loads them through the same gate before the policy touches a
-// lock.
-struct FleetCandidate {
-  std::string name;
-  ContentionRegime regime = ContentionRegime::kModerate;
-  std::string source;  // .casm text, pushed inline
-};
-
-struct FleetAgentConfig {
-  // Merged sampling window; the control loop ticks the agent once per window.
-  std::uint64_t window_ns = 100'000'000;  // 100ms
-
-  // The canary engine's knobs, applied to the merged fleet-wide window.
-  CanaryConfig canary;
-
+// The controller's config plus the one knob only the fleet has.
+struct FleetAgentConfig : AutotuneConfig {
   // Eviction: a worker is evicted after this many consecutive ticks without
   // readable publish progress (transient read failures and unchanged
   // publish_count both count; permanent segment corruption and a dead pid
   // evict immediately). Progress-based rather than clock-based so an agent
   // under FakeClock still detects real workers stalling.
   std::uint32_t evict_after_stale_ticks = 3;
-
-  // Per-worker RPC budget for policy pushes. Deliberately short: a worker
-  // that cannot answer within this is treated as dead and evicted rather
-  // than allowed to block the fleet loop.
-  std::uint64_t push_timeout_ms = 1'000;
-
-  // Seed candidates from every .casm in this directory ("" = skip), through
-  // ForEachPolicyFile (src/concord/autotune/candidates.h).
-  std::string policy_dir;
 };
 
 // The agent. One per process (Global()); the RPC verbs agent.register/
@@ -89,18 +71,14 @@ class FleetAgent {
  public:
   static FleetAgent& Global();
 
-  // Applies config; fails while the agent is on the control loop.
+  // Applies config and seeds the registry from config.policy_dir; fails
+  // while the agent is on the control loop.
   Status Configure(const FleetAgentConfig& config);
   FleetAgentConfig config() const;
 
-  // Registers a candidate once LoadPolicy (src/concord/policy_source.h)
-  // admits its source — a candidate the agent itself cannot admit would
-  // just bounce off every worker. The loaded hook decides whether it is for
-  // rw locks. Replaces any candidate with the same name.
-  Status AddCandidate(const FleetCandidate& candidate);
-  // Loads every admissible .casm under `dir`; returns how many registered.
-  int SeedCandidatesFromDir(const std::string& dir);
-  std::vector<std::string> CandidateNames() const;
+  // The fleet's candidates. Register text candidates (RegisterSource): a
+  // built-in has no source to push.
+  PolicyCandidateRegistry& registry() { return registry_; }
 
   // --- membership (RPC-driven) ----------------------------------------------
 
@@ -129,8 +107,9 @@ class FleetAgent {
 
   // --- introspection --------------------------------------------------------
 
-  // {"running","window_ns","workers":[...],"locks":[...],
-  //  "candidates":[...],"events":[...]}
+  // {"running","window_ns","worker_count","workers":[...]} and the keys
+  // CanaryEngine::AppendStatusJson renders: "candidates", "locks",
+  // "events".
   std::string StatusJson() const;
   std::vector<AutotuneEvent> RecentEvents(std::size_t max = 64) const;
 
@@ -176,9 +155,10 @@ class FleetAgent {
   Status PushToFleetLocked(const CanaryEngine::Lock& lock,
                            const std::string& name, std::uint64_t now_ns,
                            std::vector<AutotuneEvent>& events);
-  // One worker, one lock; "plain" detaches. Sets *transport_failed when the
-  // failure is the worker's socket (dead/wedged worker — evict) rather than
-  // a server-side rejection (bad candidate — back off).
+  // One worker, one lock; "plain" detaches, any other name pushes that
+  // candidate's source. Sets *transport_failed when the failure is the
+  // worker's socket (dead/wedged worker — evict) rather than a rejection
+  // (bad candidate — back off).
   Status PushToWorkerLocked(Worker& worker, const std::string& lock_name,
                             const std::string& name, bool* transport_failed);
   // Brings a late joiner up to date with every incumbent/canary policy.
@@ -187,13 +167,14 @@ class FleetAgent {
                         std::vector<AutotuneEvent>& events,
                         std::string* evict_reason);
 
-  struct Candidate : FleetCandidate {
-    bool for_rw = false;  // the loaded program's hook is rw_mode
-  };
+  // Per-worker RPC budget for policy pushes. Deliberately short: a worker
+  // that cannot answer within this is treated as dead and evicted rather
+  // than allowed to block the fleet loop.
+  static constexpr std::uint64_t kPushTimeoutMs = 1'000;
 
   mutable std::mutex mu_;
   FleetAgentConfig config_;
-  std::vector<Candidate> candidates_;
+  PolicyCandidateRegistry registry_;
   std::vector<std::unique_ptr<Worker>> workers_;
   CanaryEngine engine_;
   std::map<std::string, std::unique_ptr<CanaryEngine::Lock>> locks_;

@@ -71,6 +71,52 @@ std::vector<AutotuneEvent> CanaryEngine::RecentEvents(std::size_t max) const {
   return std::vector<AutotuneEvent>(events_.end() - count, events_.end());
 }
 
+void CanaryEngine::AppendStatusJson(
+    JsonWriter& json, const PolicyCandidateRegistry& registry,
+    const std::vector<const Lock*>& locks) const {
+  json.Key("candidates").BeginArray();
+  for (const std::string& name : registry.Names()) {
+    json.String(name);
+  }
+  json.EndArray();
+  json.Key("locks").BeginArray();
+  for (const Lock* lock : locks) {
+    json.BeginObject();
+    json.NumberField("lock_id", lock->lock_id);
+    json.Field("name", lock->name);
+    json.Field("regime", ContentionRegimeName(lock->hysteresis.stable()));
+    const bool canary = lock->mode == Mode::kCanary;
+    json.Field("mode", canary ? "canary" : "observing");
+    json.Field("incumbent", lock->incumbent);
+    json.NumberField("cooldown_windows", lock->cooldown);
+    json.NumberField("baseline_wait_p50_ns", lock->baseline_p50_ns);
+    json.NumberField("baseline_wait_p99_ns", lock->baseline_p99_ns);
+    if (canary) {
+      json.Key("canary").BeginObject();
+      json.Field("candidate", lock->canary_candidate);
+      json.NumberField("scored_windows", lock->canary_scored);
+      json.NumberField("total_windows", lock->canary_total);
+      json.EndObject();
+    }
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("events").BeginArray();
+  for (const AutotuneEvent& event : events_) {
+    json.BeginObject();
+    json.NumberField("ts_ns", event.ts_ns);
+    json.NumberField("lock_id", event.lock_id);
+    json.Field("lock", event.lock_name);
+    json.NumberField("pid", event.worker_pid);
+    json.Field("kind", AutotuneEventKindName(event.kind));
+    json.Field("regime", ContentionRegimeName(event.regime));
+    json.Field("candidate", event.candidate);
+    json.Field("detail", event.detail);
+    json.EndObject();
+  }
+  json.EndArray();
+}
+
 void CanaryEngine::AddSkip(Lock& lock, const std::string& name) const {
   for (SkipEntry& entry : lock.skip) {
     if (entry.name == name) {

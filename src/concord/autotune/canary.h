@@ -16,8 +16,9 @@
 //              promotes or rolls back
 //
 // The planes differ only in where a window comes from (an argument to
-// TickLock) and how a candidate reaches the lock (the Plane callbacks). The
-// engine holds no lock; its owner serializes every call.
+// TickLock) and how a candidate reaches the lock (the Plane callbacks). They
+// share one config (AutotuneConfig) and one status view (AppendStatusJson).
+// The engine holds no lock; its owner serializes every call.
 
 #ifndef SRC_CONCORD_AUTOTUNE_CANARY_H_
 #define SRC_CONCORD_AUTOTUNE_CANARY_H_
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/base/json.h"
 #include "src/base/status.h"
 #include "src/concord/autotune/candidates.h"
 #include "src/concord/autotune/regime.h"
@@ -58,6 +60,19 @@ struct CanaryConfig {
   std::uint32_t failed_candidate_backoff_windows = 20;
 
   ClassifierConfig classifier;
+};
+
+// What both tuning planes are configured with: the in-process controller
+// takes it as is, and the fleet agent's FleetAgentConfig extends it.
+struct AutotuneConfig {
+  // Sampling window; the control loop ticks the plane once per window.
+  std::uint64_t window_ns = 100'000'000;  // 100ms
+
+  CanaryConfig canary;
+
+  // Load .casm candidates from this directory ("" = none) through
+  // PolicyCandidateRegistry::SeedFromPolicyDir.
+  std::string policy_dir;
 };
 
 enum class AutotuneEventKind : std::uint8_t {
@@ -184,6 +199,15 @@ class CanaryEngine {
   const std::deque<AutotuneEvent>& events() const { return events_; }
   std::vector<AutotuneEvent> RecentEvents(std::size_t max) const;
   void ClearEvents() { events_.clear(); }
+
+  // The status keys both planes share (docs/AUTOTUNE.md §Status): the
+  // plane's candidates as "candidates" (Names(), "plain" first), `locks` as
+  // "locks" and the event ring, oldest first, as "events". Every lock and
+  // every event renders the same keys on either plane; a field a plane does
+  // not use reads 0 or "".
+  void AppendStatusJson(JsonWriter& json,
+                        const PolicyCandidateRegistry& registry,
+                        const std::vector<const Lock*>& locks) const;
 
  private:
   static constexpr std::size_t kMaxEvents = 256;

@@ -40,34 +40,6 @@ bool RegimeFromPolicyFilename(const std::string& stem, ContentionRegime* out) {
 
 }  // namespace
 
-int ForEachPolicyFile(
-    const std::string& dir,
-    const std::function<Status(const std::string& stem,
-                               ContentionRegime regime,
-                               const std::string& source)>& admit) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return 0;
-  }
-  int admitted = 0;
-  for (const auto& entry : it) {
-    const std::string stem = entry.path().stem().string();
-    ContentionRegime regime = ContentionRegime::kModerate;
-    if (!entry.is_regular_file() || entry.path().extension() != ".casm" ||
-        !RegimeFromPolicyFilename(stem, &regime)) {
-      continue;
-    }
-    std::ifstream file(entry.path());
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    if (file && admit(stem, regime, buffer.str()).ok()) {
-      ++admitted;
-    }
-  }
-  return admitted;
-}
-
 Status PolicyCandidateRegistry::Register(PolicyCandidate candidate) {
   if (candidate.name.empty() || candidate.name == kPlainCandidateName) {
     return InvalidArgumentError("candidate name '" + candidate.name +
@@ -118,21 +90,42 @@ void PolicyCandidateRegistry::SeedBuiltins() {
   CONCORD_CHECK(Register(std::move(reader_bias)).ok());
 }
 
+Status PolicyCandidateRegistry::RegisterSource(const std::string& name,
+                                               ContentionRegime regime,
+                                               const std::string& source) {
+  StatusOr<PolicySpec> spec = LoadPolicy(name, source);
+  CONCORD_RETURN_IF_ERROR(spec.status());
+  PolicyCandidate candidate;
+  candidate.name = name;
+  candidate.regime = regime;
+  candidate.for_rw = !spec->ChainFor(HookKind::kRwMode).empty();
+  candidate.source = source;
+  candidate.make = [name, source] { return LoadPolicy(name, source); };
+  return Register(std::move(candidate));
+}
+
 int PolicyCandidateRegistry::SeedFromPolicyDir(const std::string& dir) {
-  return ForEachPolicyFile(dir, [this](const std::string& stem,
-                                       ContentionRegime regime,
-                                       const std::string& source) -> Status {
-    // Admit once now, so an inadmissible file never becomes a candidate the
-    // controller would repeatedly fail to attach.
-    StatusOr<PolicySpec> spec = LoadPolicy(stem, source);
-    CONCORD_RETURN_IF_ERROR(spec.status());
-    PolicyCandidate candidate;
-    candidate.name = stem;
-    candidate.regime = regime;
-    candidate.for_rw = !spec->ChainFor(HookKind::kRwMode).empty();
-    candidate.make = [stem, source] { return LoadPolicy(stem, source); };
-    return Register(std::move(candidate));
-  });
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec);
+  if (ec) {
+    return 0;
+  }
+  int admitted = 0;
+  for (const auto& entry : it) {
+    const std::string stem = entry.path().stem().string();
+    ContentionRegime regime = ContentionRegime::kModerate;
+    if (!entry.is_regular_file() || entry.path().extension() != ".casm" ||
+        !RegimeFromPolicyFilename(stem, &regime)) {
+      continue;
+    }
+    std::ifstream file(entry.path());
+    std::stringstream buffer;
+    buffer << file.rdbuf();
+    if (file && RegisterSource(stem, regime, buffer.str()).ok()) {
+      ++admitted;
+    }
+  }
+  return admitted;
 }
 
 PolicyCandidate PolicyCandidateRegistry::CandidateFor(
@@ -180,6 +173,11 @@ std::vector<std::string> PolicyCandidateRegistry::Names() const {
     names.push_back(candidate.name);
   }
   return names;
+}
+
+bool PolicyCandidateRegistry::Empty() const {
+  std::lock_guard<std::mutex> guard(mu_);
+  return candidates_.empty();
 }
 
 void PolicyCandidateRegistry::Clear() {

@@ -4,11 +4,13 @@
 //
 // Candidates are *factories*, not specs: every canary attach assembles (and
 // re-verifies, at Concord::Attach) a fresh PolicySpec, so a candidate can be
-// attached, rolled back and re-attached without spec-copying hazards. The
-// registry ships built-ins wired to the ready-made policies in
-// src/concord/policies.h and can additionally load .casm files from
-// examples/policies/ (regime inferred from the filename, hook and budget
-// from the policy's directives).
+// attached, rolled back and re-attached without spec-copying hazards. A
+// candidate is either built in, wired to a ready-made policy in
+// src/concord/policies.h, or a text candidate: .casm source admitted through
+// LoadPolicy (src/concord/policy_source.h), which the registry keeps so the
+// fleet agent (src/concord/agent/fleet.h) can push it to other processes.
+// Both tuning planes own one registry each; only the in-process controller
+// seeds the built-ins, which have no source to push.
 //
 // The implicit "plain" candidate — detach, reverting the lock to stock
 // behaviour — is always available and is the fallback whenever no registered
@@ -35,6 +37,8 @@ struct PolicyCandidate {
   // rw_mode policies attach only to rw locks; queue policies (cmp_node,
   // skip_shuffle, schedule_waiter) only to ShflLocks.
   bool for_rw = false;
+  // The .casm text of a text candidate; empty for a built-in.
+  std::string source;
   // Null for the "plain" candidate (detach instead of attach).
   std::function<StatusOr<PolicySpec>()> make;
 
@@ -43,18 +47,6 @@ struct PolicyCandidate {
 
 // The canonical name of the detach candidate.
 inline constexpr char kPlainCandidateName[] = "plain";
-
-// The one walk over a .casm policy directory, shared by SeedFromPolicyDir and
-// the fleet agent (src/concord/agent/fleet.h). Calls `admit(stem, regime,
-// source)` for every `.casm` file directly under `dir` whose filename maps
-// to a regime ("numa" -> numa-skewed, "backoff" -> pathological, "batch" ->
-// moderate); other files are skipped rather than guessed wrong. Returns how
-// many calls returned OK.
-int ForEachPolicyFile(
-    const std::string& dir,
-    const std::function<Status(const std::string& stem,
-                               ContentionRegime regime,
-                               const std::string& source)>& admit);
 
 class PolicyCandidateRegistry {
  public:
@@ -71,9 +63,18 @@ class PolicyCandidateRegistry {
   // Uncontended and moderate keep the implicit "plain" candidate.
   void SeedBuiltins();
 
-  // Registers every file ForEachPolicyFile yields that LoadPolicy
-  // (src/concord/policy_source.h) admits; each attach loads the source
-  // afresh. Returns how many candidates registered.
+  // Registers text candidate `name` for `regime` once LoadPolicy admits
+  // `source`, so an inadmissible file never becomes a candidate a plane
+  // would fail to attach on every window. The loaded hook decides for_rw,
+  // and each attach loads the source afresh. Returns LoadPolicy's status on
+  // rejection, and replaces any candidate with the same name.
+  Status RegisterSource(const std::string& name, ContentionRegime regime,
+                        const std::string& source);
+
+  // RegisterSource over every `.casm` file directly under `dir` whose
+  // filename maps to a regime ("numa" -> numa-skewed, "backoff" ->
+  // pathological, "batch" -> moderate); other files are skipped rather than
+  // guessed wrong. Returns how many candidates registered.
   int SeedFromPolicyDir(const std::string& dir);
 
   // Preferred candidate for a lock of the given kind in `regime`; falls back
@@ -86,7 +87,10 @@ class PolicyCandidateRegistry {
   // name is kNotFound.
   StatusOr<PolicyCandidate> FindByName(const std::string& name) const;
 
+  // "plain" first, then every registered name in registration order.
   std::vector<std::string> Names() const;
+  // True while nothing but the implicit "plain" candidate is available.
+  bool Empty() const;
   void Clear();
 
  private:

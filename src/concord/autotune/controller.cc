@@ -34,9 +34,7 @@ Status AutotuneController::Configure(const AutotuneConfig& config) {
   config_ = config;
   engine_.set_config(config.canary);
   if (!seeded_) {
-    if (config_.seed_builtins) {
-      registry_.SeedBuiltins();
-    }
+    registry_.SeedBuiltins();
     if (!config_.policy_dir.empty()) {
       registry_.SeedFromPolicyDir(config_.policy_dir);
     }
@@ -221,52 +219,17 @@ void AutotuneController::Stop() {
 
 std::string AutotuneController::StatusJson() const {
   std::lock_guard<std::mutex> guard(mu_);
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("running").Bool(running_.load(std::memory_order_acquire));
-  writer.NumberField("window_ns", config_.window_ns);
-  writer.Key("candidates").BeginArray();
-  for (const std::string& name : registry_.Names()) {
-    writer.String(name);
-  }
-  writer.EndArray();
-  writer.Key("locks").BeginArray();
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("running").Bool(running_.load(std::memory_order_acquire));
+  json.NumberField("window_ns", config_.window_ns);
+  std::vector<const CanaryEngine::Lock*> locks;
   for (const auto& state : locks_) {
-    writer.BeginObject();
-    writer.NumberField("lock_id", state->lock_id);
-    writer.Field("name", state->name);
-    writer.Field("regime", ContentionRegimeName(state->hysteresis.stable()));
-    const bool canary = state->mode == CanaryEngine::Mode::kCanary;
-    writer.Field("mode", canary ? "canary" : "observing");
-    writer.Field("incumbent", state->incumbent);
-    writer.NumberField("cooldown_windows", state->cooldown);
-    if (canary) {
-      writer.Key("canary").BeginObject();
-      writer.Field("candidate", state->canary_candidate);
-      writer.NumberField("scored_windows", state->canary_scored);
-      writer.NumberField("total_windows", state->canary_total);
-      writer.NumberField("baseline_wait_p50_ns", state->baseline_p50_ns);
-      writer.NumberField("baseline_wait_p99_ns", state->baseline_p99_ns);
-      writer.EndObject();
-    }
-    writer.EndObject();
+    locks.push_back(state.get());
   }
-  writer.EndArray();
-  writer.Key("events").BeginArray();
-  for (const AutotuneEvent& event : engine_.events()) {
-    writer.BeginObject();
-    writer.NumberField("ts_ns", event.ts_ns);
-    writer.NumberField("lock_id", event.lock_id);
-    writer.Field("lock", event.lock_name);
-    writer.Field("kind", AutotuneEventKindName(event.kind));
-    writer.Field("regime", ContentionRegimeName(event.regime));
-    writer.Field("candidate", event.candidate);
-    writer.Field("detail", event.detail);
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
-  return writer.TakeString();
+  engine_.AppendStatusJson(json, registry_, locks);
+  json.EndObject();
+  return json.TakeString();
 }
 
 std::vector<AutotuneEvent> AutotuneController::RecentEvents(

@@ -42,24 +42,13 @@
 
 namespace concord {
 
-struct AutotuneConfig {
-  // Sampling window; the control loop ticks the controller once per window.
-  std::uint64_t window_ns = 100'000'000;  // 100ms
-
-  CanaryConfig canary;
-
-  // Seed the candidate registry with the built-in policies on first Enable.
-  bool seed_builtins = true;
-  // Additionally load .casm candidates from this directory ("" = skip).
-  std::string policy_dir;
-};
-
 class AutotuneController {
  public:
   static AutotuneController& Global();
 
-  // Applies `config` and (once) seeds the candidate registry. Fails while
-  // the controller is on the control loop.
+  // Applies `config` and, on the first call, seeds the candidate registry
+  // with the built-ins and config.policy_dir. Fails while the controller is
+  // on the control loop.
   Status Configure(const AutotuneConfig& config);
   AutotuneConfig config() const;
 
@@ -92,8 +81,8 @@ class AutotuneController {
 
   // --- introspection --------------------------------------------------------
 
-  // {"running":...,"window_ns":...,"locks":[{lock_id,name,regime,mode,
-  //  attached,canary{...},cooldown,...}],"events":[...]}
+  // {"running","window_ns"} and the keys CanaryEngine::AppendStatusJson
+  // renders: "candidates", "locks", "events".
   std::string StatusJson() const;
 
   // Recent events (bounded ring, newest last).

@@ -701,13 +701,8 @@ Status Concord::EnableTracing(std::uint64_t lock_id) {
       return NotFoundError("lock id " + std::to_string(lock_id));
     }
   }
-#if !CONCORD_TRACE
-  return FailedPreconditionError(
-      "flight recorder compiled out (CONCORD_ENABLE_TRACE=OFF)");
-#else
   TraceRegistry::Global().EnableLock(lock_id);
   return Status::Ok();
-#endif
 }
 
 Status Concord::EnableTracingBySelector(const std::string& selector) {

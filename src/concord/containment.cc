@@ -101,6 +101,9 @@ void ContainmentRegistry::RecordLocked(std::uint64_t lock_id,
   event.action = action;
   event.detail = detail;
   events_.push_back(event);
+  if (events_.size() > kMaxEvents) {
+    events_.pop_front();
+  }
   if (fresh != nullptr) {
     fresh->push_back(std::move(event));
   }
@@ -334,7 +337,7 @@ PolicyHealth ContainmentRegistry::HealthOf(std::uint64_t lock_id) const {
 
 std::vector<ContainmentEvent> ContainmentRegistry::events() const {
   std::lock_guard<std::mutex> guard(mu_);
-  return events_;
+  return {events_.begin(), events_.end()};
 }
 
 std::string ContainmentRegistry::Report() const {

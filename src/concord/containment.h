@@ -37,6 +37,7 @@
 #define SRC_CONCORD_CONTAINMENT_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -167,8 +168,13 @@ class ContainmentRegistry {
   std::optional<PolicyStatus> StatusOf(std::uint64_t lock_id) const;
   // kActive when the lock has no tracked policy.
   PolicyHealth HealthOf(std::uint64_t lock_id) const;
+  // The newest kMaxEvents events, oldest first.
   std::vector<ContainmentEvent> events() const;
   std::string Report() const;
+
+  // A policy that faults and decays once a second logs two events a second
+  // for as long as the process lives; the log keeps this many.
+  static constexpr std::size_t kMaxEvents = 256;
 
   void ResetForTest();
 
@@ -201,7 +207,7 @@ class ContainmentRegistry {
   mutable std::mutex mu_;
   ContainmentConfig config_;
   std::map<std::uint64_t, State> states_;
-  std::vector<ContainmentEvent> events_;
+  std::deque<ContainmentEvent> events_;
 };
 
 }  // namespace concord

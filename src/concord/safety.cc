@@ -82,6 +82,9 @@ std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
     }
     for (const Violation& violation : fresh) {
       violations_.push_back(violation);
+      if (violations_.size() > kMaxViolations) {
+        violations_.pop_front();
+      }
     }
   }
   // Act outside mu_ (containment and Concord have their own locks; avoid
@@ -98,7 +101,7 @@ std::vector<FairnessWatchdog::Violation> FairnessWatchdog::CheckOnce() {
 
 std::vector<FairnessWatchdog::Violation> FairnessWatchdog::violations() const {
   std::lock_guard<std::mutex> guard(mu_);
-  return violations_;
+  return {violations_.begin(), violations_.end()};
 }
 
 }  // namespace concord

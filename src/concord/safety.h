@@ -13,6 +13,7 @@
 #define SRC_CONCORD_SAFETY_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -68,7 +69,9 @@ class FairnessWatchdog {
   // deterministic tests and for callers that poll on their own schedule.
   std::vector<Violation> CheckOnce();
 
+  // The newest kMaxViolations violations, oldest first.
   std::vector<Violation> violations() const;
+  static constexpr std::size_t kMaxViolations = 256;
 
  private:
   struct WatchState {
@@ -79,7 +82,7 @@ class FairnessWatchdog {
   const WatchdogConfig config_;
   mutable std::mutex mu_;
   std::vector<WatchState> watched_;
-  std::vector<Violation> violations_;
+  std::deque<Violation> violations_;
 };
 
 }  // namespace concord

@@ -28,94 +28,6 @@ std::string LockLabel(std::uint64_t lock_id,
   return "lock" + std::to_string(lock_id);
 }
 
-}  // namespace
-
-std::vector<TraceLockSummary> SummarizeTrace(
-    const std::vector<TraceEvent>& events) {
-  std::map<std::uint64_t, TraceLockSummary> by_lock;
-  std::map<std::uint64_t, MatchState> matchers;
-
-  for (const TraceEvent& event : events) {
-    TraceLockSummary& s = by_lock[event.lock_id];
-    s.lock_id = event.lock_id;
-    MatchState& m = matchers[PairKey(event.tid, event.lock_id)];
-    switch (event.kind) {
-      case TraceEventKind::kAcquire:
-        m.wait_starts.push_back(event.ts_ns);
-        break;
-      case TraceEventKind::kContended:
-        ++s.contentions;
-        break;
-      case TraceEventKind::kAcquired:
-        ++s.acquisitions;
-        if (m.wait_starts.empty()) {
-          ++s.unmatched_events;
-        } else {
-          const std::uint64_t wait = event.ts_ns - m.wait_starts.back();
-          m.wait_starts.pop_back();
-          ++s.matched_waits;
-          s.total_wait_ns += wait;
-          s.max_wait_ns = std::max(s.max_wait_ns, wait);
-        }
-        m.hold_starts.push_back(event.ts_ns);
-        break;
-      case TraceEventKind::kRelease:
-        ++s.releases;
-        if (m.hold_starts.empty()) {
-          ++s.unmatched_events;
-        } else {
-          const std::uint64_t hold = event.ts_ns - m.hold_starts.back();
-          m.hold_starts.pop_back();
-          ++s.matched_holds;
-          s.total_hold_ns += hold;
-          s.max_hold_ns = std::max(s.max_hold_ns, hold);
-        }
-        break;
-      case TraceEventKind::kPark:
-        ++s.parks;
-        break;
-      case TraceEventKind::kWake:
-        ++s.wakes;
-        break;
-      case TraceEventKind::kShuffleRound:
-        ++s.shuffle_rounds;
-        break;
-      case TraceEventKind::kPolicyDispatch:
-        ++s.policy_dispatches;
-        break;
-      case TraceEventKind::kBudgetTrip:
-        ++s.budget_trips;
-        break;
-      case TraceEventKind::kQuarantine:
-        ++s.quarantines;
-        break;
-    }
-  }
-
-  // Acquires and acquireds still waiting for a partner are unmatched.
-  for (const auto& [key, m] : matchers) {
-    const std::uint64_t lock_id = key & 0xFFFFFFFFull;
-    by_lock[lock_id].unmatched_events +=
-        m.wait_starts.size() + m.hold_starts.size();
-  }
-
-  std::vector<TraceLockSummary> summaries;
-  summaries.reserve(by_lock.size());
-  for (auto& [id, summary] : by_lock) {
-    summaries.push_back(std::move(summary));
-  }
-  std::sort(summaries.begin(), summaries.end(),
-            [](const TraceLockSummary& a, const TraceLockSummary& b) {
-              if (a.total_wait_ns != b.total_wait_ns) {
-                return a.total_wait_ns > b.total_wait_ns;
-              }
-              return a.lock_id < b.lock_id;
-            });
-  return summaries;
-}
-
-namespace {
-
 // One Chrome trace event. `ph` "X" events carry a duration; "i" instants
 // carry a scope. ts/dur are microseconds per the trace-event format.
 void AppendChromeEvent(JsonWriter& writer, const std::string& name,

@@ -1,9 +1,10 @@
-// Flight-recorder export: turns a collected TraceEvent stream into
-//   - Chrome trace-event JSON (loads in Perfetto / chrome://tracing), with
-//     matched acquire->acquired wait spans and acquired->release hold spans
-//     drawn as complete ("X") events on per-thread tracks, and everything
-//     else (park/wake/shuffle/dispatch/budget/quarantine) as instants;
-//   - per-lock roll-up summaries for top-style "most contended" views.
+// Flight-recorder export: turns a collected TraceEvent stream into Chrome
+// trace-event JSON (loads in Perfetto / chrome://tracing), with matched
+// acquire->acquired wait spans and acquired->release hold spans drawn as
+// complete ("X") events on per-thread tracks, and everything else
+// (contended/park/wake/shuffle/dispatch/budget/quarantine) as instants.
+// Per-lock totals come from the profiler (Concord::Stats), not from the
+// rings, which keep only the newest events of each thread.
 //
 // Matching is per (thread, lock) and LIFO: on recursive acquisition the
 // innermost acquire pairs with the innermost acquired/release.
@@ -21,35 +22,6 @@
 #include "src/bpf/maps.h"
 
 namespace concord {
-
-// Per-lock counters derived purely from an event stream. Wait/hold totals
-// only include matched pairs; events whose partner fell out of the ring
-// (overwritten) or is still in flight are counted in unmatched_events.
-struct TraceLockSummary {
-  std::uint64_t lock_id = 0;
-  std::uint64_t acquisitions = 0;   // kAcquired events
-  std::uint64_t contentions = 0;    // kContended events
-  std::uint64_t releases = 0;       // kRelease events
-  std::uint64_t parks = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t shuffle_rounds = 0;
-  std::uint64_t policy_dispatches = 0;
-  std::uint64_t budget_trips = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t matched_waits = 0;  // acquire->acquired pairs
-  std::uint64_t matched_holds = 0;  // acquired->release pairs
-  std::uint64_t total_wait_ns = 0;
-  std::uint64_t total_hold_ns = 0;
-  std::uint64_t max_wait_ns = 0;
-  std::uint64_t max_hold_ns = 0;
-  std::uint64_t unmatched_events = 0;
-};
-
-// Rolls the stream up per lock id, sorted by total_wait_ns descending
-// (most contended first), ties broken by lock id. `events` must be
-// ts-sorted, as returned by TraceRegistry::Collect().
-std::vector<TraceLockSummary> SummarizeTrace(
-    const std::vector<TraceEvent>& events);
 
 // Chrome trace-event JSON: {"displayTimeUnit":"ns","traceEvents":[...]}.
 // Timestamps are emitted in microseconds (the format's unit). `lock_names`

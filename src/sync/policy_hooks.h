@@ -31,6 +31,7 @@
 #include <cstdint>
 
 #include "src/base/rng.h"
+#include "src/base/trace.h"
 #include "src/rcu/rcu.h"
 
 namespace concord {
@@ -153,7 +154,9 @@ struct HookTable {
 //
 // The site also decides which acquisitions are timed (TimeAcquisition): the
 // lock reads the clock only on those, and hands the stamps to its
-// lock_acquired and lock_release taps.
+// lock_acquired and lock_release taps. And every tap records its lock event
+// in the flight recorder (src/base/trace.h) while the lock is traced, so
+// both lock families trace acquire, contended, acquired and release here.
 class HookSite {
  public:
   // Mask bits: one per hook slot, plus the hold and wait timing flags.
@@ -219,10 +222,11 @@ class HookSite {
     }
   }
 
-  // Fires `slot` of the installed table with `stamps`, if its bit is set, in
-  // one read section. The read section works on its own copy of `stamps`,
-  // so the copy the tap's pointer reaches is built only once the bit is
-  // found set: an unpatched lock stores nothing for it.
+  // Records the tap's trace event, then fires `slot` of the installed table
+  // with `stamps`, if its bit is set, in one read section. The read section
+  // works on its own copy of `stamps`, so the copy the tap's pointer reaches
+  // is built only once the bit is found set: an unpatched lock stores
+  // nothing for it.
   void Tap(HookTable::Tap HookTable::*slot, TapStamps stamps = {}) const {
     Tap(mask(), slot, stamps);
   }
@@ -230,6 +234,7 @@ class HookSite {
   // The same, against a mask() the acquisition has already read.
   void Tap(std::uint32_t mask, HookTable::Tap HookTable::*slot,
            TapStamps stamps = {}) const {
+    TraceRecord(lock_id_, TapTraceKind(slot));
     if ((mask & TapBit(slot)) != 0) {
       ReadTable([this, slot, stamps](const HookTable& table) {
         if (table.*slot != nullptr) {
@@ -296,6 +301,14 @@ class HookSite {
            : slot == &HookTable::lock_contended ? kLockContended
            : slot == &HookTable::lock_acquired  ? kLockAcquired
                                                 : kLockRelease;
+  }
+
+  static constexpr TraceEventKind TapTraceKind(
+      HookTable::Tap HookTable::*slot) {
+    return slot == &HookTable::lock_acquire     ? TraceEventKind::kAcquire
+           : slot == &HookTable::lock_contended ? TraceEventKind::kContended
+           : slot == &HookTable::lock_acquired  ? TraceEventKind::kAcquired
+                                                : TraceEventKind::kRelease;
   }
 
   RcuPointer<const HookTable> table_{nullptr};

@@ -55,7 +55,6 @@ ShflWaiterView ShflLock::MakeView(const ShflQNode& node, std::uint64_t now_ns) {
 
 void ShflLock::Lock() {
   ThreadContext& ctx = Self();
-  TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquire);
   // The clock is read only on a timed acquisition (HookSite decides which:
   // all under hold-time accounting, 1 in 16 on a profiled lock), which is
   // stamped at enqueue, acquired and release, and a waiter is stamped at
@@ -83,7 +82,6 @@ inline void ShflLock::Acquired(ThreadContext& ctx, bool timed,
                                TapStamps stamps) {
   stamps.acquired_ns = timed ? MonotonicNowNs() : 0;
   RecordAcquired(ctx, stamps.acquired_ns);
-  TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquired);
   hooks_.Tap(&HookTable::lock_acquired, stamps);
 }
 
@@ -97,7 +95,6 @@ bool ShflLock::TryLock() {
   // Won: from here on, a fast-path acquisition.
   const std::uint32_t mask = hooks_.mask();
   const bool timed = HookSite::TimeAcquisition(mask);
-  TraceRecord(hooks_.lock_id(), TraceEventKind::kAcquire);
   hooks_.Tap(mask, &HookTable::lock_acquire);
   Acquired(Self(), timed, TapStamps{});
   return true;
@@ -111,7 +108,6 @@ void ShflLock::RecordAcquired(ThreadContext& ctx, std::uint64_t acquire_ns) {
 }
 
 void ShflLock::SlowLock(ShflQNode& node) {
-  TraceRecord(hooks_.lock_id(), TraceEventKind::kContended);
   hooks_.Tap(&HookTable::lock_contended);
 
   ShflQNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
@@ -348,13 +344,14 @@ void ShflLock::ReleasedTimed(ThreadContext& holder, std::uint64_t acquired_ns,
 }
 
 inline void ShflLock::Released(std::uint32_t prev, TapStamps stamps) {
-  TraceRecord(hooks_.lock_id(), TraceEventKind::kRelease);
+  // The release tap records `release`, so it fires before the wake below
+  // records `wake`.
+  hooks_.Tap(&HookTable::lock_release, stamps);
   if (prev == 2) {
     // The queue head parked on the lock word; wake it.
     TraceRecord(hooks_.lock_id(), TraceEventKind::kWake);
     ParkingLot::UnparkOne(&locked_);
   }
-  hooks_.Tap(&HookTable::lock_release, stamps);
 }
 
 }  // namespace concord

@@ -12,12 +12,7 @@ namespace {
 
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-#if !CONCORD_TRACE
-    GTEST_SKIP() << "flight recorder compiled out (CONCORD_ENABLE_TRACE=OFF)";
-#endif
-    TraceRegistry::Global().ResetForTest();
-  }
+  void SetUp() override { TraceRegistry::Global().ResetForTest(); }
   void TearDown() override { TraceRegistry::Global().ResetForTest(); }
 };
 

@@ -98,7 +98,7 @@ constexpr std::uint8_t kBinaryAluOps[] = {
 TEST(JitTest, SupportedOnThisPlatform) {
   // The rest of the suite skips when unsupported; this documents that the
   // x86-64 CI legs really exercise the backend.
-#if defined(__x86_64__) && CONCORD_ENABLE_JIT
+#if defined(__x86_64__)
   EXPECT_TRUE(Jit::Supported());
 #else
   EXPECT_FALSE(Jit::Supported());

@@ -208,10 +208,34 @@ TEST(PolicyCandidateRegistry, BuiltinFactoriesProduceVerifiableSpecs) {
     }
     auto candidate = registry.FindByName(name);
     ASSERT_TRUE(candidate.ok()) << name;
+    EXPECT_TRUE(candidate->source.empty()) << name;  // nothing to push
     auto spec = candidate->make();
     ASSERT_TRUE(spec.ok()) << name;
     EXPECT_TRUE(spec->VerifyAll().ok()) << name;
   }
+}
+
+// A text candidate keeps its source, takes for_rw from its hook, and an
+// inadmissible source registers nothing.
+TEST(PolicyCandidateRegistry, RegisterSourceKeepsTheText) {
+  constexpr char kReaderBias[] = "; hook: rw_mode\n  mov r0, 1\n  exit\n";
+  PolicyCandidateRegistry registry;
+  ASSERT_TRUE(registry
+                  .RegisterSource("bias", ContentionRegime::kReaderHeavy,
+                                  kReaderBias)
+                  .ok());
+  const PolicyCandidate candidate =
+      registry.CandidateFor(ContentionRegime::kReaderHeavy, /*is_rw=*/true);
+  EXPECT_EQ(candidate.name, "bias");
+  EXPECT_TRUE(candidate.for_rw);
+  EXPECT_EQ(candidate.source, kReaderBias);
+  ASSERT_TRUE(candidate.make().ok());
+
+  EXPECT_FALSE(registry
+                   .RegisterSource("broken", ContentionRegime::kModerate,
+                                   "; hook: rw_mode\n  exit\n")
+                   .ok());
+  EXPECT_FALSE(registry.FindByName("broken").ok());
 }
 
 TEST(PolicyCandidateRegistry, SeedsFromPolicyDir) {
@@ -240,6 +264,7 @@ TEST(PolicyCandidateRegistry, SeedsFromPolicyDir) {
   const PolicyCandidate loaded =
       registry.CandidateFor(ContentionRegime::kNumaSkewed, false);
   EXPECT_EQ(loaded.name, "my_numa_group");
+  EXPECT_NE(loaded.source.find("; hook: cmp_node"), std::string::npos);
   auto spec = loaded.make();
   ASSERT_TRUE(spec.ok());
   EXPECT_TRUE(spec->VerifyAll().ok());

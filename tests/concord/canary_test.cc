@@ -257,6 +257,71 @@ TEST_F(CanaryEngineTest, EventKindNamesAreStable) {
   }
 }
 
+// Both planes render their status through AppendStatusJson. A canary-mode
+// lock of the controller (which has a lock id) and of the fleet (lock id 0,
+// keyed by name) render one key set, the one docs/AUTOTUNE.md documents.
+TEST_F(CanaryEngineTest, CanaryLockRendersTheSameKeysForBothPlanes) {
+  StartNumaCanary();
+  const auto keys = [&](std::uint64_t lock_id) {
+    lock_.lock_id = lock_id;
+    JsonWriter json;
+    json.BeginObject();
+    engine_.AppendStatusJson(json, PolicyCandidateRegistry(), {&lock_});
+    json.EndObject();
+    std::vector<std::string> out;
+    auto doc = ParseJson(json.str());
+    if (!doc.ok()) {
+      return out;
+    }
+    for (const auto& [key, value] : doc->object) {
+      out.push_back(key);
+    }
+    const JsonValue* locks = doc->Find("locks");
+    const JsonValue* events = doc->Find("events");
+    if (locks == nullptr || locks->array.size() != 1 || events == nullptr ||
+        events->array.empty()) {
+      return out;
+    }
+    for (const auto& [key, value] : locks->array[0].object) {
+      out.push_back("locks." + key);
+      for (const auto& [inner, unused] : value.object) {
+        out.push_back("locks." + key + "." + inner);
+      }
+    }
+    for (const auto& [key, value] : events->array.back().object) {
+      out.push_back("events." + key);
+    }
+    return out;
+  };
+  const std::vector<std::string> expected = {
+      "candidates",
+      "locks",
+      "events",
+      "locks.lock_id",
+      "locks.name",
+      "locks.regime",
+      "locks.mode",
+      "locks.incumbent",
+      "locks.cooldown_windows",
+      "locks.baseline_wait_p50_ns",
+      "locks.baseline_wait_p99_ns",
+      "locks.canary",
+      "locks.canary.candidate",
+      "locks.canary.scored_windows",
+      "locks.canary.total_windows",
+      "events.ts_ns",
+      "events.lock_id",
+      "events.lock",
+      "events.pid",
+      "events.kind",
+      "events.regime",
+      "events.candidate",
+      "events.detail",
+  };
+  EXPECT_EQ(keys(7), expected);
+  EXPECT_EQ(keys(0), expected);
+}
+
 // A canary that never collects its scoring windows is aborted after
 // canary_windows * kCanaryPatience windows and the incumbent restored.
 TEST_F(CanaryEngineTest, StarvedCanaryAbortsAndRestoresTheIncumbent) {

@@ -196,6 +196,26 @@ TEST_F(ContainmentTest, SuspectDecaysBackToActive) {
   EXPECT_EQ(registry.StatusOf(id)->fault_count, 0u);
 }
 
+// Two events a cycle, forever: the log keeps the newest 256, oldest first.
+TEST_F(ContainmentTest, FaultAndDecayCyclesKeepTheNewest256Events) {
+  ScopedFakeClock fake(1'000'000);
+  const std::uint64_t id = RegisterWithPolicy();
+  ContainmentRegistry& registry = ContainmentRegistry::Global();
+  const std::uint64_t start_ns = ClockNowNs();
+  for (int i = 0; i < 300; ++i) {
+    registry.ReportFault(id, ContainmentFault::kBudgetOverrun, "blip");
+    fake.clock().AdvanceMs(1'000);  // default suspect_decay_ns = 1s
+    registry.Poll();
+  }
+  const std::vector<ContainmentEvent> events = registry.events();
+  ASSERT_EQ(events.size(), 256u);
+  // 600 events: the kept ones start at cycle 172's fault.
+  EXPECT_EQ(events.front().action, ContainmentAction::kMarkedSuspect);
+  EXPECT_EQ(events.front().time_ns, start_ns + 172 * 1'000'000'000ull);
+  EXPECT_EQ(events.back().action, ContainmentAction::kRecovered);
+  EXPECT_EQ(events.back().time_ns, ClockNowNs());
+}
+
 TEST_F(ContainmentTest, AutoReattachCanBeDisabled) {
   ScopedFakeClock fake(1'000'000);
   const std::uint64_t id = RegisterWithPolicy();

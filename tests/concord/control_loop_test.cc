@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -233,14 +231,15 @@ TEST_F(ControlLoopTest, ContainmentQuarantinesBeforeAutotuneDecides) {
     policy->spec.hook_budget_trip = 1;
     return std::move(policy->spec);
   };
-  ASSERT_TRUE(controller.registry().Register(budgeted).ok());
   AutotuneConfig config;
   config.window_ns = 1;  // due on every tick
-  config.seed_builtins = false;
   config.canary.hysteresis_windows = 1;
   config.canary.canary_windows = 2;
   config.canary.cooldown_windows = 0;
   config.canary.min_window_acquisitions = 10;
+  ASSERT_TRUE(controller.Configure(config).ok());
+  controller.registry().Clear();  // the budgeted candidate only
+  ASSERT_TRUE(controller.registry().Register(budgeted).ok());
   ASSERT_TRUE(concord.EnableAutotune("tuned", config).ok());
 
   ControlLoop& loop = ControlLoop::Global();
@@ -276,26 +275,23 @@ TEST_F(ControlLoopTest, ContainmentQuarantinesBeforeAutotuneDecides) {
 // the loop's own step, and that attach starts the loop: it must return, or
 // the loop would never get to score the canary.
 TEST_F(ControlLoopTest, BudgetedCanaryAttachInsideAStepDoesNotBlock) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("control_loop_casm_" + std::to_string(getpid()));
-  std::filesystem::create_directories(dir);
-  { std::ofstream(dir / "budget_numa.casm") << kBudgetedNumaSource; }
-
   Concord& concord = Concord::Global();
   lock_id_ = concord.RegisterShflLock(lock_, "inside", "loop");
+  AutotuneController& controller = AutotuneController::Global();
   AutotuneConfig config;
   config.window_ns = 2'000'000;  // 2ms
-  config.seed_builtins = false;
-  config.policy_dir = dir.string();
   config.canary.hysteresis_windows = 1;
   config.canary.canary_windows = 2;
   config.canary.cooldown_windows = 0;
   config.canary.min_window_acquisitions = 10;
+  ASSERT_TRUE(controller.Configure(config).ok());
+  controller.registry().Clear();  // the budgeted candidate only
+  ASSERT_TRUE(controller.registry()
+                  .RegisterSource("budget_numa", ContentionRegime::kNumaSkewed,
+                                  kBudgetedNumaSource)
+                  .ok());
   ASSERT_TRUE(concord.EnableAutotune("inside", config).ok());
-  std::filesystem::remove_all(dir);
 
-  AutotuneController& controller = AutotuneController::Global();
   EXPECT_TRUE(Await([&] {
     FeedNuma(8'000);
     return HasEvent(controller.RecentEvents(256),
@@ -342,9 +338,10 @@ TEST_F(ControlLoopTest, BudgetedFleetPushIntoThisProcessDoesNotBlock) {
   config.evict_after_stale_ticks = 1'000;
   ASSERT_TRUE(agent.Configure(config).ok());
   ASSERT_TRUE(agent
-                  .AddCandidate({"budgeted_backoff",
-                                 ContentionRegime::kPathological,
-                                 kBudgetedBackoffSource})
+                  .registry()
+                  .RegisterSource("budgeted_backoff",
+                                  ContentionRegime::kPathological,
+                                  kBudgetedBackoffSource)
                   .ok());
   ASSERT_TRUE(agent
                   .RegisterWorker(static_cast<std::uint64_t>(getpid()),

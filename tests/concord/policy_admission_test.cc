@@ -129,8 +129,8 @@ TEST_F(PolicyAdmissionTest, EveryPathGivesTheSameVerdict) {
       ASSERT_TRUE(Concord::Global().Detach(lock_id_).ok());
     }
 
-    const Status candidate = FleetAgent::Global().AddCandidate(
-        {input.name, ContentionRegime::kModerate, input.source});
+    const Status candidate = FleetAgent::Global().registry().RegisterSource(
+        input.name, ContentionRegime::kModerate, input.source);
 
     // The seeder maps a regime from the filename, so the source is copied
     // under a name it accepts.

@@ -141,6 +141,25 @@ TEST_F(SafetyTest, BackgroundPollerCatchesViolations) {
   EXPECT_FALSE(watchdog.violations()[0].detached);
 }
 
+// Each new worst wait is a violation; the log keeps the newest 256.
+TEST_F(SafetyTest, ViolationLogKeepsTheNewest256) {
+  Concord& concord = Concord::Global();
+  const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "t");
+  WatchdogConfig config;
+  config.max_wait_ns = 1'000;
+  config.auto_detach = false;
+  FairnessWatchdog watchdog(config);
+  ASSERT_TRUE(watchdog.Watch(id).ok());
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    concord.MutableStats(id)->ControlShard().wait_ns.Record(1'000 + i);
+    ASSERT_EQ(watchdog.CheckOnce().size(), 1u);
+  }
+  const auto violations = watchdog.violations();
+  ASSERT_EQ(violations.size(), 256u);
+  EXPECT_EQ(violations.front().observed_ns, 1'000u + 45);
+  EXPECT_EQ(violations.back().observed_ns, 1'000u + 300);
+}
+
 TEST_F(SafetyTest, DetectsWaitSkewFromP99OverP50) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock_, "l", "t");

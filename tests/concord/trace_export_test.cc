@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "src/base/trace.h"
 #include "src/concord/concord.h"
 #include "src/concord/policies.h"
+#include "src/sync/bravo.h"
 #include "src/sync/shfllock.h"
 
 namespace concord {
@@ -24,93 +26,6 @@ TraceEvent Ev(std::uint64_t ts_ns, std::uint64_t lock_id, TraceEventKind kind,
   event.tid = tid;
   event.arg = arg;
   return event;
-}
-
-TEST(SummarizeTraceTest, MatchesWaitAndHoldSpans) {
-  const std::vector<TraceEvent> events = {
-      Ev(100, 5, TraceEventKind::kAcquire, 1),
-      Ev(120, 5, TraceEventKind::kContended, 1),
-      Ev(150, 5, TraceEventKind::kAcquired, 1),
-      Ev(400, 5, TraceEventKind::kRelease, 1),
-  };
-  const auto summaries = SummarizeTrace(events);
-  ASSERT_EQ(summaries.size(), 1u);
-  const TraceLockSummary& s = summaries[0];
-  EXPECT_EQ(s.lock_id, 5u);
-  EXPECT_EQ(s.acquisitions, 1u);
-  EXPECT_EQ(s.contentions, 1u);
-  EXPECT_EQ(s.releases, 1u);
-  EXPECT_EQ(s.matched_waits, 1u);
-  EXPECT_EQ(s.total_wait_ns, 50u);
-  EXPECT_EQ(s.matched_holds, 1u);
-  EXPECT_EQ(s.total_hold_ns, 250u);
-  EXPECT_EQ(s.unmatched_events, 0u);
-}
-
-TEST(SummarizeTraceTest, RecursiveAcquisitionMatchesLifo) {
-  // Inner acquire pairs with inner acquired/release, like the profiler.
-  const std::vector<TraceEvent> events = {
-      Ev(100, 5, TraceEventKind::kAcquire, 1),
-      Ev(150, 5, TraceEventKind::kAcquired, 1),  // outer wait 50
-      Ev(200, 5, TraceEventKind::kAcquire, 1),
-      Ev(260, 5, TraceEventKind::kAcquired, 1),  // inner wait 60
-      Ev(300, 5, TraceEventKind::kRelease, 1),   // inner hold 40
-      Ev(400, 5, TraceEventKind::kRelease, 1),   // outer hold 250
-  };
-  const auto summaries = SummarizeTrace(events);
-  ASSERT_EQ(summaries.size(), 1u);
-  const TraceLockSummary& s = summaries[0];
-  EXPECT_EQ(s.matched_waits, 2u);
-  EXPECT_EQ(s.total_wait_ns, 110u);
-  EXPECT_EQ(s.max_wait_ns, 60u);
-  EXPECT_EQ(s.matched_holds, 2u);
-  EXPECT_EQ(s.total_hold_ns, 290u);
-  EXPECT_EQ(s.max_hold_ns, 250u);
-  EXPECT_EQ(s.unmatched_events, 0u);
-}
-
-TEST(SummarizeTraceTest, CountsUnmatchedEvents) {
-  const std::vector<TraceEvent> events = {
-      // Release with no acquired (partner fell out of the ring).
-      Ev(100, 3, TraceEventKind::kRelease, 1),
-      // Acquire with no acquired (still in flight at snapshot time).
-      Ev(200, 3, TraceEventKind::kAcquire, 1),
-      // Acquired with no acquire, then held past the snapshot.
-      Ev(300, 3, TraceEventKind::kAcquired, 2),
-  };
-  const auto summaries = SummarizeTrace(events);
-  ASSERT_EQ(summaries.size(), 1u);
-  // release-without-hold + acquired-without-acquire + leftover acquire +
-  // leftover hold = 4.
-  EXPECT_EQ(summaries[0].unmatched_events, 4u);
-  EXPECT_EQ(summaries[0].matched_waits, 0u);
-  EXPECT_EQ(summaries[0].matched_holds, 0u);
-}
-
-TEST(SummarizeTraceTest, SortsMostContendedFirst) {
-  const std::vector<TraceEvent> events = {
-      Ev(100, 1, TraceEventKind::kAcquire, 1),
-      Ev(110, 1, TraceEventKind::kAcquired, 1),  // lock 1: wait 10
-      Ev(200, 2, TraceEventKind::kAcquire, 1),
-      Ev(900, 2, TraceEventKind::kAcquired, 1),  // lock 2: wait 700
-  };
-  const auto summaries = SummarizeTrace(events);
-  ASSERT_EQ(summaries.size(), 2u);
-  EXPECT_EQ(summaries[0].lock_id, 2u);
-  EXPECT_EQ(summaries[1].lock_id, 1u);
-}
-
-TEST(SummarizeTraceTest, ThreadsDoNotCrossMatch) {
-  // Thread 2's acquired must not consume thread 1's pending acquire.
-  const std::vector<TraceEvent> events = {
-      Ev(100, 7, TraceEventKind::kAcquire, 1),
-      Ev(150, 7, TraceEventKind::kAcquired, 2),
-  };
-  const auto summaries = SummarizeTrace(events);
-  ASSERT_EQ(summaries.size(), 1u);
-  EXPECT_EQ(summaries[0].matched_waits, 0u);
-  // t1's leftover acquire + t2's unmatched acquired + t2's leftover hold.
-  EXPECT_EQ(summaries[0].unmatched_events, 3u);
 }
 
 TEST(ChromeTraceJsonTest, EmitsMatchedSpansAndInstants) {
@@ -181,10 +96,6 @@ class TraceExportE2ETest : public ::testing::Test {
 TEST_F(TraceExportE2ETest, ContendedRunProducesMatchedSpans) {
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterShflLock(lock_, "hot", "e2e");
-#if !CONCORD_TRACE
-  EXPECT_FALSE(concord.EnableTracing(id).ok());
-  GTEST_SKIP() << "flight recorder compiled out";
-#else
   ASSERT_TRUE(concord.EnableTracing(id).ok());
   ASSERT_FALSE(concord.EnableTracing(id + 999).ok());  // unknown lock id
 
@@ -203,12 +114,15 @@ TEST_F(TraceExportE2ETest, ContendedRunProducesMatchedSpans) {
     }
     return false;
   };
-  while (!contended()) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!contended() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   lock_.Unlock();
   waiter.join();
+  ASSERT_TRUE(contended()) << "the waiter never recorded contended";
   for (int i = 0; i < 3; ++i) {
     lock_.Lock();
     lock_.Unlock();
@@ -220,24 +134,25 @@ TEST_F(TraceExportE2ETest, ContendedRunProducesMatchedSpans) {
     EXPECT_LE(events[i - 1].ts_ns, events[i].ts_ns) << "not ts-sorted";
   }
 
-  const auto summaries = SummarizeTrace(events);
-  ASSERT_EQ(summaries.size(), 1u);
-  const TraceLockSummary& s = summaries[0];
-  EXPECT_EQ(s.lock_id, id);
-  EXPECT_EQ(s.acquisitions, 5u);
-  EXPECT_EQ(s.releases, 5u);
-  EXPECT_GE(s.contentions, 1u);
-  EXPECT_EQ(s.matched_waits, 5u);
-  EXPECT_EQ(s.matched_holds, 5u);
-  EXPECT_EQ(s.unmatched_events, 0u);
-  // The contended waiter's wait dominates: it slept behind a ~5ms hold.
-  EXPECT_GE(s.max_wait_ns, 1'000'000u);
+  std::size_t acquired = 0;
+  std::size_t released = 0;
+  std::size_t contended_events = 0;
+  for (const TraceEvent& event : events) {
+    EXPECT_EQ(event.lock_id, id);
+    acquired += event.kind == TraceEventKind::kAcquired ? 1 : 0;
+    released += event.kind == TraceEventKind::kRelease ? 1 : 0;
+    contended_events += event.kind == TraceEventKind::kContended ? 1 : 0;
+  }
+  EXPECT_EQ(acquired, 5u);
+  EXPECT_EQ(released, 5u);
+  EXPECT_GE(contended_events, 1u);
 
   const std::string json = concord.TraceChromeJson();
   auto parsed = ParseJson(json);
   ASSERT_TRUE(parsed.ok()) << json.substr(0, 200);
   std::size_t waits = 0;
   std::size_t holds = 0;
+  double max_wait_us = 0;
   for (const JsonValue& event : parsed->Find("traceEvents")->array) {
     const JsonValue* cat = event.Find("cat");
     if (cat == nullptr) {
@@ -250,11 +165,81 @@ TEST_F(TraceExportE2ETest, ContendedRunProducesMatchedSpans) {
                 cat->string_value == "wait" ? "hot wait" : "hot hold");
       waits += cat->string_value == "wait" ? 1 : 0;
       holds += cat->string_value == "hold" ? 1 : 0;
+      if (cat->string_value == "wait") {
+        max_wait_us = std::max(max_wait_us, event.Find("dur")->number_value);
+      }
     }
   }
   EXPECT_EQ(waits, 5u);
   EXPECT_EQ(holds, 5u);
-#endif
+  // The contended waiter's wait dominates: it slept behind a ~5ms hold.
+  EXPECT_GE(max_wait_us, 1'000.0);
+}
+
+// ShflLock's release tap records `release`, and it fires before the wake of
+// a parked waiter, so a blocking handover reads release, then wake.
+TEST_F(TraceExportE2ETest, BlockingReleaseRecordsReleaseBeforeWake) {
+  Concord& concord = Concord::Global();
+  lock_.SetBlocking(true);
+  const std::uint64_t id = concord.RegisterShflLock(lock_, "blocking", "e2e");
+  ASSERT_TRUE(concord.EnableTracing(id).ok());
+  lock_.Lock();
+  std::thread waiter([&] {
+    lock_.Lock();
+    lock_.Unlock();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (lock_.parks() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  lock_.Unlock();
+  waiter.join();
+  ASSERT_GE(lock_.parks(), 1u);
+
+  std::vector<TraceEventKind> holder;
+  const std::uint32_t holder_tid = concord.TraceEvents().front().tid;
+  for (const TraceEvent& event : concord.TraceEvents()) {
+    if (event.tid == holder_tid) {
+      holder.push_back(event.kind);
+    }
+  }
+  EXPECT_EQ(holder, (std::vector<TraceEventKind>{
+                        TraceEventKind::kAcquire, TraceEventKind::kAcquired,
+                        TraceEventKind::kRelease, TraceEventKind::kWake}));
+}
+
+// The readers-writer family records its lock events through the same
+// HookSite taps as ShflLock: a traced BravoLock's read pair and write pair
+// each record acquire, acquired and release under the lock's id, and the
+// pairs taken while it is not traced record nothing.
+TEST_F(TraceExportE2ETest, BravoLockRecordsReadAndWritePairs) {
+  Concord& concord = Concord::Global();
+  BravoLock<NeutralRwLock> rw;
+  const std::uint64_t id = concord.RegisterRwLock(rw, "rw", "e2e");
+  rw.ReadLock();
+  rw.ReadUnlock();
+  ASSERT_TRUE(concord.EnableTracing(id).ok());
+  rw.ReadLock();
+  rw.ReadUnlock();
+  rw.WriteLock();
+  rw.WriteUnlock();
+  ASSERT_TRUE(concord.DisableTracing(id).ok());
+  rw.WriteLock();
+  rw.WriteUnlock();
+
+  std::vector<TraceEventKind> kinds;
+  for (const TraceEvent& event : concord.TraceEvents()) {
+    EXPECT_EQ(event.lock_id, id);
+    kinds.push_back(event.kind);
+  }
+  const std::vector<TraceEventKind> pair = {TraceEventKind::kAcquire,
+                                            TraceEventKind::kAcquired,
+                                            TraceEventKind::kRelease};
+  std::vector<TraceEventKind> expected = pair;
+  expected.insert(expected.end(), pair.begin(), pair.end());
+  EXPECT_EQ(kinds, expected);
+  ASSERT_TRUE(concord.Unregister(id).ok());
 }
 
 TEST(MapDumpJsonTest, PerCpuArrayGroupsLanesPerKey) {

@@ -239,8 +239,10 @@ TEST_F(AgentChaosTest, TruncatedSegmentIsEvictedImmediately) {
 TEST_F(AgentChaosTest, FleetCanaryPromotesOnImprovedWaits) {
   StartWorker();
   ASSERT_TRUE(FleetAgent::Global()
-                  .AddCandidate({"test_backoff", ContentionRegime::kPathological,
-                                 kBackoffPolicy})
+                  .registry()
+                  .RegisterSource("test_backoff",
+                                  ContentionRegime::kPathological,
+                                  kBackoffPolicy)
                   .ok());
 
   // Baseline read, then one pathological window: classify, set baseline,
@@ -265,13 +267,45 @@ TEST_F(AgentChaosTest, FleetCanaryPromotesOnImprovedWaits) {
   EXPECT_EQ(Concord::Global().AttachedPolicyName(lock_id_), "test_backoff");
 }
 
+// The fleet pushes a candidate's source, and a built-in has none: when the
+// fleet's registry chooses one, the push fails before any worker sees it.
+// The engine reports `error` and backs the candidate off, and the worker
+// stays on the incumbent and in the fleet.
+TEST_F(AgentChaosTest, CandidateWithoutSourceIsAnErrorAndKeepsTheIncumbent) {
+  StartWorker();
+  // Built-ins only: shuffle_fairness_guard is the pathological choice.
+  FleetAgent::Global().registry().SeedBuiltins();
+
+  FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
+  FleetAgent::Global().Tick();  // baseline segment read
+  FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
+  const auto events = FleetAgent::Global().Tick();
+  std::string detail;
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kError, &detail))
+      << FleetAgent::Global().StatusJson();
+  EXPECT_NE(detail.find("no source"), std::string::npos) << detail;
+  EXPECT_FALSE(HasEvent(events, AutotuneEventKind::kCanaryStart));
+  EXPECT_FALSE(HasEvent(events, AutotuneEventKind::kWorkerEvict));
+  EXPECT_EQ(FleetAgent::Global().WorkerCount(), 1u);
+  EXPECT_TRUE(Concord::Global().AttachedPolicyName(lock_id_).empty());
+  EXPECT_NE(FleetAgent::Global().StatusJson().find("\"incumbent\":\"plain\""),
+            std::string::npos);
+
+  // Backed off: the next window chooses plain, the incumbent, and changes
+  // nothing.
+  FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
+  EXPECT_TRUE(FleetAgent::Global().Tick().empty());
+}
+
 // Worse canary waits roll the fleet back: the candidate is detached from the
 // worker and backed off from immediate retry.
 TEST_F(AgentChaosTest, FleetCanaryRollsBackOnRegression) {
   StartWorker();
   ASSERT_TRUE(FleetAgent::Global()
-                  .AddCandidate({"test_backoff", ContentionRegime::kPathological,
-                                 kBackoffPolicy})
+                  .registry()
+                  .RegisterSource("test_backoff",
+                                  ContentionRegime::kPathological,
+                                  kBackoffPolicy)
                   .ok());
 
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
@@ -354,8 +388,10 @@ TEST_F(AgentChaosTest, PersistentShmMapFaultEvicts) {
 TEST_F(AgentChaosTest, MergeFaultLosesDecisionsNeverConsistency) {
   StartWorker();
   ASSERT_TRUE(FleetAgent::Global()
-                  .AddCandidate({"test_backoff", ContentionRegime::kPathological,
-                                 kBackoffPolicy})
+                  .registry()
+                  .RegisterSource("test_backoff",
+                                  ContentionRegime::kPathological,
+                                  kBackoffPolicy)
                   .ok());
   FeedPathologicalWindow(/*wait_each_ns=*/1'000'000);
   FleetAgent::Global().Tick();  // baseline

@@ -92,9 +92,10 @@ class MultiprocTest : public ::testing::Test {
     config.canary.failed_candidate_backoff_windows = 1'000;
     ASSERT_TRUE(FleetAgent::Global().Configure(config).ok());
     ASSERT_TRUE(FleetAgent::Global()
-                    .AddCandidate({kCandidateName,
-                                   ContentionRegime::kPathological,
-                                   kBackoffPolicy})
+                    .registry()
+                    .RegisterSource(kCandidateName,
+                                    ContentionRegime::kPathological,
+                                    kBackoffPolicy)
                     .ok());
 
     RpcServerOptions server_options;

@@ -87,7 +87,7 @@ int Run(const Options& opts) {
                  configured.ToString().c_str());
     return 1;
   }
-  if (!opts.policy_dir.empty() && agent.CandidateNames().empty()) {
+  if (!opts.policy_dir.empty() && agent.registry().Empty()) {
     std::fprintf(stderr,
                  "concord_agent: warning: no admissible .casm candidates "
                  "under %s — the fleet can only run plain\n",

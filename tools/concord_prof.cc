@@ -2,11 +2,13 @@
 //
 // The repo is a userspace reproduction, so there is no foreign process to
 // attach to; the tool drives a contended demo workload (N ShflLocks, skewed
-// so lock 0 is hot) through the Concord facade with profiling and the flight
-// recorder enabled, then renders what the observability layer saw:
+// so lock 0 is hot) through the Concord facade with profiling enabled (and
+// the flight recorder, in trace mode), then renders what the observability
+// layer saw:
 //
 //   concord_prof top    [--locks N] [--threads N] [--ms N]
-//       top-style most-contended-locks table (sorted by total wait time)
+//       top-style most-contended-locks table from the profiler's snapshots
+//       (sorted by total wait time)
 //   concord_prof trace  [--locks N] [--threads N] [--ms N] [--out FILE]
 //       record and write a Chrome trace-event file (load in Perfetto or
 //       chrome://tracing); defaults to concord_trace.json
@@ -33,6 +35,7 @@
 // fleet agent can observe it and push policies back through --serve. --agent
 // requires both --shm and --serve.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -49,7 +52,6 @@
 #include "src/concord/concord.h"
 #include "src/concord/rpc/client.h"
 #include "src/concord/rpc/server.h"
-#include "src/concord/trace_export.h"
 #include "src/sync/shfllock.h"
 #include "src/topology/thread_context.h"
 #include "src/topology/topology.h"
@@ -154,6 +156,11 @@ int RunStatusClient(const Options& opts) {
   return 0;
 }
 
+// Lock 0 is the hot one.
+std::string DemoLockName(int index) {
+  return index == 0 ? "hot" : "cold" + std::to_string(index);
+}
+
 // Runs the demo workload: every thread loops over the locks with a skew that
 // makes lock 0 by far the hottest, holding each lock briefly.
 void RunWorkload(std::vector<ShflLock>& locks, const Options& opts) {
@@ -217,19 +224,19 @@ int Run(const Options& opts) {
   std::vector<ShflLock> locks(static_cast<std::size_t>(opts.locks));
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < opts.locks; ++i) {
-    const std::string name = i == 0 ? "hot" : "cold" + std::to_string(i);
-    const std::uint64_t id =
-        concord.RegisterShflLock(locks[static_cast<std::size_t>(i)], name,
-                                 "demo");
+    const std::uint64_t id = concord.RegisterShflLock(
+        locks[static_cast<std::size_t>(i)], DemoLockName(i), "demo");
     if (!concord.EnableProfiling(id).ok()) {
       std::fprintf(stderr, "EnableProfiling(%llu) failed\n",
                    static_cast<unsigned long long>(id));
       return 1;
     }
-    const Status traced = concord.EnableTracing(id);
-    if (!traced.ok() && opts.mode != "stats" && opts.mode != "autotune") {
-      std::fprintf(stderr, "EnableTracing: %s\n", traced.ToString().c_str());
-      return 1;
+    if (opts.mode == "trace") {
+      const Status traced = concord.EnableTracing(id);
+      if (!traced.ok()) {
+        std::fprintf(stderr, "EnableTracing: %s\n", traced.ToString().c_str());
+        return 1;
+      }
     }
     ids.push_back(id);
   }
@@ -278,30 +285,46 @@ int Run(const Options& opts) {
 
   int rc = 0;
   if (opts.mode == "top") {
-    const auto events = concord.TraceEvents();
-    const auto summaries = SummarizeTrace(events);
+    // Counts are exact. Wait and hold come from the sampled histograms, so a
+    // total scales by timed_one_in; a max is a sampled acquisition's.
+    struct Row {
+      int index = 0;
+      LockProfileSnapshot snapshot;
+      std::uint64_t wait_total_ns = 0;
+    };
+    std::vector<Row> rows;
+    for (int i = 0; i < opts.locks; ++i) {
+      const ShardedLockProfileStats* stats =
+          concord.Stats(ids[static_cast<std::size_t>(i)]);
+      if (stats == nullptr) {
+        continue;
+      }
+      Row row{i, stats->Snapshot()};
+      row.wait_total_ns =
+          row.snapshot.wait_ns.Sum() * row.snapshot.timed_one_in;
+      rows.push_back(std::move(row));
+    }
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return a.wait_total_ns > b.wait_total_ns;
+    });
     std::printf("%-10s %-8s %10s %10s %12s %12s %12s %8s\n", "lock", "id",
                 "acquires", "contended", "wait_total", "wait_max", "hold_total",
                 "parks");
-    for (const TraceLockSummary& s : summaries) {
-      std::string name = "lock" + std::to_string(s.lock_id);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (ids[i] == s.lock_id) {
-          name = i == 0 ? "hot" : "cold" + std::to_string(i);
-        }
-      }
+    for (const Row& row : rows) {
+      const LockProfileSnapshot& s = row.snapshot;
       std::printf("%-10s %-8llu %10llu %10llu %10lluus %10lluus %10lluus %8llu\n",
-                  name.c_str(), static_cast<unsigned long long>(s.lock_id),
+                  DemoLockName(row.index).c_str(),
+                  static_cast<unsigned long long>(
+                      ids[static_cast<std::size_t>(row.index)]),
                   static_cast<unsigned long long>(s.acquisitions),
                   static_cast<unsigned long long>(s.contentions),
-                  static_cast<unsigned long long>(s.total_wait_ns / 1000),
-                  static_cast<unsigned long long>(s.max_wait_ns / 1000),
-                  static_cast<unsigned long long>(s.total_hold_ns / 1000),
-                  static_cast<unsigned long long>(s.parks));
+                  static_cast<unsigned long long>(row.wait_total_ns / 1000),
+                  static_cast<unsigned long long>(s.wait_ns.Max() / 1000),
+                  static_cast<unsigned long long>(
+                      s.hold_ns.Sum() * s.timed_one_in / 1000),
+                  static_cast<unsigned long long>(
+                      locks[static_cast<std::size_t>(row.index)].parks()));
     }
-    std::printf("(%zu events in ring snapshot; profiler view below)\n\n",
-                events.size());
-    std::printf("%s", concord.ProfileReport("*").c_str());
   } else if (opts.mode == "trace") {
     const std::string json = concord.TraceChromeJson();
     std::FILE* file = std::fopen(opts.out.c_str(), "w");
