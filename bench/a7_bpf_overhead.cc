@@ -4,7 +4,8 @@
 // end-to-end uncontended lock/unlock with nothing / native hooks /
 // interpreted BPF hooks / JIT'd BPF hooks attached, the uncontended
 // BravoLock read pair with nothing / a native rw_mode / a JIT'd rw_mode
-// policy attached, and read pairs on one BravoLock from 1-3 threads at once.
+// policy attached, cached or not, and read pairs on one BravoLock from 1-3
+// threads at once.
 //
 // Every BM_Bpf* case has a BM_Jit* counterpart running the same program as
 // native code; the ratio between the pair is the JIT speedup the ISSUE's
@@ -20,6 +21,7 @@
 #include "src/concord/policies.h"
 #include "src/sync/bravo.h"
 #include "src/sync/shfllock.h"
+#include "src/topology/topology.h"
 
 namespace concord {
 namespace {
@@ -185,7 +187,7 @@ void BM_UncontendedReadPair_NativeRwMode(benchmark::State& state) {
 }
 BENCHMARK(BM_UncontendedReadPair_NativeRwMode);
 
-void BM_UncontendedReadPair_JitRwModePolicy(benchmark::State& state) {
+void UncontendedReadPairJitPolicy(benchmark::State& state, PolicySpec spec) {
   ScopedJitMode mode(true);
   if (!Jit::Supported()) {
     state.SkipWithError("no JIT backend on this platform/build");
@@ -194,16 +196,37 @@ void BM_UncontendedReadPair_JitRwModePolicy(benchmark::State& state) {
   static BravoLock<NeutralRwLock> lock;
   Concord& concord = Concord::Global();
   const std::uint64_t id = concord.RegisterRwLock(lock, "a7_rw_lock", "bench");
-  auto policy = MakeRwSwitchPolicy(RwMode::kNeutral);
-  CONCORD_CHECK(policy.ok());
-  CONCORD_CHECK(concord.Attach(id, std::move(policy->spec)).ok());
+  CONCORD_CHECK(concord.Attach(id, std::move(spec)).ok());
   for (auto _ : state) {
     lock.ReadLock();
     lock.ReadUnlock();
   }
   CONCORD_CHECK(concord.Unregister(id).ok());
 }
+
+// rw_switch's lookup is map-pure, so the lock reuses its answer until the
+// decision epoch moves: a read runs no program and enters no RCU section.
+void BM_UncontendedReadPair_JitRwModePolicy(benchmark::State& state) {
+  auto policy = MakeRwSwitchPolicy(RwMode::kNeutral);
+  CONCORD_CHECK(policy.ok());
+  UncontendedReadPairJitPolicy(state, std::move(policy->spec));
+}
 BENCHMARK(BM_UncontendedReadPair_JitRwModePolicy);
+
+// The same program against a per-CPU array knob, which is not map-pure, so
+// every read runs it: the cost of the uncached decision.
+void BM_UncontendedReadPair_JitRwModeUncached(benchmark::State& state) {
+  auto policy = MakeRwSwitchPolicy(RwMode::kNeutral);
+  CONCORD_CHECK(policy.ok());
+  auto knob = std::make_shared<PerCpuArrayMap>(
+      "rw_mode", sizeof(std::uint64_t), 1,
+      MachineTopology::Global().total_cpus());  // zeroed: neutral
+  policy->spec.ChainFor(HookKind::kRwMode).programs.front().maps = {
+      knob.get()};
+  policy->spec.maps = {knob};
+  UncontendedReadPairJitPolicy(state, std::move(policy->spec));
+}
+BENCHMARK(BM_UncontendedReadPair_JitRwModeUncached);
 
 // Read pairs on one BravoLock from 1, 2 and 3 threads at once (never more),
 // with no hooks. Each read counts in the line of its thread's

@@ -9,7 +9,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <iterator>
+#include <map>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench/common.h"
@@ -18,6 +22,15 @@
 #include "src/sync/bravo.h"
 
 namespace concord {
+
+// The five-phase cycle runs kReps times, each with fresh reader threads. A
+// run's task ids decide which readers share a visible-readers slot line, and
+// three spinning readers hand NeutralRwLock's write lock over unevenly, so a
+// single run's phases are bimodal. Each phase reports the median [min-max] of
+// its repetitions for reads/msec and for its fast and slow reads.
+constexpr int kReps = 5;
+constexpr std::uint64_t kPhaseMs = 40;
+
 namespace {
 
 void RunRwSwitchExperiment() {
@@ -29,24 +42,6 @@ void RunRwSwitchExperiment() {
   auto knobs = policy->knobs;
   CONCORD_CHECK(concord.Attach(id, std::move(policy->spec)).ok());
 
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (int i = 0; i < 64; ++i) {
-          lock.ReadLock();
-          lock.ReadUnlock();
-        }
-        reads.fetch_add(64, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::printf("\n=== A9.1: live rw-mode switching [3 reader threads] ===\n");
-  std::printf("%14s %14s %14s %14s\n", "phase", "reads/msec", "fast reads",
-              "slow reads");
   struct Phase {
     const char* name;
     RwMode mode;
@@ -56,36 +51,71 @@ void RunRwSwitchExperiment() {
                           {"neutral", RwMode::kNeutral},
                           {"reader-bias", RwMode::kReaderBias},
                           {"writer-only", RwMode::kWriterOnly}};
-  int phase_index = 0;
-  for (const Phase& phase : phases) {
-    CONCORD_CHECK(
-        knobs->UpdateTyped(std::uint32_t{0},
-                           static_cast<std::uint64_t>(phase.mode))
-            .ok());
-    const std::uint64_t reads_before = reads.load();
-    const std::uint64_t fast_before = lock.fast_reads();
-    const std::uint64_t slow_before = lock.slow_reads();
-    bench::SleepMs(200);
-    const double rate =
-        static_cast<double>(reads.load() - reads_before) / 200.0;
-    const std::uint64_t fast = lock.fast_reads() - fast_before;
-    const std::uint64_t slow = lock.slow_reads() - slow_before;
-    std::printf("%14s %14.1f %14llu %14llu\n", phase.name, rate,
-                static_cast<unsigned long long>(fast),
-                static_cast<unsigned long long>(slow));
-    const std::map<std::string, std::string> labels = {
-        {"phase", std::to_string(phase_index)}, {"mode", phase.name}};
-    bench::ReportMetric("rw_switch_reads", "reads_per_msec", rate, labels);
-    bench::ReportMetric("rw_switch_fast_reads", "reads",
-                        static_cast<double>(fast), labels);
-    bench::ReportMetric("rw_switch_slow_reads", "reads",
-                        static_cast<double>(slow), labels);
-    ++phase_index;
+  constexpr std::size_t kPhases = std::size(phases);
+  // Per phase, one value per repetition.
+  std::vector<double> rates[kPhases];
+  std::vector<double> fast_reads[kPhases];
+  std::vector<double> slow_reads[kPhases];
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> reads{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t) {
+      readers.emplace_back([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          for (int i = 0; i < 64; ++i) {
+            lock.ReadLock();
+            lock.ReadUnlock();
+          }
+          reads.fetch_add(64, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::size_t p = 0; p < kPhases; ++p) {
+      CONCORD_CHECK(
+          knobs->UpdateTyped(std::uint32_t{0},
+                             static_cast<std::uint64_t>(phases[p].mode))
+              .ok());
+      const std::uint64_t reads_before = reads.load();
+      const std::uint64_t fast_before = lock.fast_reads();
+      const std::uint64_t slow_before = lock.slow_reads();
+      bench::SleepMs(kPhaseMs);
+      rates[p].push_back(static_cast<double>(reads.load() - reads_before) /
+                         static_cast<double>(kPhaseMs));
+      fast_reads[p].push_back(
+          static_cast<double>(lock.fast_reads() - fast_before));
+      slow_reads[p].push_back(
+          static_cast<double>(lock.slow_reads() - slow_before));
+    }
+    stop.store(true);
+    for (auto& reader : readers) {
+      reader.join();
+    }
   }
 
-  stop.store(true);
-  for (auto& reader : readers) {
-    reader.join();
+  std::printf(
+      "\n=== A9.1: live rw-mode switching [3 reader threads], median "
+      "[min-max] of %d x %llu ms ===\n",
+      kReps, static_cast<unsigned long long>(kPhaseMs));
+  std::printf("%14s %22s %26s %26s\n", "phase", "reads/msec", "fast reads",
+              "slow reads");
+  for (std::size_t p = 0; p < kPhases; ++p) {
+    const std::map<std::string, std::string> labels = {
+        {"phase", std::to_string(p)}, {"mode", phases[p].name}};
+    std::printf("%14s", phases[p].name);
+    for (const auto& [name, unit, runs] :
+         {std::tuple<const char*, const char*, const std::vector<double>*>{
+              "rw_switch_reads", "reads_per_msec", &rates[p]},
+          {"rw_switch_fast_reads", "reads", &fast_reads[p]},
+          {"rw_switch_slow_reads", "reads", &slow_reads[p]}}) {
+      const bench::Spread spread = bench::SpreadOf(*runs);
+      char text[64];
+      std::snprintf(text, sizeof(text), "%.0f [%.0f-%.0f]", spread.median,
+                    spread.min, spread.max);
+      std::printf(" %*s", runs == &rates[p] ? 22 : 26, text);
+      bench::ReportSpread(name, unit, spread, labels);
+    }
+    std::printf("\n");
   }
   CONCORD_CHECK(concord.Unregister(id).ok());
 }
@@ -185,7 +215,9 @@ void RunAttachChurnExperiment() {
 int main() {
   concord::bench::ReportInit("a9_lock_switching");
   concord::bench::ReportConfig("reader_threads", 3.0);
-  concord::bench::ReportConfig("phase_ms", 200.0);
+  concord::bench::ReportConfig("phase_ms",
+                                static_cast<double>(concord::kPhaseMs));
+  concord::bench::ReportConfig("repetitions", concord::kReps);
   concord::RunRwSwitchExperiment();
   concord::RunAttachChurnExperiment();
   concord::bench::ReportWrite();

@@ -11,6 +11,7 @@
 #ifndef BENCH_COMMON_H_
 #define BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <ctime>
@@ -71,6 +72,33 @@ inline void PrintRow(std::uint32_t threads, const std::vector<double>& values) {
         i < table.cols.size() ? table.cols[i] : "col" + std::to_string(i);
     ReportMetric(col, table.unit, values[i],
                  {{"table", table.title}, {"threads", std::to_string(threads)}});
+  }
+}
+
+// One cell's repetitions: median, min and max.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+inline Spread SpreadOf(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return {runs[runs.size() / 2], runs.front(), runs.back()};
+}
+
+// Reports the median under `name`, and the min and max under the same name
+// with a "stat" label.
+inline void ReportSpread(const std::string& name, const std::string& unit,
+                         const Spread& spread,
+                         const std::map<std::string, std::string>& labels) {
+  ReportMetric(name, unit, spread.median, labels);
+  for (const auto& [stat, value] :
+       {std::pair<const char*, double>{"min", spread.min},
+        {"max", spread.max}}) {
+    auto stat_labels = labels;
+    stat_labels["stat"] = stat;
+    ReportMetric(name, unit, value, stat_labels);
   }
 }
 

@@ -80,44 +80,26 @@ double RunRealWorkload(AS& aspace, std::uint32_t threads, std::uint64_t ms) {
   return static_cast<double>(ops.load()) / static_cast<double>(ms);
 }
 
-// One real cell's repetitions: median, min and max.
-struct Spread {
-  double median = 0;
-  double min = 0;
-  double max = 0;
-};
-
-Spread SpreadOf(std::vector<double> runs) {
-  std::sort(runs.begin(), runs.end());
-  return {runs[runs.size() / 2], runs.front(), runs.back()};
-}
-
 constexpr char kRealTable[] =
     "Fig 2(a) page_fault2 [real threads on host, faults/msec]";
 
 // Prints "median [min-max]" per cell and reports the median under the
 // column's name, the min and max under the same name with a "stat" label.
-void PrintSpreadRow(std::uint32_t threads, const std::vector<Spread>& cells,
+void PrintSpreadRow(std::uint32_t threads,
+                    const std::vector<bench::Spread>& cells,
                     const std::vector<std::string>& cols) {
   std::printf("%8u", threads);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Spread& cell = cells[i];
+    const bench::Spread& cell = cells[i];
     const bool ratio = cols[i] == "Concord/BRAVO";
     char text[64];
     std::snprintf(text, sizeof(text),
                   ratio ? "%.2f [%.2f-%.2f]" : "%.0f [%.0f-%.0f]",
                   cell.median, cell.min, cell.max);
     std::printf(" %22s", text);
-    const char* unit = ratio ? "ratio" : "ops_per_msec";
-    const std::map<std::string, std::string> labels = {
-        {"table", kRealTable}, {"threads", std::to_string(threads)}};
-    bench::ReportMetric(cols[i], unit, cell.median, labels);
-    for (const auto& [stat, value] :
-         {std::pair<const char*, double>{"min", cell.min}, {"max", cell.max}}) {
-      auto stat_labels = labels;
-      stat_labels["stat"] = stat;
-      bench::ReportMetric(cols[i], unit, value, stat_labels);
-    }
+    bench::ReportSpread(cols[i], ratio ? "ratio" : "ops_per_msec", cell,
+                        {{"table", kRealTable},
+                         {"threads", std::to_string(threads)}});
   }
   std::printf("\n");
 }
@@ -160,9 +142,9 @@ void RunRealPart() {
 
       runs[3].push_back(runs[2].back() / runs[1].back());
     }
-    std::vector<Spread> cells;
+    std::vector<bench::Spread> cells;
     for (const std::vector<double>& cell : runs) {
-      cells.push_back(SpreadOf(cell));
+      cells.push_back(bench::SpreadOf(cell));
     }
     PrintSpreadRow(threads, cells, cols);
   }

@@ -114,7 +114,8 @@ std::uint64_t HelperMapUpdateElem(std::uint64_t map_index, std::uint64_t key_ptr
     return static_cast<std::uint64_t>(-1);
   }
   // Program-side update: per-CPU maps write only the calling CPU's slot
-  // (kernel BPF contract); single-instance maps fall through to Update.
+  // (kernel BPF contract). Neither program-side path bumps the decision
+  // epoch (src/bpf/maps.h).
   Status status = map->UpdateThisCpu(reinterpret_cast<const void*>(key_ptr),
                                      reinterpret_cast<const void*>(value_ptr));
   return status.ok() ? 0 : static_cast<std::uint64_t>(-1);
@@ -130,7 +131,8 @@ std::uint64_t HelperMapDeleteElem(std::uint64_t map_index, std::uint64_t key_ptr
   if (map == nullptr) {
     return static_cast<std::uint64_t>(-1);
   }
-  Status status = map->Delete(reinterpret_cast<const void*>(key_ptr));
+  Status status =
+      map->DeleteFromProgram(reinterpret_cast<const void*>(key_ptr));
   return status.ok() ? 0 : static_cast<std::uint64_t>(-1);
 }
 

@@ -102,7 +102,7 @@ void* ArrayMap::Lookup(const void* key) {
   return storage_.data() + static_cast<std::size_t>(index) * value_size_;
 }
 
-Status ArrayMap::Update(const void* key, const void* value) {
+Status ArrayMap::DoUpdate(const void* key, const void* value) {
   void* slot = Lookup(key);
   if (slot == nullptr) {
     return InvalidArgumentError("array map index out of range");
@@ -111,7 +111,7 @@ Status ArrayMap::Update(const void* key, const void* value) {
   return Status::Ok();
 }
 
-Status ArrayMap::Delete(const void* key) {
+Status ArrayMap::DoDelete(const void* key) {
   void* slot = Lookup(key);
   if (slot == nullptr) {
     return InvalidArgumentError("array map index out of range");
@@ -151,7 +151,7 @@ void* PerCpuArrayMap::Lookup(const void* key) {
   return SlotAt(cpu, index);
 }
 
-Status PerCpuArrayMap::Update(const void* key, const void* value) {
+Status PerCpuArrayMap::DoUpdate(const void* key, const void* value) {
   std::uint32_t index;
   std::memcpy(&index, key, sizeof(index));
   if (index >= max_entries_) {
@@ -173,7 +173,7 @@ Status PerCpuArrayMap::UpdateThisCpu(const void* key, const void* value) {
   return Status::Ok();
 }
 
-Status PerCpuArrayMap::Delete(const void* key) {
+Status PerCpuArrayMap::DoDelete(const void* key) {
   std::uint32_t index;
   std::memcpy(&index, key, sizeof(index));
   if (index >= max_entries_) {
@@ -342,7 +342,7 @@ void* HashMap::Lookup(const void* key) {
   return entry == nullptr ? nullptr : ValueOf(entry);
 }
 
-Status HashMap::Update(const void* key, const void* value) {
+Status HashMap::DoUpdate(const void* key, const void* value) {
   const std::uint64_t hash = HashKey(key);
   Lock();
   Entry* entry = FindLocked(key, hash);
@@ -358,7 +358,7 @@ Status HashMap::Update(const void* key, const void* value) {
   return Status::Ok();
 }
 
-Status HashMap::Delete(const void* key) {
+Status HashMap::DoDelete(const void* key) {
   const std::uint64_t hash = HashKey(key);
   Lock();
   Entry** link = &buckets_[hash & (num_buckets_ - 1)];
@@ -411,7 +411,7 @@ void* PerCpuHashMap::Lookup(const void* key) {
   return entry == nullptr ? nullptr : ValueOf(entry, ThisCpu());
 }
 
-Status PerCpuHashMap::Update(const void* key, const void* value) {
+Status PerCpuHashMap::DoUpdate(const void* key, const void* value) {
   const std::uint64_t hash = HashKey(key);
   Lock();
   Entry* entry = FindLocked(key, hash);
@@ -446,7 +446,7 @@ Status PerCpuHashMap::UpdateThisCpu(const void* key, const void* value) {
   return Status::Ok();
 }
 
-Status PerCpuHashMap::Delete(const void* key) {
+Status PerCpuHashMap::DoDelete(const void* key) {
   const std::uint64_t hash = HashKey(key);
   Lock();
   Entry** link = &buckets_[hash & (num_buckets_ - 1)];

@@ -26,6 +26,15 @@
 // (AggregateU64 / DumpAllCpus) uses relaxed 64-bit atomic loads and the
 // write side uses matching atomic stores, so cross-CPU sums are never torn
 // even while policies are counting.
+//
+// Publish contract: a control-plane Update() or Delete() bumps the decision
+// epoch (src/base/decision_epoch.h) once the map holds the new value, so a
+// lock that reuses a map-pure decision sees the write on its next read. The
+// program-side paths (UpdateThisCpu, DeleteFromProgram) do not bump; instead
+// a map referenced by a verified map-writing program is marked
+// program-writable for good, and no decision reading it is reused. A C++
+// write through a pointer from Lookup() or SlotAt() is neither: it bumps
+// nothing, so it is not a publish.
 
 #ifndef SRC_BPF_MAPS_H_
 #define SRC_BPF_MAPS_H_
@@ -39,6 +48,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/base/decision_epoch.h"
 #include "src/base/status.h"
 
 namespace concord {
@@ -89,17 +99,42 @@ class BpfMap {
   virtual void* Lookup(const void* key) = 0;
 
   // Inserts or overwrites. Control-plane semantics: per-CPU maps write the
-  // value into every CPU's slot (kernel BPF userspace-update contract).
-  virtual Status Update(const void* key, const void* value) = 0;
-
-  // Program-side insert/overwrite: per-CPU maps write only the calling
-  // CPU's slot. Single-instance maps behave exactly like Update. This is
-  // what the map_update_elem helper calls.
-  virtual Status UpdateThisCpu(const void* key, const void* value) {
-    return Update(key, value);
+  // value into every CPU's slot (kernel BPF userspace-update contract). Then
+  // bumps the decision epoch.
+  Status Update(const void* key, const void* value) {
+    const Status status = DoUpdate(key, value);
+    BumpDecisionEpoch();
+    return status;
   }
 
-  virtual Status Delete(const void* key) = 0;
+  // Program-side insert/overwrite: per-CPU maps write only the calling
+  // CPU's slot. Single-instance maps write as Update does, but no path here
+  // bumps the epoch. This is what the map_update_elem helper calls.
+  virtual Status UpdateThisCpu(const void* key, const void* value) {
+    return DoUpdate(key, value);
+  }
+
+  // Control-plane delete; bumps the decision epoch as Update does.
+  Status Delete(const void* key) {
+    const Status status = DoDelete(key);
+    BumpDecisionEpoch();
+    return status;
+  }
+
+  // Program-side delete, without the bump. This is what the map_delete_elem
+  // helper calls.
+  Status DeleteFromProgram(const void* key) { return DoDelete(key); }
+
+  // Sticky: set, with an epoch bump, by the verifier before a program that
+  // writes a map it references can run (Program::writes_map). A decision
+  // that reads a program-writable map is never reused.
+  void MarkProgramWritable() {
+    program_writable_.store(true, std::memory_order_relaxed);
+    BumpDecisionEpoch();
+  }
+  bool program_writable() const {
+    return program_writable_.load(std::memory_order_relaxed);
+  }
 
   // Approximate number of live entries (exact for array maps).
   virtual std::uint32_t Size() const = 0;
@@ -133,11 +168,19 @@ class BpfMap {
   }
 
  protected:
+  // The write itself, without the epoch bump: all CPUs' slots for per-CPU
+  // maps.
+  virtual Status DoUpdate(const void* key, const void* value) = 0;
+  virtual Status DoDelete(const void* key) = 0;
+
   const MapType type_;
   const std::string name_;
   const std::uint32_t key_size_;
   const std::uint32_t value_size_;
   const std::uint32_t max_entries_;
+
+ private:
+  std::atomic<bool> program_writable_{false};
 };
 
 // Array map: key is u32 index; all slots always exist (zero-initialized).
@@ -146,13 +189,15 @@ class ArrayMap : public BpfMap {
   ArrayMap(std::string name, std::uint32_t value_size, std::uint32_t max_entries);
 
   void* Lookup(const void* key) override;
-  Status Update(const void* key, const void* value) override;
-  Status Delete(const void* key) override;  // zeroes the slot (kernel semantics)
   std::uint32_t Size() const override { return max_entries_; }
   void ForEach(const EntryVisitor& visit) override;
 
   // Direct slot access for userspace control code; index < max_entries.
   void* SlotAt(std::uint32_t index);
+
+ protected:
+  Status DoUpdate(const void* key, const void* value) override;
+  Status DoDelete(const void* key) override;  // zeroes the slot (kernel semantics)
 
  private:
   std::vector<std::uint8_t> storage_;
@@ -165,9 +210,7 @@ class PerCpuArrayMap : public BpfMap {
                  std::uint32_t max_entries, std::uint32_t num_cpus);
 
   void* Lookup(const void* key) override;
-  Status Update(const void* key, const void* value) override;      // all CPUs
   Status UpdateThisCpu(const void* key, const void* value) override;
-  Status Delete(const void* key) override;  // zeroes the slot on every CPU
   std::uint32_t Size() const override { return max_entries_; }
   // Visits every (key, cpu) pair: each index is visited num_cpus times.
   void ForEach(const EntryVisitor& visit) override;
@@ -190,6 +233,10 @@ class PerCpuArrayMap : public BpfMap {
   // The base pointer is stable for the map's lifetime.
   const std::uint8_t* slot_base() const { return storage_.data(); }
   std::uint32_t stride() const { return stride_; }
+
+ protected:
+  Status DoUpdate(const void* key, const void* value) override;  // all CPUs
+  Status DoDelete(const void* key) override;  // zeroes the slot on every CPU
 
  private:
   const std::uint32_t num_cpus_;
@@ -261,9 +308,11 @@ class HashMap : public HashMapBase {
           std::uint32_t max_entries);
 
   void* Lookup(const void* key) override;
-  Status Update(const void* key, const void* value) override;
-  Status Delete(const void* key) override;
   void ForEach(const EntryVisitor& visit) override;
+
+ protected:
+  Status DoUpdate(const void* key, const void* value) override;
+  Status DoDelete(const void* key) override;
 };
 
 // Per-CPU hash map: one value slot per vCPU per key. Lookup resolves to the
@@ -277,9 +326,7 @@ class PerCpuHashMap : public HashMapBase {
                 std::uint32_t num_cpus);
 
   void* Lookup(const void* key) override;
-  Status Update(const void* key, const void* value) override;      // all CPUs
   Status UpdateThisCpu(const void* key, const void* value) override;
-  Status Delete(const void* key) override;
   // Visits every (key, cpu) pair, like PerCpuArrayMap::ForEach.
   void ForEach(const EntryVisitor& visit) override;
 
@@ -292,6 +339,10 @@ class PerCpuHashMap : public HashMapBase {
   // Visits (cpu, value bytes) for `key` on every CPU; false when absent.
   using CpuVisitor = std::function<void(std::uint32_t cpu, const void* value)>;
   bool DumpAllCpus(const void* key, const CpuVisitor& visit);
+
+ protected:
+  Status DoUpdate(const void* key, const void* value) override;  // all CPUs
+  Status DoDelete(const void* key) override;
 
  private:
   std::uint32_t ThisCpu() const;

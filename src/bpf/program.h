@@ -45,6 +45,15 @@ struct Program {
   std::uint64_t ctx_fields_read = 0;
   bool calls_get_cs_ewma_ns = false;
 
+  // Filled in by the verifier, and meaningful once `verified`. writes_map:
+  // the program stores or atomically adds through a map-value pointer, or
+  // calls a helper with kCapMapWrite. map_pure: it writes no map and its only
+  // helper call is map_lookup_elem on single-instance maps (array or hash),
+  // so what it computes depends only on its context and map contents. A
+  // precompiled program is opaque and has neither fact.
+  bool writes_map = false;
+  bool map_pure = false;
+
   // Filled in by the verifier: for each pc holding a map_lookup_elem call,
   // the constant map index every verified path passes in R1, or
   // kPolymorphicMapSite when different paths disagree. kNoMapSite

@@ -71,6 +71,7 @@ class VerifierImpl {
   }
 
   std::uint32_t used_capabilities() const { return used_capabilities_; }
+  bool impure_call() const { return impure_call_; }
   std::vector<std::int32_t> TakeMapLookupSites() {
     return std::move(map_lookup_sites_);
   }
@@ -830,6 +831,7 @@ class VerifierImpl {
         RecordMapAccess(pc, base.map_index,
                         is_atomic ? Verifier::MapAccessSite::Kind::kAtomicAdd
                                   : Verifier::MapAccessSite::Kind::kStore);
+        program_.writes_map = true;
         return Status::Ok();
       }
       case RegType::kMapValueOrNull:
@@ -935,6 +937,15 @@ class VerifierImpl {
     if (static_cast<std::uint32_t>(insn.imm) == kHelperGetCsEwmaNs) {
       program_.calls_get_cs_ewma_ns = true;
     }
+    if ((helper->capabilities & kCapMapWrite) != 0) {
+      program_.writes_map = true;
+    }
+    // A lookup in a single-instance map answers alike on every thread; any
+    // other helper may not (time, task ids, a per-CPU slot).
+    if (static_cast<std::uint32_t>(insn.imm) != kHelperMapLookupElem ||
+        program_.maps[pending_map_index]->is_per_cpu()) {
+      impure_call_ = true;
+    }
 
     // Record the constant map index each lookup site resolves to; the JIT
     // inlines per-CPU array lookups only for sites where every verified path
@@ -957,9 +968,6 @@ class VerifierImpl {
           analysis_->helpers_called.end()) {
         analysis_->helpers_called.push_back(
             static_cast<std::uint32_t>(insn.imm));
-      }
-      if ((helper->capabilities & kCapMapWrite) != 0) {
-        analysis_->writes_map = true;
       }
       for (int r = 6; r <= 9; ++r) {
         if (state.regs[r].type == RegType::kPtrToCtx) {
@@ -1104,6 +1112,8 @@ class VerifierImpl {
   std::vector<bool> imm64_second_;
   LoopAnalysis loops_;
   std::uint32_t used_capabilities_ = 0;
+  // A helper call other than map_lookup_elem on a single-instance map.
+  bool impure_call_ = false;
 
   std::vector<ExploreNode> nodes_;
   int cur_node_ = 0;
@@ -1125,11 +1135,19 @@ Status Verifier::Verify(Program& program, const Options& options,
   program.used_capabilities = 0;
   program.ctx_fields_read = 0;
   program.calls_get_cs_ewma_ns = false;
+  program.writes_map = false;
+  program.map_pure = false;
   program.map_lookup_sites.clear();
   VerifierImpl impl(program, options, analysis);
   CONCORD_RETURN_IF_ERROR(impl.Run());
   program.used_capabilities = impl.used_capabilities();
+  program.map_pure = !program.writes_map && !impl.impure_call();
   program.map_lookup_sites = impl.TakeMapLookupSites();
+  if (program.writes_map) {
+    for (BpfMap* map : program.maps) {
+      map->MarkProgramWritable();
+    }
+  }
   program.verified = true;
   return Status::Ok();
 }

@@ -96,7 +96,6 @@ class Verifier {
 
     // Helper ids actually called (deduplicated, first-call order).
     std::vector<std::uint32_t> helpers_called;
-    bool writes_map = false;  // calls a helper with kCapMapWrite
     bool writes_ctx = false;  // stores through the context pointer
 
     // Call sites where a callee-saved register (r6-r9) held a context
@@ -111,10 +110,12 @@ class Verifier {
   };
 
   // On success marks program.verified = true, fills in
-  // program.used_capabilities, ctx_fields_read and calls_get_cs_ewma_ns and,
-  // if `analysis` is non-null, the proven facts above. On failure the
-  // program is left unverified and the status message pinpoints the
-  // offending instruction and the abstract path that reached it.
+  // program.used_capabilities, ctx_fields_read, calls_get_cs_ewma_ns,
+  // writes_map and map_pure and, if `analysis` is non-null, the proven facts
+  // above. A program that writes a map marks every map it references
+  // program-writable (BpfMap::MarkProgramWritable) before it can run. On
+  // failure the program is left unverified and the status message pinpoints
+  // the offending instruction and the abstract path that reached it.
   static Status Verify(Program& program, const Options& options,
                        Analysis* analysis);
   static Status Verify(Program& program, const Options& options) {

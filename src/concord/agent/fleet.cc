@@ -2,6 +2,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -259,10 +260,19 @@ Status FleetAgent::PushToFleetLocked(const CanaryEngine::Lock& lock,
                                      const std::string& name,
                                      std::uint64_t now_ns,
                                      std::vector<AutotuneEvent>& events) {
-  const auto push = [&](const std::string& policy) {
+  // Pushes `policy` to the workers whose pid is in `to` (every worker when
+  // null) and returns the first rejection and, in `took`, the pids that
+  // accepted.
+  const auto push = [&](const std::string& policy,
+                        const std::vector<std::uint64_t>* to,
+                        std::vector<std::uint64_t>* took) {
     std::vector<std::pair<std::uint64_t, std::string>> evictions;
     Status first_rejection = Status::Ok();
     for (auto& worker : workers_) {
+      if (to != nullptr &&
+          std::find(to->begin(), to->end(), worker->pid) == to->end()) {
+        continue;
+      }
       bool transport_failed = false;
       const Status status =
           PushToWorkerLocked(*worker, lock.name, policy, &transport_failed);
@@ -272,7 +282,11 @@ Status FleetAgent::PushToFleetLocked(const CanaryEngine::Lock& lock,
         // worker from blocking or rolling back the surviving fleet.
         evictions.emplace_back(worker->pid,
                                "policy push failed: " + status.message());
-      } else if (!status.ok() && first_rejection.ok()) {
+      } else if (status.ok()) {
+        if (took != nullptr) {
+          took->push_back(worker->pid);
+        }
+      } else if (first_rejection.ok()) {
         first_rejection = status;
       }
     }
@@ -281,9 +295,10 @@ Status FleetAgent::PushToFleetLocked(const CanaryEngine::Lock& lock,
     }
     return first_rejection;
   };
-  const Status status = push(name);
-  if (!status.ok() && name != lock.incumbent) {
-    (void)push(lock.incumbent);  // never leave the fleet split
+  std::vector<std::uint64_t> took;
+  const Status status = push(name, nullptr, &took);
+  if (!status.ok() && name != lock.incumbent && !took.empty()) {
+    (void)push(lock.incumbent, &took, nullptr);  // never leave the fleet split
   }
   return status;
 }

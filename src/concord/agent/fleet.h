@@ -150,8 +150,8 @@ class FleetAgent {
 
   // The engine's actuator: pushes candidate `name` ("plain" = detach) for
   // `lock` to every live worker, evicting workers whose socket fails. If a
-  // worker rejects a candidate, the incumbent is pushed back to every worker
-  // so the fleet never splits, and the rejection is returned.
+  // worker rejects a candidate, the incumbent is pushed back to the workers
+  // that took it, so the fleet never splits, and the rejection is returned.
   Status PushToFleetLocked(const CanaryEngine::Lock& lock,
                            const std::string& name, std::uint64_t now_ns,
                            std::vector<AutotuneEvent>& events);

@@ -70,12 +70,10 @@ class DispatchScope {
   }
 
   ~DispatchScope() {
-#if CONCORD_FAULT_INJECTION
-    if (FaultRegistry::ThreadFires() != fires_before_) {
+    if (Faulted()) {
       cp_->dispatch_faults.fetch_add(1, std::memory_order_relaxed);
       cp_->tripped.store(1, std::memory_order_release);
     }
-#endif
     if (budget_ == nullptr) {
       return;
     }
@@ -87,6 +85,16 @@ class DispatchScope {
 
   DispatchScope(const DispatchScope&) = delete;
   DispatchScope& operator=(const DispatchScope&) = delete;
+
+  // Whether a fault fired on this thread since the scope opened (never
+  // outside a fault-injection build).
+  bool Faulted() const {
+#if CONCORD_FAULT_INJECTION
+    return FaultRegistry::ThreadFires() != fires_before_;
+#else
+    return false;
+#endif
+  }
 
  private:
   CompiledPolicy* cp_;
@@ -139,8 +147,10 @@ Status CheckHookKinds(bool rw_lock, const std::string& lock_name,
 // dispatch call below.
 
 // Trace event, budget scope, then the chain. A tap chain runs every program
-// and ignores their results; a decision chain combines them.
-std::uint64_t Dispatch(CompiledPolicy* cp, HookKind kind, void* ctx) {
+// and ignores their results; a decision chain combines them. `faulted`, when
+// non-null, is set when a fault fired during the chain.
+std::uint64_t Dispatch(CompiledPolicy* cp, HookKind kind, void* ctx,
+                       bool* faulted = nullptr) {
   TraceDispatch(cp, kind);
   DispatchScope scope(cp, kind);
   const HookChain& chain = cp->spec->ChainFor(kind);
@@ -150,7 +160,24 @@ std::uint64_t Dispatch(CompiledPolicy* cp, HookKind kind, void* ctx) {
     }
     return 0;
   }
-  return RunDecisionChain(chain, ctx);
+  const std::uint64_t result = RunDecisionChain(chain, ctx);
+  if (faulted != nullptr) {
+    *faulted = scope.Faulted();
+  }
+  return result;
+}
+
+// Whether a program of `chain` references a map that a program may write.
+// Such a write bumps no epoch, so the chain's answer cannot be reused.
+bool ReadsProgramWritableMap(const HookChain& chain) {
+  for (const Program& program : chain.programs) {
+    for (const BpfMap* map : program.maps) {
+      if (map->program_writable()) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 bool CmpNodeTrampoline(void* user_data, const ShflWaiterView& shuffler,
@@ -173,10 +200,21 @@ bool ScheduleWaiterTrampoline(void* user_data, const ShflWaiterView& waiter,
                   HookKind::kScheduleWaiter, &ctx) != 0;
 }
 
+// On a cacheable table the answer is reused until the decision epoch moves,
+// unless a fault stood in for a map's contents (an injected lookup miss) or
+// a program can write one of the chain's maps.
 std::uint32_t RwModeTrampoline(void* user_data) {
   auto* cp = static_cast<CompiledPolicy*>(user_data);
   RwModeCtx ctx{cp->lock_id};
-  return static_cast<std::uint32_t>(Dispatch(cp, HookKind::kRwMode, &ctx));
+  bool faulted = false;
+  const auto mode = static_cast<std::uint32_t>(
+      Dispatch(cp, HookKind::kRwMode, &ctx, &faulted));
+  if (cp->table.cache_rw_mode &&
+      (faulted ||
+       ReadsProgramWritableMap(cp->spec->ChainFor(HookKind::kRwMode)))) {
+    return mode | kRwModeUseOnce;
+  }
+  return mode;
 }
 
 // The policy's tap chain runs first, under its own budget scope, then the
@@ -373,6 +411,13 @@ Status Concord::ReinstallLocked(std::uint64_t lock_id) {
     }
     if (fills(HookKind::kRwMode)) {
       t.rw_mode = RwModeTrampoline;
+      // Its context is only the lock id, so a chain of map-pure programs
+      // answers from map contents alone. A precompiled program is opaque.
+      t.cache_rw_mode = true;
+      for (const Program& program : spec->ChainFor(HookKind::kRwMode).programs) {
+        t.cache_rw_mode &= program.native == nullptr && program.verified &&
+                           program.map_pure;
+      }
     }
     // The profiler needs every tap; a policy only the ones it fills.
     const bool profiled = fresh->stats != nullptr;

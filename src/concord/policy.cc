@@ -72,6 +72,8 @@ Status PolicySpec::VerifyAll(AdmissionReport* report) {
       r.insns = program.insns.size();
       r.analysis = {};
       r.reads.clear();
+      r.writes_map = false;
+      r.map_pure = false;
       r.lint = {};
       r.cert = {};
       // Lint and certification need the verifier's analysis facts (return
@@ -89,7 +91,9 @@ Status PolicySpec::VerifyAll(AdmissionReport* report) {
           }
         }
         r.stage = "lint";
-        r.lint = LintPolicyProgram(kind, r.analysis);
+        r.writes_map = program.writes_map;
+        r.map_pure = program.map_pure;
+        r.lint = LintPolicyProgram(kind, program, r.analysis);
         if (!r.lint.ok()) {
           std::string message = "policy violates " + r.hook + " contract:";
           for (const LintFinding& finding : r.lint.findings) {

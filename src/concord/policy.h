@@ -60,8 +60,10 @@ struct AdmissionReport {
   std::size_t insns = 0;
   Verifier::Analysis analysis;
   // The context fields the program loads (Program::ctx_fields_read), in
-  // field order, once it verified.
+  // field order, and Program::writes_map and map_pure, once it verified.
   std::vector<std::string> reads;
+  bool writes_map = false;
+  bool map_pure = false;
   LintReport lint;
   CertificationReport cert;
 

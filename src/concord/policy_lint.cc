@@ -42,16 +42,16 @@ void CheckLoopBound(LintReport& report, const Verifier::Analysis& analysis,
 
 }  // namespace
 
-LintReport LintPolicyProgram(HookKind kind,
+LintReport LintPolicyProgram(HookKind kind, const Program& program,
                              const Verifier::Analysis& analysis) {
   LintReport report;
   switch (kind) {
     case HookKind::kCmpNode:
       // The comparator runs once per scanned waiter inside the shuffler's
       // queue walk; it must be a pure decision.
-      if (analysis.writes_map) {
+      if (program.writes_map) {
         Finding(report, "cmp-node-pure",
-                "cmp_node must be pure but calls a map-writing helper");
+                "cmp_node must be pure but writes a map");
       }
       if (analysis.writes_ctx) {
         Finding(report, "cmp-node-pure",

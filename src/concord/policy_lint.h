@@ -4,7 +4,7 @@
 // any program; this layer checks the *lock-specific* contracts a program must
 // additionally honour at its attach point — the informal rules Table 1 of the
 // paper states per hook, turned into machine-checkable facts over the
-// verifier's Analysis artifact:
+// verifier's Analysis artifact and the facts it records on the Program:
 //
 //   cmp_node         pure (no map writes, no context writes); returns 0 or 1;
 //                    any loop bounded by kMaxShuffleScan trips (it runs once
@@ -48,7 +48,8 @@ struct LintReport {
 
 // Checks the per-hook contracts against facts the verifier proved. The
 // program must have passed Verify() with `analysis` filled in.
-LintReport LintPolicyProgram(HookKind kind, const Verifier::Analysis& analysis);
+LintReport LintPolicyProgram(HookKind kind, const Program& program,
+                             const Verifier::Analysis& analysis);
 
 }  // namespace concord
 

@@ -197,7 +197,8 @@ void WriteAdmissionJson(JsonWriter& json, const std::string& file,
     json.Number(static_cast<std::uint64_t>(id));
   }
   json.EndArray();
-  json.Key("writes_map").Bool(r.analysis.writes_map);
+  json.Key("writes_map").Bool(r.writes_map);
+  json.Key("map_pure").Bool(r.map_pure);
   json.Key("writes_ctx").Bool(r.analysis.writes_ctx);
   json.Key("reads").BeginArray();
   for (const std::string& field : r.reads) {

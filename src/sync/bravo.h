@@ -256,14 +256,8 @@ class BravoLock {
                TapStamps{0, acquired_ns, release_ns, false});
   }
 
-  std::uint32_t CurrentMode() const {
-    std::uint32_t mode = default_mode_.load(std::memory_order_relaxed);
-    hooks_.Read(HookSite::kRwMode, [&](const HookTable& hooks) {
-      if (hooks.rw_mode != nullptr) {
-        mode = hooks.rw_mode(hooks.user_data);
-      }
-    });
-    return mode;
+  std::uint32_t CurrentMode() {
+    return hooks_.RwMode(default_mode_.load(std::memory_order_relaxed));
   }
 
   std::uint64_t SumReads(std::atomic<std::uint64_t> ReaderSlot::*count) const {

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "src/base/decision_epoch.h"
 #include "src/base/rng.h"
 #include "src/base/trace.h"
 #include "src/rcu/rcu.h"
@@ -60,6 +61,10 @@ enum class RwMode : std::uint32_t {
   kReaderBias = 1,  // BRAVO fast path enabled
   kWriterOnly = 2,  // readers take the write path (write-heavy workloads)
 };
+
+// Or'ed into an rw_mode answer that a cacheable table's lock must use for
+// this read only (HookTable::cache_rw_mode).
+inline constexpr std::uint32_t kRwModeUseOnce = 1u << 31;
 
 // What a lock hands its taps: the stamps of a timed acquisition (see
 // HookSite::TimeAcquisition), all from MonotonicNowNs(). Every stamp is 0 on
@@ -124,6 +129,14 @@ struct HookTable {
   // is 0, as it is for a waiter that queued before a table set it.
   bool track_wait_time = false;
 
+  // The rw_mode answer depends only on what the decision epoch guards
+  // (src/base/decision_epoch.h), so the lock may reuse it until the epoch
+  // moves (HookSite::RwMode). A run that cannot vouch for its answer ors in
+  // kRwModeUseOnce; any other answer must be an RwMode, as the rw_mode lint
+  // proves of BPF programs. Concord sets it iff every program of the rw_mode
+  // chain is a verified, map-pure BPF program; a raw table opts in.
+  bool cache_rw_mode = false;
+
   // Starvation bound per *waiter*: once a queued waiter has been overtaken
   // this many times by policy moves, no further waiter may be reordered past
   // it (the shuffle-round budget bounds the shuffler; this bounds the
@@ -139,8 +152,10 @@ struct HookTable {
 // and an rw_mode-only read pair one.
 //
 // Install publishes in three steps: OR the new table's bits into the mask,
-// swap the table pointer, then store the new table's exact bits. The mask is
-// relaxed and read outside any section, which is sound because:
+// swap the table pointer, then store the new table's exact bits. Then it
+// bumps the decision epoch, so no rw_mode answer cached under an older table
+// is reused. The mask is relaxed and read outside any section, which is sound
+// because:
 //   - every dereference of a table stays inside a read section, so memory
 //     safety never rests on the mask;
 //   - a stale set bit only enters a section that finds an empty slot and does
@@ -152,6 +167,22 @@ struct HookTable {
 //   - an acquisition that happens after Install returns reads the exact bits
 //     (or a later install's) by coherence, and the new table pointer too.
 //
+// The rw_mode cache (RwMode) keeps one (epoch, mode) word. A read under
+// kCacheRwMode loads the decision epoch and, if the word carries it, uses
+// the word's mode: no section, no call. Otherwise it runs the table's rw_mode
+// and stores the answer under the epoch it loaded *before* the run, if the
+// table it ran is cacheable and the run did not say kRwModeUseOnce. That is
+// sound because:
+//   - the epoch load is an acquire, so a run after it sees every map write
+//     and every table swap that preceded the epoch's bump;
+//   - an answer computed before a bump is stored under the old epoch, which
+//     no read after the bump matches. This holds for a table swapped out
+//     under a running read too, which is why Install bumps the epoch rather
+//     than clearing the word;
+//   - the kCacheRwMode bit only decides whether to try the word: an answer
+//     is stored only from a table whose cache_rw_mode is set, read inside the
+//     section that ran it.
+//
 // The site also decides which acquisitions are timed (TimeAcquisition): the
 // lock reads the clock only on those, and hands the stamps to its
 // lock_acquired and lock_release taps. And every tap records its lock event
@@ -159,7 +190,8 @@ struct HookTable {
 // both lock families trace acquire, contended, acquired and release here.
 class HookSite {
  public:
-  // Mask bits: one per hook slot, plus the hold and wait timing flags.
+  // Mask bits: one per hook slot, plus the hold and wait timing flags and
+  // the rw_mode cache flag.
   static constexpr std::uint32_t kCmpNode = 1u << 0;
   static constexpr std::uint32_t kSkipShuffle = 1u << 1;
   static constexpr std::uint32_t kScheduleWaiter = 1u << 2;
@@ -170,6 +202,7 @@ class HookSite {
   static constexpr std::uint32_t kRwMode = 1u << 7;
   static constexpr std::uint32_t kTrackHoldTime = 1u << 8;
   static constexpr std::uint32_t kTrackWaitTime = 1u << 9;
+  static constexpr std::uint32_t kCacheRwMode = 1u << 10;
   // The taps that receive a timed acquisition's stamps.
   static constexpr std::uint32_t kTimedTaps = kLockAcquired | kLockRelease;
 
@@ -186,6 +219,7 @@ class HookSite {
     mask_.fetch_or(bits, std::memory_order_relaxed);
     const HookTable* old = table_.Swap(table);
     mask_.store(bits, std::memory_order_relaxed);
+    BumpDecisionEpoch();
     return old;
   }
 
@@ -220,6 +254,39 @@ class HookSite {
     if ((mask() & bits) != 0) {
       ReadTable(fn);
     }
+  }
+
+  // The installed table's rw_mode answer for one read, or `fallback` when no
+  // table fills rw_mode. Under kCacheRwMode a read whose epoch matches the
+  // cached word's reuses its mode (see the class comment).
+  std::uint32_t RwMode(std::uint32_t fallback) {
+    const std::uint32_t mask = this->mask();
+    if ((mask & kRwMode) == 0) {
+      return fallback;
+    }
+    std::uint64_t epoch = 0;
+    if ((mask & kCacheRwMode) != 0) {
+      epoch = DecisionEpoch();
+      const std::uint64_t cached =
+          rw_mode_cache_.load(std::memory_order_relaxed);
+      if (cached >> kCachedModeBits == epoch) {
+        return static_cast<std::uint32_t>(cached & kCachedModeMask);
+      }
+    }
+    std::uint32_t mode = fallback;
+    bool reusable = false;
+    ReadTable([&](const HookTable& table) {
+      if (table.rw_mode != nullptr) {
+        const std::uint32_t answer = table.rw_mode(table.user_data);
+        mode = answer & ~kRwModeUseOnce;
+        reusable = table.cache_rw_mode && (answer & kRwModeUseOnce) == 0;
+      }
+    });
+    if (reusable && epoch != 0) {
+      rw_mode_cache_.store(epoch << kCachedModeBits | mode,
+                           std::memory_order_relaxed);
+    }
+    return mode;
   }
 
   // Records the tap's trace event, then fires `slot` of the installed table
@@ -293,7 +360,9 @@ class HookSite {
            (table->lock_release != nullptr ? kLockRelease : 0) |
            (table->rw_mode != nullptr ? kRwMode : 0) |
            (table->track_hold_time ? kTrackHoldTime : 0) |
-           (table->track_wait_time ? kTrackWaitTime : 0);
+           (table->track_wait_time ? kTrackWaitTime : 0) |
+           (table->rw_mode != nullptr && table->cache_rw_mode ? kCacheRwMode
+                                                               : 0);
   }
 
   static constexpr std::uint32_t TapBit(HookTable::Tap HookTable::*slot) {
@@ -311,9 +380,15 @@ class HookSite {
                                                 : TraceEventKind::kRelease;
   }
 
+  // The cached rw_mode word: epoch << kCachedModeBits | mode. Epoch 0 never
+  // matches (the decision epoch starts at 1).
+  static constexpr int kCachedModeBits = 2;
+  static constexpr std::uint64_t kCachedModeMask = (1u << kCachedModeBits) - 1;
+
   RcuPointer<const HookTable> table_{nullptr};
   std::atomic<std::uint32_t> mask_{0};
   std::uint64_t lock_id_ = 0;
+  std::atomic<std::uint64_t> rw_mode_cache_{0};
 };
 
 }  // namespace concord

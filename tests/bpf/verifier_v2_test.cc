@@ -396,9 +396,11 @@ TEST(VerifierV2Test, AnalysisReportsMapWrites) {
       .Add(3, -16)
       .CallByName("map_update_elem")
       .Return(0);
+  auto program = b.Build();
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
   Verifier::Analysis analysis;
-  ASSERT_TRUE(VerifyBuilt(b, Verifier::Options{}, &analysis).ok());
-  EXPECT_TRUE(analysis.writes_map);
+  ASSERT_TRUE(Verifier::Verify(*program, Verifier::Options{}, &analysis).ok());
+  EXPECT_TRUE(program->writes_map);
   EXPECT_FALSE(analysis.writes_ctx);
 }
 

@@ -272,11 +272,17 @@ struct Calls {
   }
 };
 
-// A spec with a counting BPF program at every kind whose bit is in `bits`.
-// The programs read what the timing bits in `bits` are derived from: each
-// calls get_cs_ewma_ns under kTrackHoldTime, and each decision program
-// loads its waiter's wait_ns (offset 0 of every waiter context) under
-// kTrackWaitTime. A precompiled program would read everything.
+void Bump(void* calls, HookKind kind) {
+  (*static_cast<Calls*>(calls))[kind].fetch_add(1);
+}
+
+// A spec with a counting program at every kind whose bit is in `bits`: BPF,
+// except at cmp_node, whose programs must write no map (the cmp-node-pure
+// lint). The BPF programs read what the timing bits in `bits` are derived
+// from: each calls get_cs_ewma_ns under kTrackHoldTime, and each decision
+// program loads its waiter's wait_ns (offset 0 of every waiter context)
+// under kTrackWaitTime. The cmp_node program is precompiled and declares
+// that it reads no context field; AddNative's would read everything.
 PolicySpec CountingSpec(Calls& calls, std::uint32_t bits) {
   PolicySpec spec;
   spec.name = "counting";
@@ -284,6 +290,18 @@ PolicySpec CountingSpec(Calls& calls, std::uint32_t bits) {
   for (int k = 0; k < kNumHookKinds; ++k) {
     const auto kind = static_cast<HookKind>(k);
     if ((bits & BitOf(kind)) == 0) {
+      continue;
+    }
+    if (kind == HookKind::kCmpNode) {
+      Program program;
+      program.name = HookKindName(kind);
+      program.ctx_desc = &DescriptorFor(kind);
+      program.native = [](void* data, void*) {
+        Bump(data, HookKind::kCmpNode);
+        return std::uint64_t{0};
+      };
+      program.native_data = &calls;
+      EXPECT_TRUE(spec.AddProgram(kind, std::move(program)).ok());
       continue;
     }
     const bool decision = kind == HookKind::kCmpNode ||
@@ -316,10 +334,6 @@ PolicySpec CountingSpec(Calls& calls, std::uint32_t bits) {
     }
   }
   return spec;
-}
-
-void Bump(void* calls, HookKind kind) {
-  (*static_cast<Calls*>(calls))[kind].fetch_add(1);
 }
 
 template <HookKind kKind>

@@ -172,10 +172,17 @@ TEST_F(PolicyAdmissionTest, AttachLintsCodeBuiltSpecs) {
 // findings, the cost and race facts present, and the context fields each
 // program reads (what decides the lock's timing).
 TEST(PolicyCorpusTest, ShippedPoliciesCertify) {
-  const std::map<std::string, std::vector<std::string>> kReads = {
-      {"batch_skip_shuffle", {}},
-      {"log2_backoff_skip_shuffle", {"shuffler_wait_ns"}},
-      {"numa_cmp_node", {"shuffler_socket", "curr_socket"}},
+  // What each shipped program reads, and the verifier's writes_map and
+  // map_pure facts.
+  struct Facts {
+    std::vector<std::string> reads;
+    bool writes_map;
+    bool map_pure;
+  };
+  const std::map<std::string, Facts> kFacts = {
+      {"batch_skip_shuffle", {{}, true, false}},
+      {"log2_backoff_skip_shuffle", {{"shuffler_wait_ns"}, false, true}},
+      {"numa_cmp_node", {{"shuffler_socket", "curr_socket"}, false, true}},
   };
   JsonWriter json;
   json.BeginArray();
@@ -232,9 +239,18 @@ TEST(PolicyCorpusTest, ShippedPoliciesCertify) {
       read_names.push_back(field.string_value);
     }
     const auto expected =
-        kReads.find(fs::path(file->string_value).stem().string());
-    ASSERT_NE(expected, kReads.end()) << "no pinned reads for this file";
-    EXPECT_EQ(read_names, expected->second);
+        kFacts.find(fs::path(file->string_value).stem().string());
+    ASSERT_NE(expected, kFacts.end()) << "no pinned facts for this file";
+    EXPECT_EQ(read_names, expected->second.reads);
+    for (const auto& [member, value] :
+         {std::pair<const char*, bool>{"writes_map",
+                                       expected->second.writes_map},
+          {"map_pure", expected->second.map_pure}}) {
+      const JsonValue* fact = analysis->Find(member);
+      ASSERT_TRUE(fact != nullptr && fact->type == JsonValue::Type::kBool)
+          << member;
+      EXPECT_EQ(fact->bool_value, value) << member;
+    }
 
     const JsonValue* races = entry.Find("races");
     ASSERT_TRUE(races != nullptr && races->IsObject());

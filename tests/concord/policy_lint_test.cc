@@ -61,27 +61,59 @@ TEST(PolicyLintTest, CleanNumaCmpNodePasses) {
   EXPECT_TRUE(report.lint.ok());
 }
 
+// A map write by helper, by a store through a map-value pointer or by an
+// atomic add there: each makes cmp_node impure. The last two count calls and
+// then answer like numa_cmp_node.
 TEST(PolicyLintTest, CmpNodeMapWriteViolatesPurity) {
-  const char* source = R"(
+  const std::string lookup = R"(
     stw [r10-4], 0      ; key
-    stdw [r10-16], 1    ; value
     mov r1, 0
     mov r2, r10
     add r2, -4
-    mov r3, r10
-    add r3, -16
-    call map_update_elem
+    call map_lookup_elem
+    jeq r0, 0, numa
+  )";
+  const std::string numa = R"(
+  numa:
+    ldxw r2, [r6+16]    ; shuffler_socket
+    ldxw r3, [r6+56]    ; curr_socket
     mov r0, 0
+    jne r2, r3, out
+    mov r0, 1
+  out:
     exit
   )";
-  ArrayMap scratch("scratch", 8, 8);
-  auto program = Assemble(HookKind::kCmpNode, source, &scratch);
-  ASSERT_TRUE(program.ok());
-  AdmissionReport report;
-  Status s = Gate(HookKind::kCmpNode, *program, &report);
-  EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
-  EXPECT_NE(s.message().find("cmp_node contract"), std::string::npos);
-  EXPECT_TRUE(HasRule(report.lint, "cmp-node-pure"));
+  const std::pair<const char*, std::string> writes[] = {
+      {"map_update_elem", R"(
+          stw [r10-4], 0      ; key
+          stdw [r10-16], 1    ; value
+          mov r1, 0
+          mov r2, r10
+          add r2, -4
+          mov r3, r10
+          add r3, -16
+          call map_update_elem
+          mov r0, 0
+          exit
+        )"},
+      {"stxdw", "mov r6, r1\n" + lookup +
+                    "ldxdw r2, [r0+0]\nadd r2, 1\nstxdw [r0+0], r2\n" + numa},
+      {"xadddw",
+       "mov r6, r1\n" + lookup + "mov r2, 1\nxadddw [r0+0], r2\n" + numa},
+  };
+  for (const auto& [name, source] : writes) {
+    SCOPED_TRACE(name);
+    ArrayMap scratch("scratch", 8, 8);
+    auto program = Assemble(HookKind::kCmpNode, source, &scratch);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    AdmissionReport report;
+    Status s = Gate(HookKind::kCmpNode, *program, &report);
+    EXPECT_EQ(s.code(), StatusCode::kPermissionDenied);
+    EXPECT_NE(s.message().find("cmp_node contract"), std::string::npos);
+    EXPECT_TRUE(HasRule(report.lint, "cmp-node-pure"));
+    EXPECT_TRUE(report.writes_map);
+    EXPECT_FALSE(report.map_pure);
+  }
 }
 
 TEST(PolicyLintTest, CmpNodeReturnOutsideZeroOne) {

@@ -279,11 +279,14 @@ TEST_F(AgentChaosTest, CandidateWithoutSourceIsAnErrorAndKeepsTheIncumbent) {
   FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
   FleetAgent::Global().Tick();  // baseline segment read
   FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
+  const std::uint64_t requests = server_->stats().requests;
   const auto events = FleetAgent::Global().Tick();
   std::string detail;
   ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kError, &detail))
       << FleetAgent::Global().StatusJson();
   EXPECT_NE(detail.find("no source"), std::string::npos) << detail;
+  // No worker took the candidate, so none is sent the incumbent back.
+  EXPECT_EQ(server_->stats().requests, requests);
   EXPECT_FALSE(HasEvent(events, AutotuneEventKind::kCanaryStart));
   EXPECT_FALSE(HasEvent(events, AutotuneEventKind::kWorkerEvict));
   EXPECT_EQ(FleetAgent::Global().WorkerCount(), 1u);
@@ -333,6 +336,56 @@ TEST_F(AgentChaosTest, FleetCanaryRollsBackOnRegression) {
 }
 
 #if CONCORD_FAULT_INJECTION
+
+// A push one of two workers rejects rolls back only the worker that took the
+// candidate. The second worker lives in this process too, with its own
+// control socket and segment, registered under the parent's pid (alive, so
+// never evicted as dead). The first request any handler serves fails.
+TEST_F(AgentChaosTest, RejectedPushRollsBackOnlyTheWorkersThatTookIt) {
+  StartWorker();
+  const std::string shm_path = shm_path_ + ".2";
+  std::remove(shm_path.c_str());
+  RpcServerOptions server_options;
+  server_options.socket_path = socket_path_ + ".2";
+  RpcServer second(server_options);
+  ASSERT_TRUE(second.Start().ok());
+  ShmExporterOptions exporter_options;
+  exporter_options.shm_path = shm_path;
+  auto exporter = ShmExporter::Create(exporter_options);
+  ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
+  ASSERT_TRUE(FleetAgent::Global()
+                  .RegisterWorker(static_cast<std::uint64_t>(getppid()),
+                                  shm_path, server_options.socket_path)
+                  .ok());
+  ASSERT_TRUE(FleetAgent::Global()
+                  .registry()
+                  .RegisterSource("test_backoff",
+                                  ContentionRegime::kPathological,
+                                  kBackoffPolicy)
+                  .ok());
+
+  FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
+  ASSERT_TRUE((*exporter)->ExportOnce().ok());
+  FleetAgent::Global().Tick();  // baseline segment reads
+  FeedPathologicalWindow(/*wait_each_ns=*/4'000'000);
+  ASSERT_TRUE((*exporter)->ExportOnce().ok());
+  FaultRegistry::Global().Arm("rpc.handler",
+                              {FaultRegistry::Mode::kNth, /*n=*/1});
+  const auto events = FleetAgent::Global().Tick();
+  ASSERT_TRUE(HasEvent(events, AutotuneEventKind::kError))
+      << FleetAgent::Global().StatusJson();
+  EXPECT_FALSE(HasEvent(events, AutotuneEventKind::kCanaryStart));
+  EXPECT_EQ(FleetAgent::Global().WorkerCount(), 2u);
+  // The first worker rejected the attach and is sent nothing more; the
+  // second took it and is sent the incumbent (plain: a detach).
+  EXPECT_EQ(server_->stats().requests, 1u);
+  EXPECT_EQ(second.stats().requests, 2u);
+  EXPECT_TRUE(Concord::Global().AttachedPolicyName(lock_id_).empty());
+
+  second.Stop();
+  exporter->reset();
+  std::remove(shm_path.c_str());
+}
 
 // A transient burst of agent.shm_map failures (fewer than the eviction
 // threshold) must not evict: the worker recovers as soon as mapping works.
